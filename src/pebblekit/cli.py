@@ -221,10 +221,6 @@ def _cmd_verify_target(args) -> int:
     return PASS if rep["pass"] else FAIL
 
 
-_VERIFY_PARAMS = ("m", "t", "spec", "max_n", "d_values", "count", "samples",
-                  "m_values", "t_values", "scan_cap", "enumerate", "exhaustive")
-
-
 def _cmd_verify(args) -> int:
     params = {}
     if args.m is not None:

@@ -69,10 +69,7 @@ class Graph:
                 raise GraphError("labels length must equal vertex count")
             object.__setattr__(self, "labels", labels)
         if self.n > 1:
-            adj = [[] for _ in range(self.n)]
-            for u, v in self.edges:
-                adj[u].append(v)
-                adj[v].append(u)
+            adj = self.adjacency
             reached = [False] * self.n
             reached[0] = True
             count = 1
@@ -320,12 +317,19 @@ def graph_to_json(g: Graph) -> str:
 
 
 def graph_from_json(text: str) -> Graph:
+    return _decode_graph(text)[0]
+
+
+def _decode_graph(text: str) -> tuple[Graph, list]:
+    """The graph and its edge list as written (duplicates kept), from one
+    parse of the JSON text."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise GraphError(f"invalid graph JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from None
     if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
         raise GraphError('graph JSON must be an object with "n" and "edges"')
-    return Graph(int(obj["n"]),
-                 tuple((int(u), int(v)) for u, v in obj["edges"]),
-                 tuple(obj["labels"]) if obj.get("labels") is not None else None)
+    g = Graph(int(obj["n"]),
+              tuple((int(u), int(v)) for u, v in obj["edges"]),
+              tuple(obj["labels"]) if obj.get("labels") is not None else None)
+    return g, obj["edges"]

@@ -294,6 +294,35 @@ class _FastFilter:
         return ok
 
 
+def _min_moves_upto2(g: Graph, rows: np.ndarray, r: int) -> np.ndarray:
+    """Exact fewest pebbling moves putting one pebble on r, per row of a
+    (B, n) block, when that number is 0, 1 or 2; -1 when it is at least 3
+    or no sequence of moves reaches r.
+
+    Lemma (any graph). Write c for a row.
+      - 0 moves iff c(r) >= 1.
+      - 1 move iff c(r) = 0 and some u in N(r) has c(u) >= 2: the only move
+        is the last one, u -> r, and it needs two pebbles on u.
+      - 2 moves iff neither of the above and some u in N(r) with c(u) = 1
+        has a neighbour x with c(x) >= 2. The moves x -> u, u -> r do it.
+        Conversely, the last move is u -> r for some u in N(r), so u holds
+        2 after the first move. Before it u held at most 1 (no neighbour
+        of r holds 2), and only a move into u raises c(u), by one; so
+        c(u) = 1 and the first move is x -> u with c(x) >= 2.
+    Each test below is applied over the previous one, so a row gets the
+    least class whose condition it meets.
+    """
+    rich = rows >= 2
+    moves = np.full(rows.shape[0], -1, dtype=np.int8)
+    two = np.zeros(rows.shape[0], dtype=bool)
+    for u in g.adjacency[r]:
+        two |= (rows[:, u] == 1) & rich[:, list(g.adjacency[u])].any(axis=1)
+    moves[two] = 2
+    moves[rich[:, list(g.adjacency[r])].any(axis=1)] = 1
+    moves[rows[:, r] >= 1] = 0
+    return moves
+
+
 def _lex_le_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Per-row lexicographic a <= b for equal-shaped integer arrays."""
     neq = a != b

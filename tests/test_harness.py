@@ -110,19 +110,29 @@ def test_save_and_load_graph_round_trip(tmp_path, petersen):
     assert load_graph(str(path)) == petersen
 
 
-def test_load_graph_merges_duplicate_edges(tmp_path, caplog):
+def test_load_graph_merges_duplicate_edges(tmp_path, caplog, monkeypatch):
+    calls = []
+    loads = json.loads
+    monkeypatch.setattr(json, "loads",
+                        lambda *a, **kw: calls.append(1) or loads(*a, **kw))
     path = tmp_path / "dup.json"
-    path.write_text(json.dumps(
-        {"n": 3, "edges": [[0, 1], [1, 0], [1, 2]]}) + "\n")
+    path.write_text('{"n": 3,\n "edges": [[0, 1], [1, 0], [2, 1], [1, 2]]}\n')
     with caplog.at_level(logging.WARNING, logger="pebblekit"):
         g = load_graph(str(path))
     assert g.edges == ((0, 1), (1, 2))
-    assert any("duplicate edge" in rec.message for rec in caplog.records)
+    assert any("2 duplicate edge(s)" in rec.message for rec in caplog.records)
+    assert len(calls) == 1  # one parse serves the graph and the count
 
     bad = tmp_path / "disconnected.json"
-    bad.write_text(json.dumps({"n": 4, "edges": [[0, 1], [2, 3]]}) + "\n")
+    bad.write_text('{"n": 4, "edges": [[0, 1], [2, 3]]}\n')
     with pytest.raises(GraphError):
         load_graph(str(bad))
+
+    truncated = tmp_path / "truncated.json"
+    truncated.write_text('{"n": 3,\n "edges": [[0, 1],\n  [1,\n')
+    with pytest.raises(GraphError) as err:
+        load_graph(str(truncated))
+    assert "at line 4 column 1" in str(err.value)
 
 
 def test_cli_version_and_usage_errors():

@@ -3,6 +3,7 @@
 import random
 from math import comb
 
+import numpy as np
 import pytest
 
 from pebblekit import (
@@ -26,6 +27,7 @@ from pebblekit import (
     pi_D,
     pi_t,
     random_tree,
+    solvable_within,
     tree_dust_witness,
     tree_pi,
     two_path,
@@ -34,10 +36,13 @@ from pebblekit import (
     unrank_config,
     verify_target_conjecture,
 )
+from pebblekit.numbers import _min_moves_upto2
 
 from oracles import (
+    brute_min_moves,
     brute_pi,
     brute_unsolvable_set,
+    random_config,
     random_connected_edges,
 )
 
@@ -78,6 +83,42 @@ def test_unrank_config_is_the_ascending_order():
         unrank_config(3, 2, -1)
     with pytest.raises(ValueError):
         unrank_config(3, 2, num_configs(3, 2))
+
+
+def _check_min_moves_upto2(g, rows, r):
+    """Classifier against brute force; on its -1 rows the depth-3 bounded
+    search must hold exactly when 3 moves are the minimum."""
+    got = _min_moves_upto2(g, np.array(rows, dtype=np.int64), r)
+    for row, k in zip(rows, got.tolist()):
+        want = brute_min_moves(g, row, r)
+        if k >= 0:
+            assert want == k, (g.edges, row, r)
+        else:
+            assert want is None or want >= 3, (g.edges, row, r)
+            within = solvable_within(g, Configuration(tuple(row)), r, 3)
+            assert within == (want == 3), (g.edges, row, r)
+    return got
+
+
+def test_min_moves_upto2_matches_brute_force_at_every_root():
+    rng = random.Random(912)
+    seen = set()
+    for trial in range(120):
+        n = rng.randrange(2, 9)
+        g = build_graph(n, random_connected_edges(n, rng.randrange(0, n), rng))
+        rows = [random_config(n, rng.randrange(0, 15), rng) for _ in range(80)]
+        for r in range(n):
+            seen.update(_check_min_moves_upto2(g, rows, r).tolist())
+    assert seen == {-1, 0, 1, 2}
+
+
+def test_min_moves_upto2_on_size13_petersen_rows(petersen):
+    rng = random.Random(913)
+    total = num_configs(10, 13)
+    rows = [unrank_config(10, 13, rng.randrange(total)).counts
+            for _ in range(4000)]
+    got = _check_min_moves_upto2(petersen, rows, 0)
+    assert set(got.tolist()) == {-1, 0, 1, 2}
 
 
 def test_find_unsolvable_witness_path_example():
