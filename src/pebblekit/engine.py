@@ -7,6 +7,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
+from operator import ge, mul
 
 from .graph import Graph
 
@@ -149,17 +151,38 @@ def weight(c: Configuration, r: int, g: Graph) -> Fraction:
     return Fraction(scaled, 1 << diam)
 
 
+# The failed-state memo stops growing at this many entries per solver.
+MEMO_CAP = 4_000_000
+
+
 class Solver:
     """Reusable exact search for one (graph, demand, mode) triple.
 
-    Depth-first search over move sequences; every move removes a pebble, so
-    the state space is a finite DAG. States proven unsolvable are memoized
-    across solve() calls. Pruning: per-target weight thresholds (weights
-    never increase under moves) and zero potential with unmet demand.
+    `solve(c, max_moves=None)` is the package's one exact search: a
+    depth-first search over move sequences, kept on an explicit stack so
+    that no input can reach Python's recursion limit. Every move removes a
+    pebble, so the states form a finite DAG and the search ends. Sources are
+    tried by decreasing count (ties to the least index), and each source's
+    neighbours by decreasing weight towards the demand's targets, so the
+    solution found and the state count are deterministic.
+
+    Pruning, and why each rule is sound:
+    - Weight. For a target r, w_r(c) = sum c(v) 2^-dist(v,r) never increases
+      under a move (|dist(u,r) - dist(v,r)| <= 1, so the pebble placed on v
+      weighs at most the two taken from u; the `weight_monotonicity` property
+      suite checks this). A configuration meeting the demand has w_r at least
+      sum D(x) 2^-dist(x,r), so a state below that can never be solved.
+    - Memo. `failed` holds only states with no solution of any length: an
+      unbounded call adds a state once the weight rule cuts it or all of its
+      moves have failed. Such a state fails under any bound as well, so
+      bounded calls read the memo; a bounded failure may only mean the bound
+      was hit, so bounded calls never write it. The memo stops growing at
+      MEMO_CAP entries.
+    Restricted modes decide a move's legality from the state alone, so the
+    memo stays sound for them too.
     """
 
-    def __init__(self, g: Graph, d: Distribution, mode: str = "unrestricted",
-                 memo_cap: int = 4_000_000):
+    def __init__(self, g: Graph, d: Distribution, mode: str = "unrestricted"):
         if mode not in MODES:
             raise PebblingError(f"unknown mode {mode!r}; expected one of {MODES}")
         if len(d) != g.n:
@@ -168,108 +191,108 @@ class Solver:
         self.demand = d.demands
         self.mode = mode
         self.n = g.n
-        self.adj = g.adjacency
         m = g.metrics
         self.dist = m.dist
         diam = m.diameter
         self.targets = d.support
-        self.W = {r: tuple(1 << (diam - self.dist[r][v]) for v in range(self.n))
-                  for r in self.targets}
-        self.need = {r: sum(self.demand[x] * self.W[r][x] for x in self.targets)
-                     for r in self.targets}
-        score = [sum(self.W[x][v] for x in self.targets) for v in range(self.n)]
-        self.tgt_order = tuple(tuple(sorted(self.adj[u], key=lambda v: (-score[v], v)))
-                               for u in range(self.n))
+        self.W = tuple(tuple(1 << (diam - self.dist[r][v]) for v in range(self.n))
+                       for r in self.targets)
+        self.need = tuple(sum(self.demand[x] * w[x] for x in self.targets)
+                          for w in self.W)
+        score = [sum(w[v] for w in self.W) for v in range(self.n)]
+        # the moves out of each vertex, best-scoring neighbour first
+        self.moves_from = tuple(
+            tuple((u, v) for v in sorted(g.adjacency[u], key=lambda v: (-score[v], v)))
+            for u in range(self.n))
         self.failed: set[tuple[int, ...]] = set()
-        self.memo_cap = memo_cap
 
-    def solve(self, c) -> SolveOutcome:
+    def solve(self, c, max_moves: int | None = None) -> SolveOutcome:
+        """Search for moves from c that meet the demand; with max_moves, only
+        sequences of at most that many moves count."""
+        if max_moves is not None and max_moves < 0:
+            raise PebblingError("max_moves must be nonnegative")
         counts = list(c.counts if isinstance(c, Configuration) else c)
-        if len(counts) != self.n:
+        n = self.n
+        if len(counts) != n:
             raise PebblingError("configuration length must equal vertex count")
         demand = self.demand
-        single = sum(demand) == 1
-        deficit = sum(max(0, demand[v] - counts[v]) for v in range(self.n))
-        states = 0
-        if deficit == 0:
-            return SolveOutcome(True, Solution((), 1 if single else None), states)
-        weights = {r: sum(counts[v] * w[v] for v in range(self.n) if counts[v])
-                   for r, w in self.W.items()}
-        pot = sum(x // 2 for x in counts)
-        moves: list[tuple[int, int]] = []
         targets = self.targets
-        need = self.need
+        single = sum(demand) == 1
+        deficit = sum(max(0, demand[x] - counts[x]) for x in targets)
+        if deficit == 0:
+            return SolveOutcome(True, Solution((), 1 if single else None), 0)
         W = self.W
-        dist = self.dist
+        need = self.need
+        weights = [sum(map(mul, counts, w)) for w in W]
+        tix = range(len(W))
         failed = self.failed
+        write = max_moves is None
+        moves_from = self.moves_from
+        vertices = range(n)
         mode = self.mode
-        adj_order = self.tgt_order
+        dist = self.dist
 
-        def allowed(u: int, v: int) -> bool:
-            if mode == "unrestricted":
-                return True
+        def allowed(move) -> bool:
+            u, v = move
             if mode == "greedy":
                 return any(demand[x] > counts[x] and dist[x][v] < dist[x][u]
                            for x in targets)
             return any(demand[x] > counts[x] and dist[x][v] <= dist[x][u]
                        for x in targets)
 
-        def rec() -> bool:
-            nonlocal deficit, pot, states
+        # open_states[i] holds the i-th state on the current path, as its key
+        # and its untried moves; path[i] is the move taken out of it and
+        # saved[i] the deficit before that move
+        open_states: list = []
+        path: list[tuple[int, int]] = []
+        saved: list[int] = []
+        states = 0
+        while True:
+            # enter the state in `counts`
             states += 1
             key = tuple(counts)
-            if key in failed:
-                return False
-            for r in targets:
-                if weights[r] < need[r]:
-                    if len(failed) < self.memo_cap:
-                        failed.add(key)
-                    return False
-            if pot == 0:
-                if len(failed) < self.memo_cap:
+            if key not in failed and len(path) != max_moves:
+                if all(map(ge, weights, need)) and (
+                        sources := [v for v in vertices if counts[v] > 1]):
+                    sources.sort(key=counts.__getitem__, reverse=True)
+                    cand = chain.from_iterable(map(moves_from.__getitem__, sources))
+                    if mode != "unrestricted":
+                        cand = filter(allowed, cand)
+                    open_states.append((key, cand))
+                elif write and len(failed) < MEMO_CAP:
                     failed.add(key)
-                return False
-            sources = sorted((v for v in range(self.n) if counts[v] >= 2),
-                             key=lambda v: (-counts[v], v))
-            for u in sources:
-                if counts[u] < 2:
-                    continue
-                for v in adj_order[u]:
-                    if not allowed(u, v):
-                        continue
-                    # apply u -> v
-                    du = max(0, demand[u] - counts[u])
-                    dv = max(0, demand[v] - counts[v])
-                    pot -= counts[u] // 2 + counts[v] // 2
-                    counts[u] -= 2
-                    counts[v] += 1
-                    pot += counts[u] // 2 + counts[v] // 2
-                    deficit += max(0, demand[u] - counts[u]) - du
-                    deficit += max(0, demand[v] - counts[v]) - dv
-                    for r in targets:
-                        weights[r] += W[r][v] - 2 * W[r][u]
-                    moves.append((u, v))
-                    if deficit == 0 or rec():
-                        return True
-                    # undo
-                    moves.pop()
-                    for r in targets:
-                        weights[r] -= W[r][v] - 2 * W[r][u]
-                    deficit -= max(0, demand[v] - counts[v]) - dv
-                    deficit -= max(0, demand[u] - counts[u]) - du
-                    pot -= counts[u] // 2 + counts[v] // 2
+            # take the next untried move, backtracking past exhausted states
+            while True:
+                if len(path) == len(open_states):
+                    if not path:
+                        return SolveOutcome(False, None, states)
+                    u, v = path.pop()
                     counts[u] += 2
                     counts[v] -= 1
-                    pot += counts[u] // 2 + counts[v] // 2
-            if len(failed) < self.memo_cap:
-                failed.add(key)
-            return False
-
-        ok = rec()
-        solution = None
-        if ok:
-            solution = Solution(tuple(moves), len(moves) + 1 if single else None)
-        return SolveOutcome(ok, solution, states)
+                    deficit = saved.pop()
+                    for i in tix:
+                        weights[i] += 2 * W[i][u] - W[i][v]
+                key, cand = open_states[-1]
+                move = next(cand, None)
+                if move is None:
+                    open_states.pop()
+                    if write and len(failed) < MEMO_CAP:
+                        failed.add(key)
+                    continue
+                u, v = move
+                path.append(move)
+                saved.append(deficit)
+                counts[u] -= 2
+                counts[v] += 1
+                for i in tix:
+                    weights[i] += W[i][v] - 2 * W[i][u]
+                if demand[u] or demand[v]:
+                    deficit = sum(max(0, demand[x] - counts[x]) for x in targets)
+                    if deficit == 0:
+                        return SolveOutcome(
+                            True, Solution(tuple(path), len(path) + 1 if single else None),
+                            states)
+                break
 
 
 _solver_cache: dict[tuple, Solver] = {}
@@ -297,62 +320,40 @@ def is_solvable(g: Graph, c: Configuration, d: Distribution,
     return get_solver(g, d, mode).solve(c)
 
 
-def _depth_limited(g: Graph, counts: list, r: int, depth: int,
-                   w_vec, moves: list) -> bool:
-    if counts[r] >= 1:
-        return True
-    if depth == 0:
-        return False
-    # weight lower bound: delivering 1 to r needs weight >= 2^diam (scaled)
-    if sum(counts[v] * w_vec[v] for v in range(g.n) if counts[v]) < w_vec[r]:
-        return False
-    for u in sorted((v for v in range(g.n) if counts[v] >= 2),
-                    key=lambda v: (-counts[v], v)):
-        for v in sorted(g.adjacency[u], key=lambda x: (-w_vec[x], x)):
-            counts[u] -= 2
-            counts[v] += 1
-            moves.append((u, v))
-            if _depth_limited(g, counts, r, depth - 1, w_vec, moves):
-                return True
-            moves.pop()
-            counts[u] += 2
-            counts[v] -= 1
-    return False
-
-
 def min_cost_solution(g: Graph, c: Configuration, r: int, max_moves: int | None = None):
-    """Minimum-cost solution delivering one pebble to r, by iterative
-    deepening on the move count (cost = moves + 1). Returns (solution,
-    is_cheap) where is_cheap means cost <= 2^ecc(r), or None when no
-    solution exists within the move cap."""
-    base = is_solvable(g, c, Distribution.stacked(g.n, r, 1))
+    """Minimum-cost solution delivering one pebble to r (cost = moves + 1).
+    One unbounded solve gives a move count that suffices; the same search,
+    bounded, then bisects for the fewest. Solvability within k moves is
+    monotone in k, and the solution returned is the first one the search
+    meets under the least bound, as iterative deepening would return.
+    Returns (solution, is_cheap) where is_cheap means cost <= 2^ecc(r), or
+    None when no solution exists within the move cap."""
+    d = Distribution.stacked(g.n, r, 1)
+    base = is_solvable(g, c, d)
     if not base.solvable:
         return None
     cap = len(base.solution.moves)
     if max_moves is not None:
-        if not _iddfs_within(g, c, r, max_moves):
-            return None
         cap = min(cap, max_moves)
-    m = g.metrics
-    diam = m.diameter
-    w_vec = tuple(1 << (diam - m.dist[r][v]) for v in range(g.n))
-    for depth in range(cap + 1):
-        moves: list[tuple[int, int]] = []
-        if _depth_limited(g, list(c.counts), r, depth, w_vec, moves):
-            cost = len(moves) + 1
-            return Solution(tuple(moves), cost), cost <= (1 << m.ecc[r])
-    raise AssertionError("deepening exceeded a known solution length")
-
-
-def _iddfs_within(g: Graph, c: Configuration, r: int, max_moves: int) -> bool:
-    m = g.metrics
-    w_vec = tuple(1 << (m.diameter - m.dist[r][v]) for v in range(g.n))
-    return _depth_limited(g, list(c.counts), r, max_moves, w_vec, [])
+    solver = get_solver(g, d)
+    best = solver.solve(c, cap)
+    if not best.solvable:
+        return None
+    lo = 0  # no solution within fewer than lo moves; best has at most cap
+    while lo < cap:
+        mid = (lo + cap) // 2
+        out = solver.solve(c, mid)
+        if out.solvable:
+            cap, best = mid, out
+        else:
+            lo = mid + 1
+    cost = best.solution.cost
+    return best.solution, cost <= (1 << g.metrics.ecc[r])
 
 
 def solvable_within(g: Graph, c: Configuration, r: int, max_moves: int) -> bool:
     """Can one pebble reach r using at most max_moves pebbling steps?"""
-    return _iddfs_within(g, c, r, max_moves)
+    return get_solver(g, Distribution.stacked(g.n, r, 1)).solve(c, max_moves).solvable
 
 
 def find_slides(g: Graph, c: Configuration, cap: int | None = None):
@@ -363,23 +364,18 @@ def find_slides(g: Graph, c: Configuration, cap: int | None = None):
     if cap is None:
         cap = g.n
     out = []
-
-    def extend(path: list):
+    stack = [(u,) for u in range(g.n) if c[u] >= 2]
+    while stack:
+        path = stack.pop()
         last = path[-1]
         grown = False
         if len(path) < cap and (len(path) == 1 or c[last] >= 1):
             for w in g.adjacency[last]:
                 if w not in path:
                     grown = True
-                    path.append(w)
-                    extend(path)
-                    path.pop()
+                    stack.append(path + (w,))
         if not grown and len(path) >= 2:
-            out.append(tuple(path))
-
-    for u in range(g.n):
-        if c[u] >= 2:
-            extend([u])
+            out.append(path)
     return tuple(sorted(out))
 
 

@@ -420,36 +420,47 @@ def spinal_tree(tp: TwoPath, r: int) -> RootedTree:
     return RootedTree(t, r)
 
 
-def max_path_partition(t: RootedTree) -> tuple[int, ...]:
-    """Edge-length sequence (non-increasing) of a maximum r-path partition:
-    repeatedly peel the deepest descending path, starting from the root, ties
-    broken by least vertex index. The first entry equals ecc(root)."""
-    g = t.graph
-    if g.n == 1:
-        return ()
-    height = [0] * g.n
+def _peel_paths(tree: RootedTree) -> list[list[int]]:
+    """Vertex paths of a maximum root-path partition: repeatedly peel the
+    deepest descending path (ties to the least index). Path 0 starts at the
+    root; later paths start at their attachment vertex, in depth-first
+    order of their attachments."""
+    children = tree.children
+    height = [0] * tree.graph.n
     order = []
-    stack = [t.root]
+    stack = [tree.root]
     while stack:
         v = stack.pop()
         order.append(v)
-        stack.extend(t.children[v])
+        stack.extend(children[v])
     for v in reversed(order):
-        for c in t.children[v]:
+        for c in children[v]:
             height[v] = max(height[v], height[c] + 1)
+    paths = []
+    todo = [(None, tree.root)]
+    while todo:
+        attach, v = todo.pop()
+        path = [] if attach is None else [attach]
+        while True:
+            path.append(v)
+            kids = children[v]
+            if not kids:
+                break
+            v = min(kids, key=lambda c: (-height[c], c))
+        paths.append(path)
+        new = path if attach is None else path[1:]
+        on_path = set(path)
+        todo.extend(reversed([(u, c) for u in new for c in children[u]
+                              if c not in on_path]))
+    return paths
 
-    def lengths(v) -> list[int]:
-        ch = sorted(t.children[v], key=lambda c: (-height[c], c))
-        if not ch:
-            return [0]
-        first = lengths(ch[0])
-        out = [1 + first[0]] + first[1:]
-        for c in ch[1:]:
-            sub = lengths(c)
-            out += [1 + sub[0]] + sub[1:]
-        return out
 
-    return tuple(sorted(lengths(t.root), reverse=True))
+def max_path_partition(t: RootedTree) -> tuple[int, ...]:
+    """Edge-length sequence (non-increasing) of a maximum r-path partition,
+    the paths peeled by `_peel_paths`. The first entry equals ecc(root)."""
+    if t.graph.n == 1:
+        return ()
+    return tuple(sorted((len(p) - 1 for p in _peel_paths(t)), reverse=True))
 
 
 def random_tree(n: int, seed: int) -> RootedTree:

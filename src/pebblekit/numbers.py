@@ -19,7 +19,7 @@ from math import comb
 import numpy as np
 
 from .engine import Configuration, Distribution, PebblingError, is_solvable
-from .families import RootedTree, TwoPath, max_path_partition
+from .families import RootedTree, TwoPath, _peel_paths, max_path_partition
 from .formulas import build_C_t1, build_C_t2, tree_pi
 from .graph import Graph, automorphisms, build_graph
 
@@ -557,45 +557,6 @@ def pi_t(g: Graph, t: int = 1, roots=None, *, budget=None, jobs: int = 1,
         best = max(best, pi_D(g, d, h, budget=budget, jobs=jobs,
                               symmetry=symmetry))
     return best
-
-
-def _peel_paths(tree: RootedTree):
-    """Vertex paths of a maximum root-path partition: repeatedly peel the
-    deepest descending path (ties to the least index). Path 0 starts at the
-    root; later paths start at their attachment vertex."""
-    g = tree.graph
-    children = tree.children
-    height = [0] * g.n
-    order = []
-    stack = [tree.root]
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        stack.extend(children[v])
-    for v in reversed(order):
-        for c in children[v]:
-            height[v] = max(height[v], height[c] + 1)
-    paths = []
-
-    def walk(attach, top):
-        path = [] if attach is None else [attach]
-        v = top
-        while True:
-            path.append(v)
-            kids = children[v]
-            if not kids:
-                break
-            v = min(kids, key=lambda c: (-height[c], c))
-        paths.append(path)
-        new = path if attach is None else path[1:]
-        on_path = set(path)
-        for u in new:
-            for c in children[u]:
-                if c not in on_path:
-                    walk(u, c)
-
-    walk(None, tree.root)
-    return paths
 
 
 def tree_dust_witness(tree: RootedTree, t: int = 1) -> Configuration:

@@ -9,6 +9,7 @@ from pebblekit import (
     Configuration,
     Distribution,
     PebblingError,
+    Solver,
     apply_move,
     build_C_t1,
     build_C_t2,
@@ -123,6 +124,8 @@ def test_is_solvable_validation():
     with pytest.raises(PebblingError):
         is_solvable(p3, Configuration((0, 0, 0)), Distribution.stacked(3, 0, 1),
                     mode="fastest")
+    with pytest.raises(PebblingError):
+        solvable_within(p3, Configuration((0, 0, 4)), 0, -1)
     # the empty demand is trivially met
     assert is_solvable(p3, Configuration((0, 0, 0)), Distribution((0, 0, 0))).solvable
 
@@ -187,9 +190,65 @@ def test_solvable_within_matches_brute_depth():
     for g, c, d in small_instances(36, 120):
         r = next(i for i, x in enumerate(d) if x)
         moves = brute_min_moves(g, c, r)
-        for cap in (0, 1, 2, 3):
+        for cap in range(6):
             assert solvable_within(g, Configuration(c), r, cap) == \
                 (moves is not None and moves <= cap)
+
+
+def long_slide(n):
+    return Configuration((2,) + (1,) * (n - 2) + (0,))
+
+
+def test_deep_searches_do_not_recurse_per_move():
+    # each of these needs over 1000 moves, past Python's default recursion
+    # limit if the search took one stack frame per move
+    k2 = path_graph(2)
+    c = Configuration((0, 2100))
+    out = is_solvable(k2, c, Distribution((1050, 0)))
+    assert out.solvable and len(out.solution.moves) == 1050
+    assert replay(k2, c, out.solution.moves).counts == (1050, 0)
+    n = 1100
+    g, slide = path_graph(n), long_slide(n)
+    assert solvable_within(g, slide, n - 1, n - 1)
+    assert not solvable_within(g, slide, n - 1, n - 2)
+    sol, cheap = min_cost_solution(g, slide, n - 1)
+    assert sol.cost == n and cheap
+    assert replay(g, slide, sol.moves).counts[n - 1] == 1
+
+
+def test_bounded_solves_read_but_never_write_the_memo(petersen):
+    k2 = path_graph(2)
+    unit = Distribution.stacked(2, 0, 1)
+    solver = Solver(k2, unit)
+    # cut off by the bound, not unsolvable: must not be remembered as failed
+    assert not solver.solve(Configuration((0, 2)), 0).solvable
+    assert not solver.failed
+    assert solver.solve(Configuration((0, 2))).solvable
+    assert not solvable_within(k2, Configuration((0, 2)), 0, 0)
+    assert is_solvable(k2, Configuration((0, 2)), unit).solvable
+    # a state proved unsolvable stays failed under every bound
+    jr = build_J_r(petersen, 0)
+    solver = Solver(petersen, Distribution.stacked(10, 0, 1))
+    assert not solver.solve(jr).solvable
+    memo = len(solver.failed)
+    out = solver.solve(jr, 5)
+    assert not out.solvable and out.states_explored == 1
+    assert len(solver.failed) == memo
+
+
+def test_bounded_and_unbounded_calls_share_solvers_soundly():
+    for g, c, d in small_instances(39, 200):
+        r = next(i for i, x in enumerate(d) if x)
+        cfg = Configuration(c)
+        moves = brute_min_moves(g, c, r)
+        for cap in (2, 0, 1):
+            assert solvable_within(g, cfg, r, cap) == \
+                (moves is not None and moves <= cap)
+            assert is_solvable(g, cfg, Distribution.stacked(g.n, r, 1)).solvable == \
+                (moves is not None)
+        assert is_solvable(g, cfg, Distribution(d)).solvable == brute_solvable(g, c, d)
+        best = min_cost_solution(g, cfg, r, max_moves=2)
+        assert (best is None) == (moves is None or moves > 2)
 
 
 def test_min_cost_solution_move_cap():
@@ -211,6 +270,8 @@ def test_find_slides():
     # deterministic and sorted
     c = Configuration((2, 1, 2))
     assert find_slides(p3, c) == tuple(sorted(find_slides(p3, c)))
+    n = 1100
+    assert find_slides(path_graph(n), long_slide(n)) == (tuple(range(n)),)
 
 
 def test_max_fold_examples(petersen):

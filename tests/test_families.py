@@ -198,6 +198,11 @@ def test_max_path_partition_examples():
     assert max_path_partition(RootedTree(spider, 0)) == (5, 1)
     star = build_graph(4, [(0, 1), (0, 2), (0, 3)])
     assert max_path_partition(RootedTree(star, 0)) == (1, 1, 1)
+    assert max_path_partition(random_tree(1, 0)) == ()
+    # the peel walks paths without recursing, so long paths are fine
+    p = build_graph(1200, [(i, i + 1) for i in range(1199)])
+    assert max_path_partition(RootedTree(p, 0)) == (1199,)
+    assert max_path_partition(RootedTree(p, 600)) == (600, 599)
 
 
 def test_max_path_partition_majorizes_all_partitions():
