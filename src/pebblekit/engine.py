@@ -180,6 +180,13 @@ class Solver:
       MEMO_CAP entries.
     Restricted modes decide a move's legality from the state alone, so the
     memo stays sound for them too.
+
+    The weights are w_r scaled to integers by 2^scale, where scale is the
+    largest eccentricity among the targets; set-up runs one BFS per target
+    and never builds the all-pairs distance matrix. Any common scale of at
+    least that eccentricity would do: a common power-of-two factor on every
+    weight and every need leaves each comparison, the neighbour order, the
+    solutions and the state counts unchanged.
     """
 
     def __init__(self, g: Graph, d: Distribution, mode: str = "unrestricted"):
@@ -191,11 +198,11 @@ class Solver:
         self.demand = d.demands
         self.mode = mode
         self.n = g.n
-        m = g.metrics
-        self.dist = m.dist
-        diam = m.diameter
         self.targets = d.support
-        self.W = tuple(tuple(1 << (diam - self.dist[r][v]) for v in range(self.n))
+        # only the targets' BFS rows: dist[x] for each target x
+        self.dist = {r: g.distances(r) for r in self.targets}
+        scale = max((max(self.dist[r]) for r in self.targets), default=0)
+        self.W = tuple(tuple(1 << (scale - self.dist[r][v]) for v in range(self.n))
                        for r in self.targets)
         self.need = tuple(sum(self.demand[x] * w[x] for x in self.targets)
                           for w in self.W)
@@ -348,7 +355,7 @@ def min_cost_solution(g: Graph, c: Configuration, r: int, max_moves: int | None 
         else:
             lo = mid + 1
     cost = best.solution.cost
-    return best.solution, cost <= (1 << g.metrics.ecc[r])
+    return best.solution, cost <= (1 << max(solver.dist[r]))
 
 
 def solvable_within(g: Graph, c: Configuration, r: int, max_moves: int) -> bool:

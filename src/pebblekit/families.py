@@ -226,52 +226,52 @@ def enumerate_fan_specs(max_n: int, d_values=None):
                 yield spec
 
 
-def _induced_simplicial(g: Graph, verts: frozenset[int]) -> list[int]:
-    out = []
-    for v in verts:
-        nb = [w for w in g.adjacency[v] if w in verts]
-        if all(g.has_edge(a, b) for a, b in combinations(nb, 2)):
-            out.append(v)
-    return sorted(out)
-
-
 def is_two_path(g: Graph):
     """Decide the recursive 2-path definition: the graph is K_2 or K_3, or it
     has exactly two simplicial vertices and deleting one whose neighborhood
     is an edge leaves a 2-path. Returns (verdict, spine-or-None), the spine
-    being a shortest path between the two simplicial vertices."""
+    being a shortest path between the two simplicial vertices.
+
+    The deletions run in a loop that keeps the induced neighbourhoods and
+    the simplicial set up to date; a deletion can only make the deleted
+    vertex's neighbours simplicial. When both simplicial vertices s1, s2
+    qualify, which one goes first does not change the verdict. Every 2-path
+    is a 2-tree: 2-connected, K_4-free, so its simplicial vertices are its
+    degree-2 vertices, and no two of them are adjacent once n >= 4 (their
+    common neighbour would be a cut vertex). So if deleting s1 leaves a
+    2-path, s2 still qualifies there and (by induction) the graph minus
+    s1, s2 is a 2-path. Deleting s2 first leaves a 2-tree whose simplicial
+    vertices lie in {s1} and s2's two adjacent neighbours, of which at most
+    one is simplicial, and a 2-tree on >= 4 vertices has two; so s1 then
+    qualifies and the same graph remains."""
     n = g.n
     if n < 2:
         return False, None
-    adj = [set(a) for a in g.adjacency]
-    memo: dict[frozenset[int], bool] = {}
+    nbrs = [set(a) for a in g.adjacency]
 
-    def rec(verts: frozenset[int]) -> bool:
-        cached = memo.get(verts)
-        if cached is not None:
-            return cached
-        k = len(verts)
-        if k == 2:
-            a, b = sorted(verts)
-            res = g.has_edge(a, b)
-        elif k == 3 and all(g.has_edge(a, b) for a, b in combinations(sorted(verts), 2)):
-            res = True
-        else:
-            simp = _induced_simplicial(g, verts)
-            res = False
-            if len(simp) == 2:
-                for v in simp:
-                    nb = [w for w in adj[v] if w in verts]
-                    if len(nb) == 2 and g.has_edge(nb[0], nb[1]) and rec(verts - {v}):
-                        res = True
-                        break
-        memo[verts] = res
-        return res
+    def simplicial(v: int) -> bool:
+        return all(g.has_edge(a, b) for a, b in combinations(nbrs[v], 2))
 
-    full = frozenset(range(n))
-    if not rec(full):
+    simp = {v for v in range(n) if simplicial(v)}
+    ends = sorted(simp)[:2]
+    alive = set(range(n))
+    while len(alive) > 3:
+        if len(simp) != 2:
+            return False, None
+        v = next((v for v in sorted(simp)
+                  if len(nbrs[v]) == 2 and g.has_edge(*nbrs[v])), None)
+        if v is None:
+            return False, None
+        alive.remove(v)
+        simp.remove(v)
+        for w in nbrs[v]:
+            nbrs[w].remove(v)
+            if simplicial(w):
+                simp.add(w)
+    # what is left is an edge or a triangle exactly when every vertex in
+    # it sees all the others
+    if any(len(nbrs[v]) != len(alive) - 1 for v in alive):
         return False, None
-    ends = _induced_simplicial(g, full)[:2]
     return True, shortest_path(g, ends[0], ends[1])
 
 

@@ -105,20 +105,22 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return ((u, v) if u < v else (v, u)) in self.edge_set
 
+    def distances(self, s: int) -> tuple[int, ...]:
+        """Hop distance from s to every vertex, by one BFS."""
+        d = [-1] * self.n
+        d[s] = 0
+        queue = deque([s])
+        while queue:
+            u = queue.popleft()
+            for w in self.adjacency[u]:
+                if d[w] < 0:
+                    d[w] = d[u] + 1
+                    queue.append(w)
+        return tuple(d)
+
     @cached_property
     def metrics(self) -> Metrics:
-        dist = []
-        for s in range(self.n):
-            d = [-1] * self.n
-            d[s] = 0
-            queue = deque([s])
-            while queue:
-                u = queue.popleft()
-                for w in self.adjacency[u]:
-                    if d[w] < 0:
-                        d[w] = d[u] + 1
-                        queue.append(w)
-            dist.append(tuple(d))
+        dist = [self.distances(s) for s in range(self.n)]
         ecc = tuple(max(row) for row in dist)
         return Metrics(dist=tuple(dist), ecc=ecc, diameter=max(ecc))
 
@@ -140,7 +142,7 @@ def metrics(g: Graph) -> Metrics:
 def shortest_path(g: Graph, u: int, v: int) -> tuple[int, ...]:
     """One shortest u,v-path, deterministic: each hop takes the least-index
     neighbor that decreases the remaining distance."""
-    d = g.metrics.dist[v]
+    d = g.distances(v)
     if d[u] < 0:
         raise GraphError("vertices are not connected")
     path = [u]

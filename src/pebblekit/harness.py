@@ -23,9 +23,9 @@ from .formulas import KneserParams, build_C_t1, build_C_t2, build_J_r, \
 from .graph import _decode_graph, Graph, graph_to_json, pair_orbits, \
     vertex_connectivity
 from .numbers import _ascending_blocks, _coerce_budget, _FastFilter, \
-    _min_moves_upto2, BudgetExceededError, check_pi_t_equals, \
+    _min_moves_upto2, _unrank_cols, BudgetExceededError, check_pi_t_equals, \
     find_unsolvable_witness, num_configs, tree_dust_witness, \
-    two_path_lower_candidates, unrank_config, verify_target_conjecture
+    two_path_lower_candidates, verify_target_conjecture
 from .version import VERSION
 
 __all__ = [
@@ -427,9 +427,8 @@ def _run_thm_3_5(params, budget, jobs, seed):
             k = min(batch, remaining)
             remaining -= k
             budget.charge(k)
-            rows = np.array([unrank_config(g.n, expected,
-                                           rng.randrange(total)).counts
-                             for _ in range(k)], dtype=np.int64)
+            rows = _unrank_cols(g.n, expected,
+                                [rng.randrange(total) for _ in range(k)]).T
             for i in np.flatnonzero(~filt.accept(rows)):
                 cfg = Configuration(tuple(rows[i].tolist()))
                 if not is_solvable(g, cfg, d).solvable:

@@ -3,9 +3,24 @@ configuration enumeration, plus unsolvable-witness search.
 
 Enumeration scans ascend in lexicographic order so the first witness found
 is the lexicographically least one; the public enumerate_configs stream is
-the conventional descending order starting at (m, 0, ..., 0). Vectorized
-spanning-tree delivery gives a sound fast-accept prescreen (exact on
-trees); every verdict that matters is confirmed by the exact engine.
+the conventional descending order starting at (m, 0, ..., 0).
+
+Scan pipeline. One numpy kernel, _unrank_cols, maps an array of ranks to
+their configurations in the ascending order; scans feed it consecutive
+ranks and thm-3.5's sampler feeds it random ones. It writes column-major
+(n, B) blocks, one contiguous column per vertex, so the prescreen adds
+whole vertex rows at a time. The dtype is int16 when the size m is below
+2**15 and int64 otherwise: every count is at most m, and delivery never
+creates pebbles. Ranks are int64, so the kernel refuses (n, m) with 2**63
+or more configurations; unrank_config stays the arbitrary-precision scalar
+reference. Vectorized spanning-tree delivery gives a sound fast-accept
+prescreen (exact on trees); every verdict that matters is confirmed by
+the exact engine.
+
+Budgets. Every scanned configuration is charged to the budget. A parallel
+scan splits the ranks into contiguous chunks, charges each chunk's count as
+its result arrives in chunk order, and cancels the chunks not yet started
+once one has returned a witness or the budget is spent.
 """
 
 from __future__ import annotations
@@ -13,7 +28,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import chain, combinations, combinations_with_replacement, islice
+from itertools import combinations_with_replacement
 from math import comb
 
 import numpy as np
@@ -66,10 +81,6 @@ class _Budget:
         self.spent += k
         if self.spent > self.cap:
             raise BudgetExceededError(self.cap, self.spent)
-
-    def require(self, k: int):
-        if self.spent + k > self.cap:
-            raise BudgetExceededError(self.cap, self.spent + k)
 
 
 def _coerce_budget(budget) -> _Budget:
@@ -143,30 +154,52 @@ def unrank_config(n: int, m: int, rank: int) -> Configuration:
     return Configuration(tuple(counts))
 
 
+def _int64_total(n: int, m: int) -> int:
+    """num_configs(n, m), refusing sizes whose ranks do not fit in int64."""
+    total = num_configs(n, m)
+    if total >= 1 << 63:
+        raise ValueError(f"{total} configurations of size {m} on {n} vertices: "
+                         f"vectorized scans need fewer than 2**63")
+    return total
+
+
+def _unrank_cols(n: int, m: int, ranks) -> np.ndarray:
+    """The configurations at the given ascending-lex ranks (unrank_config's
+    order) as one contiguous (n, B) block, column b holding ranks[b].
+
+    Slot by slot: with m' pebbles left for the slot and p slots after it,
+    the configurations whose slot count is below v number
+    sum_{u<v} C(m'-u+p-1, p-1) = C(m'+p, p) - C(m'-v+p, p) (hockey stick).
+    So the count is m' - k for the least k with C(k+p, p) >= C(m'+p, p) - rank,
+    one searchsorted on the table of C(k+p, p). The dtype is int16 when
+    m < 2**15, else int64."""
+    total = _int64_total(n, m)
+    rank = np.array(ranks, dtype=np.int64)
+    if rank.size and (rank.min() < 0 or rank.max() >= total):
+        raise ValueError(f"ranks out of range for ({n}, {m})")
+    out = np.empty((n, rank.size), dtype=np.int16 if m < 1 << 15 else np.int64)
+    rest = np.full(rank.size, m, dtype=np.int64)
+    for slot in range(n - 1):
+        p = n - 1 - slot
+        table = np.array([comb(k + p, p) for k in range(m + 1)], dtype=np.int64)
+        top = table[rest]
+        k = np.searchsorted(table, top - rank)
+        out[slot] = rest - k
+        rank -= top - table[k]
+        rest = k
+    out[n - 1] = rest
+    return out
+
+
 def _ascending_blocks(n: int, m: int, start: int = 0, stop: int | None = None,
                       block: int = _BLOCK):
-    """Consecutive ascending-lex configurations as (B, n) int64 arrays,
-    via the stars-and-bars bijection with lexicographic combinations."""
-    total = num_configs(n, m)
+    """Consecutive ascending-lex configurations as (B, n) blocks. Each is the
+    transposed view of a contiguous _unrank_cols block, so rows[:, v] reads
+    one contiguous column."""
+    total = _int64_total(n, m)
     stop = total if stop is None else min(stop, total)
-    if start >= stop:
-        return
-    if n == 1:
-        yield np.array([[m]], dtype=np.int64)
-        return
-    it = islice(combinations(range(m + n - 1), n - 1), start, stop)
-    while True:
-        flat = np.fromiter(chain.from_iterable(islice(it, block)),
-                           dtype=np.int64)
-        if flat.size == 0:
-            return
-        bars = flat.reshape(-1, n - 1)
-        rows = np.empty((bars.shape[0], n), dtype=np.int64)
-        rows[:, 0] = bars[:, 0]
-        if n > 2:
-            rows[:, 1:-1] = bars[:, 1:] - bars[:, :-1] - 1
-        rows[:, -1] = (m + n - 2) - bars[:, -1]
-        yield rows
+    for s in range(start, stop, block):
+        yield _unrank_cols(n, m, np.arange(s, min(s + block, stop))).T
 
 
 def _bfs_parents(g: Graph, r: int, descending: bool = False) -> list:
@@ -206,11 +239,16 @@ def _tree_variants(g: Graph, r: int):
 def _deliver(rows: np.ndarray, order, par, target: int) -> np.ndarray:
     """Max pebbles deliverable to target moving only along the given
     spanning tree: children flush floor(count/2) to their parent, deepest
-    first. Exact on trees; a lower bound on any graph containing the tree."""
-    a = rows.copy()
+    first. Exact on trees. Lemma: a BFS spanning tree preserves every
+    vertex's distance to the root and every tree edge is a graph edge, so
+    every tree move is a graph move, and the result is a lower bound on what
+    the graph can deliver. Works on a column-major copy of the (B, n) rows;
+    no count ever exceeds the configuration size, so the dtype cannot
+    overflow."""
+    a = rows.T.copy()
     for v in order:
-        a[:, par[v]] += a[:, v] >> 1
-    return a[:, target]
+        a[par[v]] += a[v] >> 1
+    return a[target]
 
 
 class _FastFilter:
@@ -263,15 +301,16 @@ class _FastFilter:
                 solv |= delivered(b, vi) >= db + (da << shift)
             # pay one target from pebbles already in place, deliver the other
             # from what remains (only rows not yet accepted)
+            cols = rows.T
             for keep, pay, amt, need in ((b, a, da, db), (a, b, db, da)):
-                todo = np.flatnonzero((rows[:, pay] >= amt) & ~solv)
+                todo = np.flatnonzero((cols[pay] >= amt) & ~solv)
                 if todo.size == 0:
                     continue
-                tmp = rows[todo].copy()
-                tmp[:, pay] -= amt
+                tmp = cols[:, todo]
+                tmp[pay] -= amt
                 sub = np.zeros(todo.size, dtype=bool)
                 for order, par in self.variants[keep]:
-                    sub |= _deliver(tmp, order, par, keep) >= need
+                    sub |= _deliver(tmp.T, order, par, keep) >= need
                 solv[todo[sub]] = True
             # cut one target out of the other's tree: the cut vertex keeps
             # what its subtree flushes into it, the rest reaches the root;
@@ -281,11 +320,11 @@ class _FastFilter:
                     todo = np.flatnonzero(~solv)
                     if todo.size == 0:
                         break
-                    tmp = rows[todo].copy()
+                    tmp = cols[:, todo]
                     for v in order:
                         if v != cut:
-                            tmp[:, par[v]] += tmp[:, v] >> 1
-                    hit = (tmp[:, root] >= need_r) & (tmp[:, cut] >= need_c)
+                            tmp[par[v]] += tmp[v] >> 1
+                    hit = (tmp[root] >= need_r) & (tmp[cut] >= need_c)
                     solv[todo[hit]] = True
             return solv
         ok = np.ones(B, dtype=bool)
@@ -407,8 +446,14 @@ def _scan(g: Graph, demands, size: int, *, mode: str = "unrestricted",
           collect_all: bool = False, jobs: int = 1, symmetry: bool = False,
           budget=None):
     """Full fixed-size scan, optionally split into contiguous chunks
-    processed in parallel and merged in order (the reported witness is
-    identical to the serial one)."""
+    processed in parallel and merged in order.
+
+    Chunks are whole blocks, about four per worker. Their results are read
+    in chunk order and each chunk's count is charged as it arrives; at the
+    first chunk that returns a witness (unless collect_all) or overruns the
+    budget, the chunks not yet started are cancelled. The chunks before it
+    found nothing, so the witness, the witnesses and the count checked are
+    the serial scan's."""
     budget = _coerce_budget(budget)
     total = num_configs(g.n, size)
     if jobs <= 1 or total < 4 * _BLOCK:
@@ -416,21 +461,29 @@ def _scan(g: Graph, demands, size: int, *, mode: str = "unrestricted",
         return _scan_chunk(g, demands, size, 0, total, mode=mode,
                            collect_all=collect_all, perms=perms,
                            budget=budget)
-    budget.require(total)
-    chunk = -(-total // jobs)
+    chunk = -(-total // (4 * jobs * _BLOCK)) * _BLOCK
     vecs = [d.demands for d in demands]
-    payloads = [(g, vecs, size, i * chunk, min((i + 1) * chunk, total),
-                 mode, collect_all, symmetry) for i in range(jobs)]
     first = None
     witnesses = []
     checked = 0
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for cfirst, cwits, cchecked in pool.map(_scan_worker, payloads):
-            checked += cchecked
-            witnesses.extend(cwits)
-            if first is None and cfirst is not None:
-                first = cfirst
-    budget.charge(checked)
+        futures = [pool.submit(_scan_worker,
+                               (g, vecs, size, s, min(s + chunk, total),
+                                mode, collect_all, symmetry))
+                   for s in range(0, total, chunk)]
+        try:
+            for fut in futures:
+                cfirst, cwits, cchecked = fut.result()
+                budget.charge(cchecked)
+                checked += cchecked
+                witnesses.extend(cwits)
+                if first is None and cfirst is not None:
+                    first = cfirst
+                    if not collect_all:
+                        break
+        finally:
+            for fut in futures:
+                fut.cancel()
     return first, witnesses, checked
 
 

@@ -250,3 +250,28 @@ def random_connected_edges(n, extra, rng):
     rng.shuffle(pool)
     edges.update(pool[:extra])
     return sorted(edges)
+
+
+def brute_is_two_path(g):
+    """The recursive 2-path definition read literally: K_2 or K_3, or exactly
+    two simplicial vertices and some deletion of one whose neighbourhood is
+    an edge leaves a 2-path. Tries every such deletion; recursion depth is
+    the vertex count, so small graphs only."""
+    adj = [set(a) for a in neighbor_lists(g.n, g.edges)]
+    edge_set = {(min(u, v), max(u, v)) for u, v in g.edges}
+
+    def edge(a, b):
+        return (min(a, b), max(a, b)) in edge_set
+
+    def rec(verts):
+        k = len(verts)
+        if k in (2, 3) and all(edge(a, b) for a, b in combinations(verts, 2)):
+            return True
+        simp = [v for v in verts
+                if all(edge(a, b) for a, b in combinations(adj[v] & verts, 2))]
+        if len(simp) != 2 or k < 4:
+            return False
+        return any(len(adj[v] & verts) == 2 and edge(*(adj[v] & verts))
+                   and rec(verts - {v}) for v in simp)
+
+    return g.n >= 2 and rec(frozenset(range(g.n)))

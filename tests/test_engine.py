@@ -216,6 +216,21 @@ def test_deep_searches_do_not_recurse_per_move():
     assert replay(g, slide, sol.moves).counts[n - 1] == 1
 
 
+def test_solver_set_up_runs_one_bfs_per_target():
+    # the weights scale by 2^(largest target eccentricity), 550 here, not by
+    # 2^diameter; the search is the same as under the diameter scale
+    n = 1100
+    g = path_graph(n)
+    r = n // 2
+    c = Configuration((2,) + (1,) * (r - 1) + (0,) * (n - r))
+    out = is_solvable(g, c, Distribution.stacked(n, r, 1))
+    assert out.states_explored == 550 and len(out.solution.moves) == 550
+    sol, cheap = min_cost_solution(g, c, r)
+    assert sol.cost == 551 and cheap
+    assert sol.moves == tuple((i, i + 1) for i in range(r))
+    assert "metrics" not in g.__dict__
+
+
 def test_bounded_solves_read_but_never_write_the_memo(petersen):
     k2 = path_graph(2)
     unit = Distribution.stacked(2, 0, 1)

@@ -4,10 +4,12 @@ import random
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pebblekit import (
     FamilyError,
     FanSpec,
+    GraphError,
     build_graph,
     is_spinal_root,
     is_two_path,
@@ -23,7 +25,8 @@ from pebblekit import (
 )
 from pebblekit.families import RootedTree, enumerate_fan_specs
 
-from oracles import brute_path_partitions, majorizes, neighbor_lists
+from oracles import brute_is_two_path, brute_path_partitions, majorizes, \
+    neighbor_lists, random_connected_edges
 
 
 def test_kneser_examples(petersen):
@@ -138,6 +141,70 @@ def test_is_two_path_accepts_every_generated_spec():
         ends = simplicial_vertices(tp.graph)
         assert {spine[0], spine[-1]} == ends
         assert len(spine) - 1 == metrics(tp.graph).diameter
+
+
+def triangle_strip(n):
+    """The 2-path with edges (i, i+1) and (i, i+2)."""
+    return build_graph(n, [(i, i + 1) for i in range(n - 1)]
+                       + [(i, i + 2) for i in range(n - 2)])
+
+
+def test_is_two_path_on_a_long_strip_does_not_recurse():
+    n = 1100
+    verdict, spine = is_two_path(triangle_strip(n))
+    assert verdict
+    assert spine[0] == 0 and spine[-1] == n - 1 and len(spine) == n // 2 + 1
+    # without the edge (1, 3), vertex 1 is simplicial too: three of them
+    broken = build_graph(n, [e for e in triangle_strip(n).edges if e != (1, 3)])
+    assert is_two_path(broken) == (False, None)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(1000, 2000))
+def test_is_two_path_accepts_long_strips(n):
+    verdict, spine = is_two_path(triangle_strip(n))
+    assert verdict
+    assert {spine[0], spine[-1]} == {0, n - 1}
+    assert len(spine) - 1 == (n - 1 + 1) // 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=6), st.data())
+def test_is_two_path_accepts_two_path_specs(ks, data):
+    overlap = tuple(data.draw(st.booleans()) for _ in range(len(ks) - 1))
+    try:
+        tp = two_path(FanSpec(tuple(ks), overlap))
+    except FamilyError:
+        return
+    verdict, spine = is_two_path(tp.graph)
+    assert verdict
+    assert {spine[0], spine[-1]} == simplicial_vertices(tp.graph)
+    assert len(spine) - 1 == metrics(tp.graph).diameter
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 9), st.integers(0, 8), st.randoms(use_true_random=False))
+def test_is_two_path_matches_the_recursive_definition(n, extra, rng):
+    # random 2-trees, some with one edge added or removed, plus random graphs
+    if rng.random() < 0.7 and n >= 3:
+        edges = {(0, 1), (0, 2), (1, 2)}
+        for v in range(3, n):
+            a, b = rng.choice(sorted(edges))
+            edges |= {(a, v), (b, v)}
+        pick = rng.random()
+        if pick < 0.3:
+            edges.discard(rng.choice(sorted(edges)))
+        elif pick < 0.6:
+            edges.add(tuple(sorted(rng.sample(range(n), 2))))
+    else:
+        edges = set(random_connected_edges(n, extra, rng))
+    try:
+        g = build_graph(n, sorted(edges))
+    except GraphError:
+        return
+    verdict, spine = is_two_path(g)
+    assert verdict == brute_is_two_path(g)
+    assert (spine is None) == (not verdict)
 
 
 def test_enumerate_fan_specs_counts():

@@ -36,11 +36,20 @@ from pebblekit import (
     unrank_config,
     verify_target_conjecture,
 )
-from pebblekit.numbers import _min_moves_upto2
+from pebblekit.numbers import (
+    _ascending_blocks,
+    _deliver,
+    _FastFilter,
+    _min_moves_upto2,
+    _tree_variants,
+    _unrank_cols,
+)
 
 from oracles import (
+    all_configs,
     brute_min_moves,
     brute_pi,
+    brute_solvable,
     brute_unsolvable_set,
     random_config,
     random_connected_edges,
@@ -83,6 +92,116 @@ def test_unrank_config_is_the_ascending_order():
         unrank_config(3, 2, -1)
     with pytest.raises(ValueError):
         unrank_config(3, 2, num_configs(3, 2))
+
+
+def test_unrank_cols_matches_unrank_config_at_every_rank():
+    for n in (1, 2, 3, 7):
+        for m in (0, 1, 5, 9):
+            total = num_configs(n, m)
+            block = _unrank_cols(n, m, np.arange(total))
+            assert block.shape == (n, total) and block.flags.c_contiguous
+            assert block.dtype == np.int16
+            want = [unrank_config(n, m, r).counts for r in range(total)]
+            assert [tuple(col) for col in block.T.tolist()] == want
+    # random ranks in any order, as the thm-3.5 sampler draws them
+    rng = random.Random(914)
+    ranks = [rng.randrange(num_configs(15, 15)) for _ in range(300)]
+    got = _unrank_cols(15, 15, ranks).T.tolist()
+    assert [tuple(r) for r in got] == [unrank_config(15, 15, k).counts
+                                       for k in ranks]
+    with pytest.raises(ValueError):
+        _unrank_cols(3, 2, [num_configs(3, 2)])
+    with pytest.raises(ValueError):
+        _unrank_cols(3, 2, [-1])
+
+
+def test_ascending_block_slices_concatenate_to_the_full_order():
+    n, m = 4, 6
+    total = num_configs(n, m)
+    full = [unrank_config(n, m, r).counts for r in range(total)]
+    rng = random.Random(915)
+    for _ in range(30):
+        start = rng.randrange(total + 2)
+        stop = rng.choice([None, rng.randrange(total + 3)])
+        block = rng.randrange(1, 40)
+        blocks = list(_ascending_blocks(n, m, start, stop, block))
+        assert all(0 < b.shape[0] <= block and b.shape[1] == n for b in blocks)
+        got = [tuple(row) for b in blocks for row in b.tolist()]
+        assert got == full[start:stop]
+    rows = next(_ascending_blocks(n, m))
+    assert rows.T.flags.c_contiguous
+    assert [b.tolist() for b in _ascending_blocks(1, 3)] == [[[3]]]
+
+
+def test_sizes_past_int16_use_int64_rows():
+    m = (1 << 15) + 5
+    for n in (2, 3):
+        lo = num_configs(n, m) - 50
+        rows = np.concatenate(list(_ascending_blocks(n, m, lo, None, 16)))
+        assert rows.dtype == np.int64
+        assert [tuple(r) for r in rows.tolist()] == \
+            [unrank_config(n, m, k).counts for k in range(lo, lo + 50)]
+    # the last rows put almost every pebble on vertex 0, past int16's range
+    p3 = path_graph(3)
+    for order, par in _tree_variants(p3, 0):
+        got = _deliver(rows, order, par, 0)
+        want = [r[0] + (r[1] + r[2] // 2) // 2 for r in rows.tolist()]
+        assert got.tolist() == want
+    assert max(want) >= 1 << 15
+
+
+def test_rank_spaces_past_int64_are_refused():
+    n, m = 40, 40
+    assert num_configs(n, m) >= 1 << 63
+    with pytest.raises(ValueError, match="fewer than 2\\*\\*63"):
+        _unrank_cols(n, m, [0])
+    with pytest.raises(ValueError, match="fewer than 2\\*\\*63"):
+        next(_ascending_blocks(n, m))
+    p = path_graph(n)
+    with pytest.raises(ValueError, match="fewer than 2\\*\\*63"):
+        find_unsolvable_witness(p, Distribution.stacked(n, 0, 1), m)
+
+
+def _demand_pool(n, rng):
+    """Stacked t-fold demands and two-target demands on random vertices."""
+    pool = []
+    for t in (1, 2, 3):
+        pool.append(Distribution.stacked(n, rng.randrange(n), t))
+    for da, db in ((1, 1), (2, 1), (1, 3)):
+        a, b = rng.sample(range(n), 2)
+        vec = [0] * n
+        vec[a], vec[b] = da, db
+        pool.append(Distribution(tuple(vec)))
+    return pool
+
+
+def test_prescreen_accepts_only_solvable_rows():
+    """Every row a _FastFilter mask accepts on column-major blocks must be
+    solvable by the brute-force closure."""
+    rng = random.Random(916)
+    accepted = 0
+    for trial in range(150):
+        n = rng.randrange(2, 7)
+        g = build_graph(n, random_connected_edges(n, rng.randrange(0, 3), rng))
+        demands = _demand_pool(n, rng) if n > 2 else \
+            [Distribution.stacked(n, 0, t) for t in (1, 2)]
+        size = rng.randrange(2, 9)
+        cache: dict = {}
+        for rows in _ascending_blocks(n, size, block=rng.randrange(5, 50)):
+            assert rows.T.flags.c_contiguous
+            for d in demands:
+                mask = _FastFilter(g, d).accept(rows, cache)
+                for row in rows[mask].tolist():
+                    accepted += 1
+                    assert brute_solvable(g, tuple(row), d.demands), \
+                        (g.edges, row, d.demands)
+            cache.clear()
+    assert accepted > 10_000
+
+
+def test_scan_rows_match_the_oracle_enumeration():
+    got = [tuple(r) for b in _ascending_blocks(4, 5) for r in b.tolist()]
+    assert got == list(all_configs(4, 5))
 
 
 def _check_min_moves_upto2(g, rows, r):
@@ -317,6 +436,28 @@ def test_budget_is_enforced_and_reported(petersen):
     err = info.value
     assert err.cap == 100 and err.spent > 100
     assert "budget of 100 configuration checks exceeded" in str(err)
+
+
+def test_parallel_scans_charge_per_chunk_and_match_serial(petersen):
+    # size 12 has 293,930 rows but only 25,982 orbit minima under the
+    # root's stabilizer: a parallel scan charges what its chunks check
+    d = Distribution.stacked(10, 0, 1)
+    assert num_configs(10, 12) > 100_000
+    serial = find_unsolvable_witness(petersen, d, 12, symmetry=True,
+                                     budget=100_000)
+    parallel = find_unsolvable_witness(petersen, d, 12, jobs=2, symmetry=True,
+                                       budget=100_000)
+    assert parallel == serial
+    assert not serial.found and serial.configs_checked < 100_000
+    with pytest.raises(BudgetExceededError):
+        find_unsolvable_witness(petersen, d, 12, jobs=2, budget=100_000)
+    # a witness in the first chunk: the same witness and count as serial
+    d2 = Distribution.stacked(10, 0, 2)
+    for sym in (False, True):
+        serial = find_unsolvable_witness(petersen, d2, 12, symmetry=sym)
+        parallel = find_unsolvable_witness(petersen, d2, 12, jobs=2,
+                                           symmetry=sym)
+        assert serial.found and parallel == serial
 
 
 def test_budget_environment_default(petersen, monkeypatch):
