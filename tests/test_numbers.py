@@ -46,7 +46,6 @@ from pebblekit.numbers import (
 )
 
 from oracles import (
-    all_configs,
     brute_min_moves,
     brute_pi,
     brute_solvable,
@@ -197,11 +196,6 @@ def test_prescreen_accepts_only_solvable_rows():
                         (g.edges, row, d.demands)
             cache.clear()
     assert accepted > 10_000
-
-
-def test_scan_rows_match_the_oracle_enumeration():
-    got = [tuple(r) for b in _ascending_blocks(4, 5) for r in b.tolist()]
-    assert got == list(all_configs(4, 5))
 
 
 def _check_min_moves_upto2(g, rows, r):
