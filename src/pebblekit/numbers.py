@@ -18,9 +18,10 @@ prescreen (exact on trees); every verdict that matters is confirmed by
 the exact engine.
 
 Budgets. Every scanned configuration is charged to the budget. A parallel
-scan splits the ranks into contiguous chunks, charges each chunk's count as
-its result arrives in chunk order, and cancels the chunks not yet started
-once one has returned a witness or the budget is spent.
+scan splits the ranks into contiguous chunks, each bounded by the budget
+left when the scan began, charges each chunk's count as its result arrives
+in chunk order, and cancels the chunks not yet started once one has
+returned a witness or the budget is spent.
 """
 
 from __future__ import annotations
@@ -236,16 +237,16 @@ def _tree_variants(g: Graph, r: int):
     return variants
 
 
-def _deliver(rows: np.ndarray, order, par, target: int) -> np.ndarray:
+def _deliver(cols: np.ndarray, order, par, target: int) -> np.ndarray:
     """Max pebbles deliverable to target moving only along the given
     spanning tree: children flush floor(count/2) to their parent, deepest
     first. Exact on trees. Lemma: a BFS spanning tree preserves every
     vertex's distance to the root and every tree edge is a graph edge, so
     every tree move is a graph move, and the result is a lower bound on what
-    the graph can deliver. Works on a column-major copy of the (B, n) rows;
-    no count ever exceeds the configuration size, so the dtype cannot
+    the graph can deliver. Takes an (n, B) column-major block and works on a
+    copy; no count ever exceeds the configuration size, so the dtype cannot
     overflow."""
-    a = rows.T.copy()
+    a = cols.copy()
     for v in order:
         a[par[v]] += a[v] >> 1
     return a[target]
@@ -279,7 +280,7 @@ class _FastFilter:
             col = cache.get((r, vi))
             if col is None:
                 order, par = self.variants[r][vi]
-                col = _deliver(rows, order, par, r)
+                col = _deliver(rows.T, order, par, r)
                 cache[(r, vi)] = col
             return col
 
@@ -310,7 +311,7 @@ class _FastFilter:
                 tmp[pay] -= amt
                 sub = np.zeros(todo.size, dtype=bool)
                 for order, par in self.variants[keep]:
-                    sub |= _deliver(tmp.T, order, par, keep) >= need
+                    sub |= _deliver(tmp, order, par, keep) >= need
                 solv[todo[sub]] = True
             # cut one target out of the other's tree: the cut vertex keeps
             # what its subtree flushes into it, the rest reaches the root;
@@ -435,11 +436,17 @@ def _scan_chunk(g: Graph, demands, size: int, start: int, stop: int, *,
 
 
 def _scan_worker(payload):
-    (g, demand_vecs, size, start, stop, mode, collect_all, symmetry) = payload
+    """One chunk of a parallel scan, bounded by what was left of the budget
+    when the scan began. An overrun comes back as the count checked, which
+    the caller's charge then refuses."""
+    (g, demand_vecs, size, start, stop, mode, collect_all, perms, left) = payload
     demands = [Distribution(v) for v in demand_vecs]
-    perms = _demand_stabilizer(g, demands) if symmetry else ()
-    return _scan_chunk(g, demands, size, start, stop, mode=mode,
-                       collect_all=collect_all, perms=perms, budget=None)
+    try:
+        return _scan_chunk(g, demands, size, start, stop, mode=mode,
+                           collect_all=collect_all, perms=perms,
+                           budget=_Budget(left))
+    except BudgetExceededError as err:
+        return None, [], err.spent
 
 
 def _scan(g: Graph, demands, size: int, *, mode: str = "unrestricted",
@@ -448,28 +455,30 @@ def _scan(g: Graph, demands, size: int, *, mode: str = "unrestricted",
     """Full fixed-size scan, optionally split into contiguous chunks
     processed in parallel and merged in order.
 
-    Chunks are whole blocks, about four per worker. Their results are read
-    in chunk order and each chunk's count is charged as it arrives; at the
-    first chunk that returns a witness (unless collect_all) or overruns the
-    budget, the chunks not yet started are cancelled. The chunks before it
-    found nothing, so the witness, the witnesses and the count checked are
-    the serial scan's."""
+    Chunks are whole blocks, about four per worker. Each chunk stops once
+    it has checked more than the budget left when the scan began, so no
+    chunk outruns the cap. Results are read in chunk order and each chunk's
+    count is charged as it arrives; at the first chunk that returns a
+    witness (unless collect_all) or overruns the budget, the chunks not yet
+    started are cancelled. The chunks before it found nothing, so the
+    witness, the witnesses and the count checked are the serial scan's."""
     budget = _coerce_budget(budget)
     total = num_configs(g.n, size)
+    perms = _demand_stabilizer(g, demands) if symmetry else ()
     if jobs <= 1 or total < 4 * _BLOCK:
-        perms = _demand_stabilizer(g, demands) if symmetry else ()
         return _scan_chunk(g, demands, size, 0, total, mode=mode,
                            collect_all=collect_all, perms=perms,
                            budget=budget)
     chunk = -(-total // (4 * jobs * _BLOCK)) * _BLOCK
     vecs = [d.demands for d in demands]
+    left = budget.cap - budget.spent
     first = None
     witnesses = []
     checked = 0
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         futures = [pool.submit(_scan_worker,
                                (g, vecs, size, s, min(s + chunk, total),
-                                mode, collect_all, symmetry))
+                                mode, collect_all, perms, left))
                    for s in range(0, total, chunk)]
         try:
             for fut in futures:

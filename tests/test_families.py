@@ -4,7 +4,7 @@ import random
 from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pebblekit import (
     FamilyError,
@@ -134,8 +134,15 @@ def test_is_two_path_examples():
 
 
 def test_is_two_path_accepts_every_generated_spec():
-    for spec in enumerate_fan_specs(8):
-        tp = two_path(spec)
+    rng = random.Random(5)
+    larger = [FanSpec(k, tuple(rng.random() < 0.5 for _ in k[1:]))
+              for k in (tuple(rng.randint(1, 4) for _ in range(rng.randint(1, 6)))
+                        for _ in range(60))]
+    for spec in list(enumerate_fan_specs(8)) + larger:
+        try:
+            tp = two_path(spec)
+        except FamilyError:
+            continue
         verdict, spine = is_two_path(tp.graph)
         assert verdict
         ends = simplicial_vertices(tp.graph)
@@ -149,37 +156,21 @@ def triangle_strip(n):
                        + [(i, i + 2) for i in range(n - 2)])
 
 
-def test_is_two_path_on_a_long_strip_does_not_recurse():
-    n = 1100
-    verdict, spine = is_two_path(triangle_strip(n))
-    assert verdict
-    assert spine[0] == 0 and spine[-1] == n - 1 and len(spine) == n // 2 + 1
+def test_is_two_path_rejects_a_long_broken_strip():
     # without the edge (1, 3), vertex 1 is simplicial too: three of them
+    n = 1100
     broken = build_graph(n, [e for e in triangle_strip(n).edges if e != (1, 3)])
     assert is_two_path(broken) == (False, None)
 
 
 @settings(max_examples=20, deadline=None)
 @given(st.integers(1000, 2000))
+@example(1100)
 def test_is_two_path_accepts_long_strips(n):
     verdict, spine = is_two_path(triangle_strip(n))
     assert verdict
     assert {spine[0], spine[-1]} == {0, n - 1}
-    assert len(spine) - 1 == (n - 1 + 1) // 2
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.integers(1, 4), min_size=1, max_size=6), st.data())
-def test_is_two_path_accepts_two_path_specs(ks, data):
-    overlap = tuple(data.draw(st.booleans()) for _ in range(len(ks) - 1))
-    try:
-        tp = two_path(FanSpec(tuple(ks), overlap))
-    except FamilyError:
-        return
-    verdict, spine = is_two_path(tp.graph)
-    assert verdict
-    assert {spine[0], spine[-1]} == simplicial_vertices(tp.graph)
-    assert len(spine) - 1 == metrics(tp.graph).diameter
+    assert len(spine) - 1 == n // 2
 
 
 @settings(max_examples=300, deadline=None)

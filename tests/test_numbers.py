@@ -143,7 +143,7 @@ def test_sizes_past_int16_use_int64_rows():
     # the last rows put almost every pebble on vertex 0, past int16's range
     p3 = path_graph(3)
     for order, par in _tree_variants(p3, 0):
-        got = _deliver(rows, order, par, 0)
+        got = _deliver(rows.T, order, par, 0)
         want = [r[0] + (r[1] + r[2] // 2) // 2 for r in rows.tolist()]
         assert got.tolist() == want
     assert max(want) >= 1 << 15
@@ -452,6 +452,19 @@ def test_parallel_scans_charge_per_chunk_and_match_serial(petersen):
         parallel = find_unsolvable_witness(petersen, d2, 12, jobs=2,
                                            symmetry=sym)
         assert serial.found and parallel == serial
+
+
+def test_parallel_chunks_stop_at_the_budget(petersen):
+    # 2,042,975 rows against a 70,000 budget: chunk 0 stops after its
+    # second block, as the serial scan does, instead of finishing its range
+    d = Distribution.stacked(10, 0, 1)
+    assert num_configs(10, 16) > 25 * 70_000
+    errs = []
+    for jobs in (1, 2):
+        with pytest.raises(BudgetExceededError) as info:
+            find_unsolvable_witness(petersen, d, 16, jobs=jobs, budget=70_000)
+        errs.append((info.value.cap, info.value.spent))
+    assert errs[0] == errs[1] == (70_000, 2 * (1 << 16))
 
 
 def test_budget_environment_default(petersen, monkeypatch):
