@@ -8,6 +8,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
+from math import floor
 from operator import ge, mul
 
 from .graph import Graph
@@ -144,11 +145,12 @@ def stats(c: Configuration) -> dict:
 
 def weight(c: Configuration, r: int, g: Graph) -> Fraction:
     """Exact weighted supply sum(c(v) * 2^-dist(v,r)), never increased by a
-    pebbling step. Computed as scaled integers over 2^diameter."""
-    m = g.metrics
-    diam = m.diameter
-    scaled = sum(c[v] << (diam - m.dist[r][v]) for v in range(g.n))
-    return Fraction(scaled, 1 << diam)
+    pebbling step. Computed as scaled integers over 2^ecc(r) from r's BFS
+    row; any common scale of at least ecc(r) gives the same Fraction."""
+    dist = g.distances(r)
+    ecc = max(dist)
+    scaled = sum(c[v] << (ecc - dist[v]) for v in range(g.n))
+    return Fraction(scaled, 1 << ecc)
 
 
 # The failed-state memo stops growing at this many entries per solver.
@@ -314,9 +316,12 @@ def get_solver(g: Graph, d: Distribution, mode: str = "unrestricted") -> Solver:
     return solver
 
 
-def is_solvable(g: Graph, c: Configuration, d: Distribution,
+def is_solvable(g: Graph, c, d: Distribution,
                 mode: str = "unrestricted") -> SolveOutcome:
     """Exact decision: can c reach a configuration pointwise >= d?
+
+    c is a Configuration or a plain tuple of per-vertex counts; the scans
+    pass tuples and build a Configuration only for a witness.
 
     greedy mode permits only moves strictly decreasing the distance to some
     unmet target; semi_greedy permits non-increasing ones. Solvers (with
@@ -389,10 +394,7 @@ def find_slides(g: Graph, c: Configuration, cap: int | None = None):
 def max_fold(g: Graph, c: Configuration, r: int) -> int:
     """Largest t >= 0 with c solvable for the demand of t pebbles on r.
     Binary search between c(r) and the weight upper bound floor(w_r(c))."""
-    m = g.metrics
-    diam = m.diameter
-    scaled = sum(c[v] << (diam - m.dist[r][v]) for v in range(g.n))
-    hi = scaled >> diam
+    hi = floor(weight(c, r, g))
     lo = min(c[r], hi)
     while lo < hi:
         mid = (lo + hi + 1) // 2

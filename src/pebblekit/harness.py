@@ -15,7 +15,7 @@ from math import comb
 
 import numpy as np
 
-from .engine import Configuration, Distribution, is_solvable, solvable_within
+from .engine import Configuration, Distribution, is_solvable
 from .families import FanSpec, enumerate_fan_specs, is_spinal_root, kneser, \
     max_path_partition, random_tree, spinal_tree, two_path
 from .formulas import KneserParams, build_C_t1, build_C_t2, build_J_r, \
@@ -23,7 +23,7 @@ from .formulas import KneserParams, build_C_t1, build_C_t2, build_J_r, \
 from .graph import _decode_graph, Graph, graph_to_json, pair_orbits, \
     vertex_connectivity
 from .numbers import _ascending_blocks, _coerce_budget, _FastFilter, \
-    _min_moves_upto2, _unrank_cols, BudgetExceededError, check_pi_t_equals, \
+    _min_moves_upto3, _unrank_cols, BudgetExceededError, check_pi_t_equals, \
     find_unsolvable_witness, num_configs, tree_dust_witness, \
     two_path_lower_candidates, verify_target_conjecture
 from .version import VERSION
@@ -173,17 +173,18 @@ def _petersen_size13_scan() -> dict:
     everywhere). Also confirms the size-12 doubled-stack construction is
     2-fold unsolvable (the matching lower bound).
 
-    Cost is moves + 1. `_min_moves_upto2` gives the exact move count of
-    every row that needs at most 2 moves; the rest need at least 3, so a
-    depth-3 bounded search settles them: cost exactly 4 when it succeeds,
-    a cost<=4 failure when it does not."""
+    Each demand's _FastFilter accepts most rows by its spanning-tree masks
+    and, on the rest, by the one-move lookahead (a row whose child the
+    masks accept is solvable); the exact engine decides only what is left.
+    Cost is moves + 1, read from `_min_moves_upto3`, which is exact for
+    0 to 3 moves; a row it leaves at -1 needs at least 4 moves, or cannot
+    reach the root, and is a cost<=4 failure."""
     g = _petersen()
     r = _PETERSEN_ROOT
     n = g.n
-    m = g.metrics
-    v1 = [v for v in range(n) if m.dist[r][v] == 1]
-    v2 = [v for v in range(n) if m.dist[r][v] == 2]
-    u, w = min(v1), min(v2)
+    dist = g.distances(r)
+    u = min(v for v in range(n) if dist[v] == 1)
+    w = min(v for v in range(n) if dist[v] == 2)
 
     def pair(a: int, b: int) -> Distribution:
         vec = [0] * n
@@ -202,19 +203,16 @@ def _petersen_size13_scan() -> dict:
         cache: dict = {}
         for di, d in enumerate(demands):
             for i in np.flatnonzero(~filters[di].accept(rows, cache)):
-                cfg = Configuration(tuple(rows[i].tolist()))
-                if not is_solvable(g, cfg, d).solvable:
+                counts = tuple(rows[i].tolist())
+                if not is_solvable(g, counts, d).solvable:
                     failures.append({"demand": list(d.demands),
-                                     "config": _cfg_list(cfg)})
+                                     "config": list(counts)})
         # cost <= 4 means at most 3 pebbling steps reach the root
-        moves = _min_moves_upto2(g, rows, r)
+        moves = _min_moves_upto3(g, rows, r)
         max_cost = max(max_cost, int(moves.max()) + 1)
         for i in np.flatnonzero(moves < 0):
-            cfg = Configuration(tuple(rows[i].tolist()))
-            if solvable_within(g, cfg, r, 3):
-                max_cost = max(max_cost, 4)
-            else:
-                failures.append({"demand": "cost<=4", "config": _cfg_list(cfg)})
+            failures.append({"demand": "cost<=4",
+                             "config": rows[i].tolist()})
 
     c22 = build_C_t2(g, r, 2)
     c22_unsolvable = not is_solvable(g, c22, demands[0]).solvable
@@ -430,9 +428,9 @@ def _run_thm_3_5(params, budget, jobs, seed):
             rows = _unrank_cols(g.n, expected,
                                 [rng.randrange(total) for _ in range(k)]).T
             for i in np.flatnonzero(~filt.accept(rows)):
-                cfg = Configuration(tuple(rows[i].tolist()))
-                if not is_solvable(g, cfg, d).solvable:
-                    bad = _cfg_list(cfg)
+                counts = tuple(rows[i].tolist())
+                if not is_solvable(g, counts, d).solvable:
+                    bad = list(counts)
                     break
         witnesses = [{"size14_witness": _cfg_list(c11),
                       "unsolvable": lower_ok, "samples": samples}]

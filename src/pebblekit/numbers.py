@@ -13,9 +13,17 @@ whole vertex rows at a time. The dtype is int16 when the size m is below
 2**15 and int64 otherwise: every count is at most m, and delivery never
 creates pebbles. Ranks are int64, so the kernel refuses (n, m) with 2**63
 or more configurations; unrank_config stays the arbitrary-precision scalar
-reference. Vectorized spanning-tree delivery gives a sound fast-accept
-prescreen (exact on trees); every verdict that matters is confirmed by
-the exact engine.
+reference.
+
+Prescreen. _FastFilter accepts the rows it can prove solvable: pebbles
+delivered along one BFS spanning tree per demand target (exact on trees),
+with pay and cut rules for two-target demands. It then looks one move
+ahead on the rows it rejects. Lemma: if c reaches c' in one legal move
+(c(u) >= 2, uv an edge, c' = c - 2e_u + e_v) and c' is D-solvable, then c
+is D-solvable. _one_move_children yields those children one directed edge
+at a time, and _min_moves_upto3 uses the same step to settle the exact
+3-move class. Every rejected row goes to the exact engine as a plain count
+tuple, and every witness carries the engine's verdict.
 
 Budgets. Every scanned configuration is charged to the budget. A parallel
 scan splits the ranks into contiguous chunks, each bounded by the budget
@@ -203,7 +211,7 @@ def _ascending_blocks(n: int, m: int, start: int = 0, stop: int | None = None,
         yield _unrank_cols(n, m, np.arange(s, min(s + block, stop))).T
 
 
-def _bfs_parents(g: Graph, r: int, descending: bool = False) -> list:
+def _bfs_parents(g: Graph, r: int) -> list:
     par = [-1] * g.n
     seen = [False] * g.n
     seen[r] = True
@@ -211,8 +219,7 @@ def _bfs_parents(g: Graph, r: int, descending: bool = False) -> list:
     while frontier:
         nxt = []
         for u in frontier:
-            nbrs = sorted(g.adjacency[u], reverse=descending)
-            for v in nbrs:
+            for v in g.adjacency[u]:
                 if not seen[v]:
                     seen[v] = True
                     par[v] = u
@@ -221,20 +228,16 @@ def _bfs_parents(g: Graph, r: int, descending: bool = False) -> list:
     return par
 
 
-def _tree_variants(g: Graph, r: int):
-    """Spanning-tree (processing order, parent array) pairs used by the
-    vectorized delivery prescreen. BFS trees preserve distances, so any
-    amount deliverable to r inside one is deliverable in g."""
-    dist = g.metrics.dist[r]
+def _delivery_tree(g: Graph, r: int):
+    """The (processing order, parent array) of the BFS spanning tree that
+    the vectorized delivery prescreen routes along: deepest vertices first.
+    BFS trees preserve distances, so any amount deliverable to r inside one
+    is deliverable in g. Uses r's BFS row only, never the all-pairs
+    metrics."""
+    dist = g.distances(r)
     order = sorted((v for v in range(g.n) if v != r),
                    key=lambda v: (-dist[v], v))
-    variants = []
-    for desc in (False, True):
-        par = _bfs_parents(g, r, descending=desc)
-        variants.append((tuple(order), tuple(par)))
-        if g.n <= 2:
-            break
-    return variants
+    return tuple(order), tuple(_bfs_parents(g, r))
 
 
 def _deliver(cols: np.ndarray, order, par, target: int) -> np.ndarray:
@@ -252,92 +255,144 @@ def _deliver(cols: np.ndarray, order, par, target: int) -> np.ndarray:
     return a[target]
 
 
+def _one_move_children(g: Graph, cols: np.ndarray, idx: np.ndarray):
+    """The one-move children of the rows of an (n, B) column-major block
+    that idx marks, one directed edge uv at a time: yields (sel, child),
+    where sel lists the marked columns with c(u) >= 2 and child is an
+    (n, len(sel)) copy of them with the move applied (c - 2e_u + e_v).
+
+    idx is a boolean mask over the block's columns and is the work list: a
+    caller clears a column once that row is settled, and the edges after
+    that skip it. Counts stay within the configuration size, so the dtype
+    cannot overflow."""
+    todo = np.flatnonzero(idx)
+    for u in range(g.n):
+        src = todo[cols[u, todo] >= 2]
+        for v in g.adjacency[u]:
+            src = src[idx[src]]
+            if src.size == 0:
+                break
+            child = cols[:, src]
+            child[u] -= 2
+            child[v] += 1
+            yield src, child
+        todo = todo[idx[todo]]
+        if todo.size == 0:
+            return
+
+
 class _FastFilter:
-    """Sound fast-accept masks for one demand: rows flagged True are
-    provably solvable; the exact engine decides the rest."""
+    """Sound fast-accept masks for one demand D: rows flagged True are
+    provably D-solvable; the exact engine decides the rest. Each demand
+    target r routes along one BFS spanning tree (_delivery_tree), and
+    _deliver gives what that tree carries to r. The masks, and the lemma
+    that makes each sound:
+      - stack (one target r): the tree delivers D(r) to r. Every tree move
+        is a graph move.
+      - deliver-and-route (two targets a, b at distance k): everything the
+        tree of a delivers reaches D(a) + 2^k D(b), or symmetrically. A
+        pebble pile of 2^k D(b) on a walks k edges to b and arrives as D(b),
+        leaving D(a) in place.
+      - pay (two targets): one target's demand is already in place on it,
+        and the other's tree delivers its demand from the rest. The paid
+        pebbles never move.
+      - cut (two targets): in the tree of one target, the other target
+        keeps what its own subtree flushes into it and the rest reaches the
+        root. The two deliveries use disjoint moves on disjoint pebbles.
+      - in place (two or more targets): every target already holds its
+        demand.
+      - lookahead (any demand): some one-move child c - 2e_u + e_v, with
+        c(u) >= 2 and uv an edge, is accepted by the masks above. If c
+        reaches c' in one legal move and c' is D-solvable, so is c.
+    """
 
     def __init__(self, g: Graph, d: Distribution):
         self.g = g
         self.d = d
         self.targets = d.support
         self.demands = d.demands
-        self.variants = {r: _tree_variants(g, r) for r in self.targets}
+        self.trees = {r: _delivery_tree(g, r) for r in self.targets}
         if len(self.targets) == 2:
             a, b = self.targets
-            self.pair_dist = g.metrics.dist[a][b]
+            self.pair_dist = g.distances(a)[b]
 
     def accept(self, rows: np.ndarray, cache: dict | None = None) -> np.ndarray:
-        """The optional cache shares delivered columns for the same block
-        across filters whose demands hit the same target."""
+        """Accept a (B, n) block's rows by the direct masks, then by the
+        lookahead on the rows they reject. The optional cache shares
+        delivered columns for the same block across filters whose demands
+        hit the same target; the children are other rows and never use
+        it."""
+        solv = self._masks(rows, cache)
+        todo = ~solv
+        for sel, child in _one_move_children(self.g, rows.T, todo):
+            hit = sel[self._masks(child.T)]
+            solv[hit] = True
+            todo[hit] = False
+        return solv
+
+    def _masks(self, rows: np.ndarray, cache: dict | None = None) -> np.ndarray:
         B = rows.shape[0]
         ts = self.targets
         if len(ts) == 0:
             return np.ones(B, dtype=bool)
         if cache is None:
             cache = {}
+        cols = rows.T
 
-        def delivered(r: int, vi: int) -> np.ndarray:
-            col = cache.get((r, vi))
+        def delivered(r: int) -> np.ndarray:
+            col = cache.get(r)
             if col is None:
-                order, par = self.variants[r][vi]
-                col = _deliver(rows.T, order, par, r)
-                cache[(r, vi)] = col
+                order, par = self.trees[r]
+                col = _deliver(cols, order, par, r)
+                cache[r] = col
             return col
 
         if len(ts) == 1:
             r = ts[0]
-            need = self.demands[r]
-            solv = np.zeros(B, dtype=bool)
-            for vi in range(len(self.variants[r])):
-                solv |= delivered(r, vi) >= need
-            return solv
+            return delivered(r) >= self.demands[r]
         if len(ts) == 2:
             a, b = ts
             da, db = self.demands[a], self.demands[b]
             shift = self.pair_dist
-            solv = (rows[:, a] >= da) & (rows[:, b] >= db)
+            solv = (cols[a] >= da) & (cols[b] >= db)
             # deliver everything to one target, then route the rest across
-            for vi in range(len(self.variants[a])):
-                solv |= delivered(a, vi) >= da + (db << shift)
-                solv |= delivered(b, vi) >= db + (da << shift)
+            solv |= delivered(a) >= da + (db << shift)
+            solv |= delivered(b) >= db + (da << shift)
             # pay one target from pebbles already in place, deliver the other
             # from what remains (only rows not yet accepted)
-            cols = rows.T
             for keep, pay, amt, need in ((b, a, da, db), (a, b, db, da)):
                 todo = np.flatnonzero((cols[pay] >= amt) & ~solv)
                 if todo.size == 0:
                     continue
                 tmp = cols[:, todo]
                 tmp[pay] -= amt
-                sub = np.zeros(todo.size, dtype=bool)
-                for order, par in self.variants[keep]:
-                    sub |= _deliver(tmp, order, par, keep) >= need
-                solv[todo[sub]] = True
+                order, par = self.trees[keep]
+                solv[todo[_deliver(tmp, order, par, keep) >= need]] = True
             # cut one target out of the other's tree: the cut vertex keeps
             # what its subtree flushes into it, the rest reaches the root;
             # the two deliveries use disjoint vertex sets
             for root, cut, need_r, need_c in ((a, b, da, db), (b, a, db, da)):
-                for order, par in self.variants[root]:
-                    todo = np.flatnonzero(~solv)
-                    if todo.size == 0:
-                        break
-                    tmp = cols[:, todo]
-                    for v in order:
-                        if v != cut:
-                            tmp[par[v]] += tmp[v] >> 1
-                    hit = (tmp[root] >= need_r) & (tmp[cut] >= need_c)
-                    solv[todo[hit]] = True
+                todo = np.flatnonzero(~solv)
+                if todo.size == 0:
+                    break
+                tmp = cols[:, todo]
+                order, par = self.trees[root]
+                for v in order:
+                    if v != cut:
+                        tmp[par[v]] += tmp[v] >> 1
+                hit = (tmp[root] >= need_r) & (tmp[cut] >= need_c)
+                solv[todo[hit]] = True
             return solv
         ok = np.ones(B, dtype=bool)
         for r in ts:
-            ok &= rows[:, r] >= self.demands[r]
+            ok &= cols[r] >= self.demands[r]
         return ok
 
 
-def _min_moves_upto2(g: Graph, rows: np.ndarray, r: int) -> np.ndarray:
+def _min_moves_upto3(g: Graph, rows: np.ndarray, r: int) -> np.ndarray:
     """Exact fewest pebbling moves putting one pebble on r, per row of a
-    (B, n) block, when that number is 0, 1 or 2; -1 when it is at least 3
-    or no sequence of moves reaches r.
+    (B, n) block, when that number is 0, 1, 2 or 3; -1 when it is at least
+    4 or no sequence of moves reaches r.
 
     Lemma (any graph). Write c for a row.
       - 0 moves iff c(r) >= 1.
@@ -349,17 +404,31 @@ def _min_moves_upto2(g: Graph, rows: np.ndarray, r: int) -> np.ndarray:
         2 after the first move. Before it u held at most 1 (no neighbour
         of r holds 2), and only a move into u raises c(u), by one; so
         c(u) = 1 and the first move is x -> u with c(x) >= 2.
-    Each test below is applied over the previous one, so a row gets the
-    least class whose condition it meets.
+      - 3 moves iff none of the above and some one-move child of c needs
+        at most 2. Every 3-move sequence starts with one move to a child
+        that then needs at most 2; a child needing k <= 2 gives c a
+        (k + 1)-move sequence, and c needs at least 3.
+    Each test is applied over the previous ones, so a row gets the least
+    class whose condition it meets.
     """
-    rich = rows >= 2
-    moves = np.full(rows.shape[0], -1, dtype=np.int8)
-    two = np.zeros(rows.shape[0], dtype=bool)
-    for u in g.adjacency[r]:
-        two |= (rows[:, u] == 1) & rich[:, list(g.adjacency[u])].any(axis=1)
-    moves[two] = 2
-    moves[rich[:, list(g.adjacency[r])].any(axis=1)] = 1
-    moves[rows[:, r] >= 1] = 0
+
+    def upto2(rows: np.ndarray) -> np.ndarray:
+        rich = rows >= 2
+        moves = np.full(rows.shape[0], -1, dtype=np.int8)
+        two = np.zeros(rows.shape[0], dtype=bool)
+        for u in g.adjacency[r]:
+            two |= (rows[:, u] == 1) & rich[:, list(g.adjacency[u])].any(axis=1)
+        moves[two] = 2
+        moves[rich[:, list(g.adjacency[r])].any(axis=1)] = 1
+        moves[rows[:, r] >= 1] = 0
+        return moves
+
+    moves = upto2(rows)
+    todo = moves < 0
+    for sel, child in _one_move_children(g, rows.T, todo):
+        hit = sel[upto2(child.T) >= 0]
+        moves[hit] = 3
+        todo[hit] = False
     return moves
 
 
@@ -423,9 +492,10 @@ def _scan_chunk(g: Graph, demands, size: int, start: int, stop: int, *,
             else:
                 pending = range(rows.shape[0])
             for i in pending:
-                cfg = Configuration(tuple(rows[i].tolist()))
-                if is_solvable(g, cfg, d, mode).solvable:
+                counts = tuple(rows[i].tolist())
+                if is_solvable(g, counts, d, mode).solvable:
                     continue
+                cfg = Configuration(counts)
                 if first is None:
                     first = (di, cfg)
                 if collect_all:

@@ -78,6 +78,33 @@ def brute_solvable(g, counts, demands, mode="unrestricted"):
     return False
 
 
+def brute_solvable_memo(adj, counts, demands, memo):
+    """The unrestricted brute_solvable verdict by recursion over single
+    moves: counts solves the demand iff it meets it pointwise or some
+    one-move child solves it. memo maps configurations to verdicts for one
+    (graph, demand) pair and is filled in, so a caller checking many rows
+    against the same demand explores each reachable configuration once.
+    The recursion depth is at most the pebble count."""
+    c = tuple(counts)
+    got = memo.get(c)
+    if got is None:
+        got = all(x >= y for x, y in zip(c, demands))
+        for u in range(len(c)):
+            if got:
+                break
+            if c[u] < 2:
+                continue
+            for v in adj[u]:
+                nxt = list(c)
+                nxt[u] -= 2
+                nxt[v] += 1
+                if brute_solvable_memo(adj, nxt, demands, memo):
+                    got = True
+                    break
+        memo[c] = got
+    return got
+
+
 def brute_min_moves(g, counts, r):
     """Fewest pebbling moves placing a pebble on r; None when impossible.
 

@@ -26,6 +26,7 @@ from pebblekit import (
     stats,
     weight,
 )
+from pebblekit.numbers import _FastFilter
 
 from oracles import brute_min_moves, brute_solvable, random_config, \
     random_connected_edges
@@ -229,6 +230,34 @@ def test_solver_set_up_runs_one_bfs_per_target():
     assert sol.cost == 551 and cheap
     assert sol.moves == tuple((i, i + 1) for i in range(r))
     assert "metrics" not in g.__dict__
+
+
+def test_weight_max_fold_and_prescreen_use_target_bfs_rows():
+    # ecc(r) = 550 against diameter 1099: the values match those computed
+    # through the all-pairs metrics of a separate copy of the graph
+    n = 1100
+    g, ref = path_graph(n), path_graph(n)
+    r = n // 2
+    counts = [0] * n
+    counts[0], counts[r], counts[r + 2], counts[n - 1] = 1, 3, 9, 1
+    c = Configuration(tuple(counts))
+    pair = [0] * n
+    pair[r] = pair[r + 7] = 1
+    w = weight(c, r, g)
+    fold = max_fold(g, c, r)
+    filt = _FastFilter(g, Distribution(tuple(pair)))
+    assert "metrics" not in g.__dict__
+
+    m = ref.metrics
+    diam = m.diameter
+    scaled = sum(c[v] << (diam - m.dist[r][v]) for v in range(n))
+    assert w == Fraction(scaled, 1 << diam)
+    assert fold == scaled >> diam == 5
+    assert filt.pair_dist == m.dist[r][r + 7] == 7
+    for x in (r, r + 7):
+        order, _ = filt.trees[x]
+        assert list(order) == sorted((v for v in range(n) if v != x),
+                                     key=lambda v: (-m.dist[x][v], v))
 
 
 def test_bounded_solves_read_but_never_write_the_memo(petersen):
