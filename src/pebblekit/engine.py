@@ -316,7 +316,7 @@ def get_solver(g: Graph, d: Distribution, mode: str = "unrestricted") -> Solver:
     return solver
 
 
-def is_solvable(g: Graph, c, d: Distribution,
+def is_solvable(g: Graph, c: Configuration | tuple[int, ...], d: Distribution,
                 mode: str = "unrestricted") -> SolveOutcome:
     """Exact decision: can c reach a configuration pointwise >= d?
 
