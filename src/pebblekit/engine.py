@@ -4,12 +4,13 @@ weight/potential statistics."""
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from math import floor
-from operator import ge, mul
+from operator import add, ge, le, lt, mul
 
 from .graph import Graph
 
@@ -155,6 +156,9 @@ def weight(c: Configuration, r: int, g: Graph) -> Fraction:
 
 # The failed-state memo stops growing at this many entries per solver.
 MEMO_CAP = 4_000_000
+# get_solver keeps at most this many solvers, dropping the least recently
+# used one; no registry claim builds more than a few hundred at its defaults.
+SOLVER_CACHE_CAP = 1024
 
 
 class Solver:
@@ -182,6 +186,21 @@ class Solver:
       MEMO_CAP entries.
     Restricted modes decide a move's legality from the state alone, so the
     memo stays sound for them too.
+
+    Memo keys are plain ints: vertex v's count sits in bits [k*v, k*v + k),
+    where k is the bit length of the largest configuration size this solver
+    has been called with. Pebbling never adds pebbles, so no count reached
+    in a search exceeds the size it started from and no field overflows;
+    and a move takes two pebbles from a vertex holding at least two, so no
+    field borrows. A move u -> v therefore adds the fixed delta
+    (1 << k*v) - (2 << k*u) to the key. Set-up of each width precomputes,
+    per arc, that delta, the weight change towards each target and whether
+    the arc touches a demand vertex. A move first checks the demand (only on
+    demand-touching arcs), then probes the memo with key + delta: a memo hit
+    costs one add and one set lookup and never touches `counts`, the path
+    or the weights, which change only when a state is expanded. A call with
+    a larger size widens k and re-encodes every memo entry in place, so the
+    memo holds the same states as before, now at the new width.
 
     The weights are w_r scaled to integers by 2^scale, where scale is the
     largest eccentricity among the targets; set-up runs one BFS per target
@@ -213,106 +232,156 @@ class Solver:
         self.moves_from = tuple(
             tuple((u, v) for v in sorted(g.adjacency[u], key=lambda v: (-score[v], v)))
             for u in range(self.n))
-        self.failed: set[tuple[int, ...]] = set()
+        # restricted modes: per move, the bitmask of target indices it brings
+        # pebbles strictly (greedy) or weakly (semi_greedy) closer to
+        closer = lt if mode == "greedy" else le
+        self.approach = tuple(
+            tuple(sum(1 << i for i, x in enumerate(self.targets)
+                      if closer(self.dist[x][v], self.dist[x][u])) for u, v in moves)
+            for moves in self.moves_from)
+        # bits per vertex in a memo key, and the per-move records at that width
+        self.k = 0
+        self.arcs: tuple = ()
+        self.failed: set[int] = set()
+
+    def _widen(self, k: int):
+        """Re-encode the memo keys and the per-move key deltas at k bits a
+        vertex."""
+        old, mask, n = self.k, (1 << self.k) - 1, self.n
+        keys = list(self.failed)
+        self.failed.clear()
+        self.failed.update(sum(((key >> old * v) & mask) << k * v for v in range(n))
+                           for key in keys)
+        self.k = k
+        demand, W = self.demand, self.W
+        self.arcs = tuple(
+            tuple((u, v, (1 << k * v) - (2 << k * u), tuple(w[v] - 2 * w[u] for w in W),
+                   bool(demand[u] or demand[v])) for u, v in moves)
+            for moves in self.moves_from)
 
     def solve(self, c, max_moves: int | None = None) -> SolveOutcome:
         """Search for moves from c that meet the demand; with max_moves, only
         sequences of at most that many moves count."""
         if max_moves is not None and max_moves < 0:
             raise PebblingError("max_moves must be nonnegative")
-        counts = list(c.counts if isinstance(c, Configuration) else c)
+        # Python ints: a fixed-width count (a numpy scalar, say) would wrap
+        # when shifted into the key
+        counts = list(map(int, c.counts if isinstance(c, Configuration) else c))
         n = self.n
         if len(counts) != n:
             raise PebblingError("configuration length must equal vertex count")
+        if min(counts) < 0:
+            raise PebblingError("pebble counts must be nonnegative")
         demand = self.demand
         targets = self.targets
         single = sum(demand) == 1
         deficit = sum(max(0, demand[x] - counts[x]) for x in targets)
         if deficit == 0:
             return SolveOutcome(True, Solution((), 1 if single else None), 0)
-        W = self.W
+        width = sum(counts).bit_length()
+        if width > self.k:
+            self._widen(width)
+        k = self.k
+        key = sum(x << k * v for v, x in enumerate(counts))
         need = self.need
-        weights = [sum(map(mul, counts, w)) for w in W]
-        tix = range(len(W))
+        weights = tuple(sum(map(mul, counts, w)) for w in self.W)
         failed = self.failed
         write = max_moves is None
-        moves_from = self.moves_from
+        cap = MEMO_CAP
+        arcs = self.arcs
+        approach = self.approach
+        restricted = self.mode != "unrestricted"
         vertices = range(n)
-        mode = self.mode
-        dist = self.dist
 
-        def allowed(move) -> bool:
-            u, v = move
-            if mode == "greedy":
-                return any(demand[x] > counts[x] and dist[x][v] < dist[x][u]
-                           for x in targets)
-            return any(demand[x] > counts[x] and dist[x][v] <= dist[x][u]
-                       for x in targets)
+        def moves_out():
+            """The candidate moves out of the state in `counts`, in search
+            order; None when no vertex holds two pebbles."""
+            sources = [v for v in vertices if counts[v] > 1]
+            if not sources:
+                return None
+            sources.sort(key=counts.__getitem__, reverse=True)
+            if restricted:
+                unmet = sum(1 << i for i, x in enumerate(targets) if demand[x] > counts[x])
+                return iter([arc for u in sources
+                             for arc, m in zip(arcs[u], approach[u]) if m & unmet])
+            return chain.from_iterable(map(arcs.__getitem__, sources))
 
-        # open_states[i] holds the i-th state on the current path, as its key
-        # and its untried moves; path[i] is the move taken out of it and
-        # saved[i] the deficit before that move
-        open_states: list = []
+        if key in failed or max_moves == 0:
+            return SolveOutcome(False, None, 1)
+        it = moves_out() if all(map(ge, weights, need)) else None
+        if it is None:
+            if write and len(failed) < cap:
+                failed.add(key)
+            return SolveOutcome(False, None, 1)
+        # frames[i] holds the i-th state on the current path below the one in
+        # `key`: its key, its untried moves, its weights and its deficit;
+        # path[i] is the move taken out of it
+        frames: list = []
         path: list[tuple[int, int]] = []
-        saved: list[int] = []
-        states = 0
+        # children of a state at depth `last` sit at the move bound
+        last = -1 if max_moves is None else max_moves - 1
+        bound = last == 0
+        states = 1
         while True:
-            # enter the state in `counts`
-            states += 1
-            key = tuple(counts)
-            if key not in failed and len(path) != max_moves:
-                if all(map(ge, weights, need)) and (
-                        sources := [v for v in vertices if counts[v] > 1]):
-                    sources.sort(key=counts.__getitem__, reverse=True)
-                    cand = chain.from_iterable(map(moves_from.__getitem__, sources))
-                    if mode != "unrestricted":
-                        cand = filter(allowed, cand)
-                    open_states.append((key, cand))
-                elif write and len(failed) < MEMO_CAP:
-                    failed.add(key)
-            # take the next untried move, backtracking past exhausted states
-            while True:
-                if len(path) == len(open_states):
-                    if not path:
-                        return SolveOutcome(False, None, states)
-                    u, v = path.pop()
-                    counts[u] += 2
-                    counts[v] -= 1
-                    deficit = saved.pop()
-                    for i in tix:
-                        weights[i] += 2 * W[i][u] - W[i][v]
-                key, cand = open_states[-1]
-                move = next(cand, None)
-                if move is None:
-                    open_states.pop()
-                    if write and len(failed) < MEMO_CAP:
-                        failed.add(key)
-                    continue
-                u, v = move
-                path.append(move)
-                saved.append(deficit)
-                counts[u] -= 2
-                counts[v] += 1
-                for i in tix:
-                    weights[i] += W[i][v] - 2 * W[i][u]
-                if demand[u] or demand[v]:
-                    deficit = sum(max(0, demand[x] - counts[x]) for x in targets)
-                    if deficit == 0:
+            for u, v, dk, dw, touch in it:
+                if touch:
+                    gap = demand[u] - counts[u]
+                    left = (deficit + max(0, gap + 2) - max(0, gap)
+                            - (demand[v] > counts[v]))
+                    if left == 0:
+                        path.append((u, v))
                         return SolveOutcome(
                             True, Solution(tuple(path), len(path) + 1 if single else None),
                             states)
-                break
+                states += 1
+                child = key + dk
+                if bound or child in failed:
+                    continue
+                cw = tuple(map(add, weights, dw))
+                if all(map(ge, cw, need)):
+                    counts[u] -= 2
+                    counts[v] += 1
+                    nxt = moves_out()
+                    if nxt is not None:
+                        frames.append((key, it, weights, deficit))
+                        path.append((u, v))
+                        key, it, weights = child, nxt, cw
+                        if touch:
+                            deficit = left
+                        bound = len(path) == last
+                        break
+                    counts[u] += 2
+                    counts[v] -= 1
+                if write and len(failed) < cap:
+                    failed.add(child)
+            else:
+                # every move out of the state in `key` has failed
+                if write and len(failed) < cap:
+                    failed.add(key)
+                if not frames:
+                    return SolveOutcome(False, None, states)
+                u, v = path.pop()
+                counts[u] += 2
+                counts[v] -= 1
+                key, it, weights, deficit = frames.pop()
+                bound = len(path) == last
 
 
-_solver_cache: dict[tuple, Solver] = {}
+_solver_cache: OrderedDict[tuple, Solver] = OrderedDict()
 
 
 def get_solver(g: Graph, d: Distribution, mode: str = "unrestricted") -> Solver:
+    """The cached solver for (g, d, mode); the cache keeps the
+    SOLVER_CACHE_CAP most recently used solvers, memos included."""
     key = (g, d.demands, mode)
     solver = _solver_cache.get(key)
     if solver is None:
         solver = Solver(g, d, mode)
         _solver_cache[key] = solver
+        if len(_solver_cache) > SOLVER_CACHE_CAP:
+            _solver_cache.popitem(last=False)
+    else:
+        _solver_cache.move_to_end(key)
     return solver
 
 

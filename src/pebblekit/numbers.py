@@ -736,15 +736,18 @@ def two_path_lower_candidates(tp: TwoPath, t: int = 1):
 
 
 def _default_lower_candidates(g: Graph, t: int, roots, want_size: int):
+    """The BFS-tree dust witness at each root, plus the Kneser stacks C_t1
+    and C_t2 at each root of eccentricity 2 in a graph of diameter 2. Each
+    root's eccentricity comes from its own BFS row; the all-pairs diameter
+    is read only for a root of eccentricity 2."""
     cands = []
-    diam = g.metrics.diameter
     for r in roots:
         if g.n == 1:
             if want_size >= 0:
                 cands.append((r, Configuration((want_size,))))
             continue
         cands.append((r, tree_dust_witness(_bfs_rooted_tree(g, r), t)))
-        if diam == 2 and g.metrics.ecc[r] == 2:
+        if max(g.distances(r)) == 2 and g.metrics.diameter == 2:
             cands.append((r, build_C_t1(g, r, t)))
             cands.append((r, build_C_t2(g, r, t)))
     return [(r, c) for r, c in cands if c.size == want_size]

@@ -3,10 +3,18 @@
 Everything here is breadth-first or exhaustive with no pruning, so it is
 only usable on small inputs, but its correctness is plain by inspection.
 Only graph fields n/edges are consumed; derived structures are rebuilt.
+`ReferenceSolver`, the previous implementation of the exact search, is the
+one exception on both counts.
 """
 
 from collections import deque
-from itertools import combinations, product
+from itertools import chain, combinations, product
+from operator import ge, mul
+
+from pebblekit import engine
+from pebblekit.engine import MODES, Configuration, Distribution, PebblingError, \
+    Solution, SolveOutcome
+from pebblekit.graph import Graph
 
 
 def neighbor_lists(n, edges):
@@ -302,3 +310,123 @@ def brute_is_two_path(g):
                    and rec(verts - {v}) for v in simp)
 
     return g.n >= 2 and rec(frozenset(range(g.n)))
+
+
+class ReferenceSolver:
+    """The tuple-keyed exact search `engine.Solver` replaced, kept verbatim
+    as the reference: the same DFS order, weight cut and memo rule, with
+    each memo key the tuple of per-vertex counts. Tests compare outcomes,
+    state counts and memo contents of the two. Set-up reads the graph's
+    BFS rows and adjacency, unlike the rest of this module."""
+
+    def __init__(self, g: Graph, d: Distribution, mode: str = "unrestricted"):
+        if mode not in MODES:
+            raise PebblingError(f"unknown mode {mode!r}; expected one of {MODES}")
+        if len(d) != g.n:
+            raise PebblingError("demand length must equal vertex count")
+        self.g = g
+        self.demand = d.demands
+        self.mode = mode
+        self.n = g.n
+        self.targets = d.support
+        # only the targets' BFS rows: dist[x] for each target x
+        self.dist = {r: g.distances(r) for r in self.targets}
+        scale = max((max(self.dist[r]) for r in self.targets), default=0)
+        self.W = tuple(tuple(1 << (scale - self.dist[r][v]) for v in range(self.n))
+                       for r in self.targets)
+        self.need = tuple(sum(self.demand[x] * w[x] for x in self.targets)
+                          for w in self.W)
+        score = [sum(w[v] for w in self.W) for v in range(self.n)]
+        # the moves out of each vertex, best-scoring neighbour first
+        self.moves_from = tuple(
+            tuple((u, v) for v in sorted(g.adjacency[u], key=lambda v: (-score[v], v)))
+            for u in range(self.n))
+        self.failed: set[tuple[int, ...]] = set()
+
+    def solve(self, c, max_moves: int | None = None) -> SolveOutcome:
+        """Search for moves from c that meet the demand; with max_moves, only
+        sequences of at most that many moves count."""
+        if max_moves is not None and max_moves < 0:
+            raise PebblingError("max_moves must be nonnegative")
+        counts = list(c.counts if isinstance(c, Configuration) else c)
+        n = self.n
+        if len(counts) != n:
+            raise PebblingError("configuration length must equal vertex count")
+        demand = self.demand
+        targets = self.targets
+        single = sum(demand) == 1
+        deficit = sum(max(0, demand[x] - counts[x]) for x in targets)
+        if deficit == 0:
+            return SolveOutcome(True, Solution((), 1 if single else None), 0)
+        W = self.W
+        need = self.need
+        weights = [sum(map(mul, counts, w)) for w in W]
+        tix = range(len(W))
+        failed = self.failed
+        write = max_moves is None
+        moves_from = self.moves_from
+        vertices = range(n)
+        mode = self.mode
+        dist = self.dist
+
+        def allowed(move) -> bool:
+            u, v = move
+            if mode == "greedy":
+                return any(demand[x] > counts[x] and dist[x][v] < dist[x][u]
+                           for x in targets)
+            return any(demand[x] > counts[x] and dist[x][v] <= dist[x][u]
+                       for x in targets)
+
+        # open_states[i] holds the i-th state on the current path, as its key
+        # and its untried moves; path[i] is the move taken out of it and
+        # saved[i] the deficit before that move
+        open_states: list = []
+        path: list[tuple[int, int]] = []
+        saved: list[int] = []
+        states = 0
+        while True:
+            # enter the state in `counts`
+            states += 1
+            key = tuple(counts)
+            if key not in failed and len(path) != max_moves:
+                if all(map(ge, weights, need)) and (
+                        sources := [v for v in vertices if counts[v] > 1]):
+                    sources.sort(key=counts.__getitem__, reverse=True)
+                    cand = chain.from_iterable(map(moves_from.__getitem__, sources))
+                    if mode != "unrestricted":
+                        cand = filter(allowed, cand)
+                    open_states.append((key, cand))
+                elif write and len(failed) < engine.MEMO_CAP:
+                    failed.add(key)
+            # take the next untried move, backtracking past exhausted states
+            while True:
+                if len(path) == len(open_states):
+                    if not path:
+                        return SolveOutcome(False, None, states)
+                    u, v = path.pop()
+                    counts[u] += 2
+                    counts[v] -= 1
+                    deficit = saved.pop()
+                    for i in tix:
+                        weights[i] += 2 * W[i][u] - W[i][v]
+                key, cand = open_states[-1]
+                move = next(cand, None)
+                if move is None:
+                    open_states.pop()
+                    if write and len(failed) < engine.MEMO_CAP:
+                        failed.add(key)
+                    continue
+                u, v = move
+                path.append(move)
+                saved.append(deficit)
+                counts[u] -= 2
+                counts[v] += 1
+                for i in tix:
+                    weights[i] += W[i][v] - 2 * W[i][u]
+                if demand[u] or demand[v]:
+                    deficit = sum(max(0, demand[x] - counts[x]) for x in targets)
+                    if deficit == 0:
+                        return SolveOutcome(
+                            True, Solution(tuple(path), len(path) + 1 if single else None),
+                            states)
+                break

@@ -1,11 +1,14 @@
 """Engine semantics: moves, statistics, solvability, cost, slides, folds."""
 
 import random
+from collections import OrderedDict
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from pebblekit import (
+    MODES,
     Configuration,
     Distribution,
     PebblingError,
@@ -26,10 +29,12 @@ from pebblekit import (
     stats,
     weight,
 )
+from pebblekit import engine
+from pebblekit.engine import get_solver
 from pebblekit.numbers import _FastFilter
 
-from oracles import brute_min_moves, brute_solvable, random_config, \
-    random_connected_edges
+from oracles import ReferenceSolver, brute_min_moves, brute_solvable, \
+    random_config, random_connected_edges
 
 
 def path_graph(n):
@@ -127,8 +132,18 @@ def test_is_solvable_validation():
                     mode="fastest")
     with pytest.raises(PebblingError):
         solvable_within(p3, Configuration((0, 0, 4)), 0, -1)
+    with pytest.raises(PebblingError):
+        is_solvable(p3, (3, -1, 0), Distribution.stacked(3, 2, 1))
     # the empty demand is trivially met
     assert is_solvable(p3, Configuration((0, 0, 0)), Distribution((0, 0, 0))).solvable
+
+
+def test_fixed_width_counts_are_read_as_python_ints(petersen):
+    # numpy counts would wrap when shifted into the int memo key
+    d = Distribution.stacked(10, 0, 1)
+    jr = build_J_r(petersen, 0)
+    row = tuple(np.array(jr.counts, dtype=np.int16))
+    assert Solver(petersen, d).solve(row) == Solver(petersen, d).solve(jr)
 
 
 def test_is_solvable_matches_breadth_first_closure():
@@ -353,3 +368,87 @@ def test_cost_accounting_identity():
         assert final.size == sum(c) - len(out.solution.moves)
         assert out.solution.cost == len(out.solution.moves) + 1
         assert final.size - 1 == sum(c) - out.solution.cost
+
+
+def memo_tuples(solver):
+    """The int-keyed memo of a Solver decoded to per-vertex count tuples."""
+    k, mask = solver.k, (1 << solver.k) - 1
+    return {tuple((key >> k * v) & mask for v in range(solver.n))
+            for key in solver.failed}
+
+
+def test_int_keyed_search_matches_the_tuple_keyed_reference():
+    rng = random.Random(71)
+    widened = 0
+    for _ in range(150):
+        n = rng.randrange(2, 8)
+        g = build_graph(n, random_connected_edges(n, rng.randrange(n), rng))
+        demand = [0] * n
+        for x in rng.sample(range(n), rng.randrange(1, min(3, n) + 1)):
+            demand[x] = rng.randrange(1, 4)
+        d = Distribution(tuple(demand))
+        for mode in MODES:
+            # one shared solver per triple, called with mixed sizes so the
+            # key width grows mid-sequence over a filled memo
+            solver, ref = Solver(g, d, mode), ReferenceSolver(g, d, mode)
+            for _ in range(6):
+                size = rng.choice((rng.randrange(8), rng.randrange(8, 40)))
+                c = random_config(n, size, rng)
+                max_moves = rng.choice((None, None, 0, 1, 2, 3, 5))
+                k, memo = solver.k, len(solver.failed)
+                assert solver.solve(c, max_moves) == ref.solve(c, max_moves)
+                assert memo_tuples(solver) == ref.failed
+                widened += solver.k > k and memo > 0
+    assert widened > 50
+
+
+def test_memo_cap_bounds_the_memo(monkeypatch):
+    monkeypatch.setattr(engine, "MEMO_CAP", 7)
+    solvers = {}
+    for g, c, d in small_instances(73, 300, max_size=12):
+        if (g, d) not in solvers:
+            solvers[g, d] = Solver(g, Distribution(d)), ReferenceSolver(g, Distribution(d))
+        solver, ref = solvers[g, d]
+        out = solver.solve(c)
+        assert out.solvable == brute_solvable(g, c, d)
+        assert out == ref.solve(c)
+        assert len(solver.failed) <= 7
+    assert any(len(solver.failed) == 7 for solver, _ in solvers.values())
+
+
+def test_solver_cache_drops_the_least_recently_used(monkeypatch, petersen):
+    monkeypatch.setattr(engine, "_solver_cache", OrderedDict())
+    monkeypatch.setattr(engine, "SOLVER_CACHE_CAP", 3)
+    ds = [Distribution.stacked(10, r, 1) for r in range(4)]
+    first = [get_solver(petersen, d) for d in ds[:3]]
+    j1 = build_J_r(petersen, 1)
+    before = first[1].solve(j1)
+    assert not is_solvable(petersen, build_J_r(petersen, 0), ds[0]).solvable
+    get_solver(petersen, ds[3])  # the cache is full: drops ds[1], used least recently
+    assert list(engine._solver_cache) == [(petersen, ds[i].demands, "unrestricted")
+                                          for i in (2, 0, 3)]
+    assert get_solver(petersen, ds[0]) is first[0]
+    assert is_solvable(petersen, j1, ds[1]) == before
+    assert get_solver(petersen, ds[1]) is not first[1]
+    assert len(engine._solver_cache) == 3
+
+
+def test_lem_3_6_search_counts_are_pinned():
+    """(states explored, memo entries) of lem-3.6's cheaper cases, each on a
+    fresh Solver. The implementation fixes these counts, not the paper: they
+    follow from the DFS order, the weight cut and the memo rule, so a change
+    to any of those moves them, and only a change meant to do so may
+    re-record them."""
+    pins = {(5, 1): ((1, 1), (46, 44)),
+            (5, 2): ((307, 282), (1096, 583)),
+            (5, 3): ((1006, 690), (4837, 2467)),
+            (6, 1): ((1, 1), (943, 622)),
+            (6, 2): ((350419, 88334), (111613, 25681))}
+    for (m, t), want in pins.items():
+        g = kneser(m, 2)
+        d = Distribution.stacked(g.n, 0, t)
+        for build, (states, memo) in zip((build_C_t1, build_C_t2), want):
+            solver = Solver(g, d)
+            out = solver.solve(build(g, 0, t))
+            assert not out.solvable
+            assert (out.states_explored, len(solver.failed)) == (states, memo)

@@ -13,6 +13,8 @@ from pebblekit import (
     FamilyError,
     PebblingError,
     RootedTree,
+    build_C_t1,
+    build_C_t2,
     build_graph,
     build_J_r,
     check_pi_t_equals,
@@ -20,6 +22,7 @@ from pebblekit import (
     enumerate_configs,
     find_unsolvable_witness,
     is_solvable,
+    kneser,
     max_path_partition,
     metrics,
     multi_demand_scan,
@@ -37,6 +40,8 @@ from pebblekit import (
 )
 from pebblekit.numbers import (
     _ascending_blocks,
+    _bfs_rooted_tree,
+    _default_lower_candidates,
     _deliver,
     _delivery_tree,
     _FastFilter,
@@ -409,6 +414,35 @@ def test_check_pi_t_equals_pass_and_fail_paths():
 
     with pytest.raises(PebblingError):
         check_pi_t_equals(p3, 0, 4)
+
+
+def test_default_lower_candidates_skip_the_all_pairs_matrix():
+    # every root of the path rooted at an end has eccentricity 5, so the
+    # Kneser stacks never apply and the all-pairs matrix is never built
+    p6 = path_graph(6)
+    assert check_pi_t_equals(p6, 1, 32, roots=[0])["pass"]
+    assert "metrics" not in p6.__dict__
+
+
+def test_default_lower_candidates_match_the_all_pairs_rule(petersen):
+    def all_pairs_rule(g, t, roots, want_size):
+        cands = []
+        diam = g.metrics.diameter
+        for r in roots:
+            cands.append((r, tree_dust_witness(_bfs_rooted_tree(g, r), t)))
+            if diam == 2 and g.metrics.ecc[r] == 2:
+                cands += [(r, build_C_t1(g, r, t)), (r, build_C_t2(g, r, t))]
+        return [(r, c) for r, c in cands if c.size == want_size]
+
+    for g in (petersen, kneser(6, 2), path_graph(5)):
+        for t in (1, 2, 3):
+            got = []
+            for size in range(25):
+                cands = _default_lower_candidates(g, t, range(g.n), size)
+                assert cands == all_pairs_rule(g, t, range(g.n), size)
+                got += cands
+            if g.n > 5:
+                assert (0, build_C_t1(g, 0, t)) in got
 
 
 def test_check_pi_t_equals_accepts_constructed_candidates():
