@@ -22,8 +22,8 @@ from .formulas import KneserParams, build_C_t1, build_C_t2, build_J_r, \
     kneser_p, spinal_pi, tree_pi, two_path_pi_t
 from .graph import _decode_graph, Graph, graph_to_json, pair_orbits, \
     vertex_connectivity
-from .numbers import _ascending_blocks, _coerce_budget, _FastFilter, \
-    _min_moves_upto3, _unrank_cols, BudgetExceededError, check_pi_t_equals, \
+from .numbers import _ascending_blocks, _coerce_budget, _min_moves_upto3, \
+    _scan_chunk, _unrank_cols, BudgetExceededError, check_pi_t_equals, \
     find_unsolvable_witness, num_configs, tree_dust_witness, \
     two_path_lower_candidates, verify_target_conjecture
 from .version import VERSION
@@ -167,18 +167,18 @@ def _petersen_pi1_scan() -> dict:
 
 @functools.cache
 def _petersen_size13_scan() -> dict:
-    """One pass over all size-13 configurations checking, per row: 2-fold
-    solvability to the root, solvability for an adjacent and a distance-2
-    demand pair, and the minimum cost of a root solution (expected <= 4
-    everywhere). Also confirms the size-12 doubled-stack construction is
-    2-fold unsolvable (the matching lower bound).
+    """One pass of numbers._scan_chunk over all 497,420 size-13
+    configurations, serial and unbudgeted (the claims charge its count),
+    with three demands: 2-fold to the root, and the pairs {root, u} and
+    {root, w} for the least u at distance 1 and w at distance 2. Its
+    per-block hook adds claim-B's cost classes: cost is moves + 1, read
+    from _min_moves_upto3, which is exact for 0 to 3 moves; a row it leaves
+    at -1 needs at least 4 moves, or cannot reach the root, and is a
+    cost<=4 failure. Also confirms that the size-12 doubled-stack
+    construction C22 is 2-fold unsolvable (the matching lower bound).
 
-    Each demand's _FastFilter accepts most rows by its spanning-tree masks
-    and, on the rest, by the one-move lookahead (a row whose child the
-    masks accept is solvable); the exact engine decides only what is left.
-    Cost is moves + 1, read from `_min_moves_upto3`, which is exact for
-    0 to 3 moves; a row it leaves at -1 needs at least 4 moves, or cannot
-    reach the root, and is a cost<=4 failure."""
+    failures lists the engine-confirmed demand failures in scan order,
+    then the cost<=4 failures in scan order; each claim reads one kind."""
     g = _petersen()
     r = _PETERSEN_ROOT
     n = g.n
@@ -193,26 +193,21 @@ def _petersen_size13_scan() -> dict:
         return Distribution(tuple(vec))
 
     demands = [Distribution.stacked(n, r, 2), pair(r, u), pair(r, w)]
-    filters = [_FastFilter(g, d) for d in demands]
-
-    failures = []
+    cost_failures = []
     max_cost = 0
-    checked = 0
-    for rows in _ascending_blocks(n, 13):
-        checked += rows.shape[0]
-        cache: dict = {}
-        for di, d in enumerate(demands):
-            for i in np.flatnonzero(~filters[di].accept(rows, cache)):
-                counts = tuple(rows[i].tolist())
-                if not is_solvable(g, counts, d).solvable:
-                    failures.append({"demand": list(d.demands),
-                                     "config": list(counts)})
+
+    def cost_classes(rows):
         # cost <= 4 means at most 3 pebbling steps reach the root
+        nonlocal max_cost
         moves = _min_moves_upto3(g, rows, r)
         max_cost = max(max_cost, int(moves.max()) + 1)
-        for i in np.flatnonzero(moves < 0):
-            failures.append({"demand": "cost<=4",
-                             "config": rows[i].tolist()})
+        cost_failures.extend({"demand": "cost<=4", "config": row}
+                             for row in rows[moves < 0].tolist())
+
+    _, failed, checked = _scan_chunk(g, demands, _ascending_blocks(n, 13),
+                                     collect_all=True, per_block=cost_classes)
+    failures = [{"demand": list(demands[di].demands), "config": _cfg_list(c)}
+                for di, c in failed] + cost_failures
 
     c22 = build_C_t2(g, r, 2)
     c22_unsolvable = not is_solvable(g, c22, demands[0]).solvable
@@ -410,28 +405,27 @@ def _run_thm_3_5(params, budget, jobs, seed):
     if m == 6:
         g = kneser(6, 2)
         r = 0
+        samples = int(params.get("samples", 10 ** 6))
+        if samples < 1:
+            raise HarnessError(f"thm-3.5 needs at least one sample, got {samples}")
         c11 = build_C_t1(g, r, 1)
         budget.charge(1)
         d = Distribution.stacked(g.n, r, 1)
         lower_ok = c11.size == expected - 1 and not is_solvable(g, c11, d).solvable
-        samples = int(params.get("samples", 10 ** 6))
-        filt = _FastFilter(g, d)
         total = num_configs(g.n, expected)
         rng = random.Random(seed)
-        bad = None
-        batch = 1 << 14
-        remaining = samples
-        while remaining > 0 and bad is None:
-            k = min(batch, remaining)
-            remaining -= k
-            budget.charge(k)
-            rows = _unrank_cols(g.n, expected,
-                                [rng.randrange(total) for _ in range(k)]).T
-            for i in np.flatnonzero(~filt.accept(rows)):
-                counts = tuple(rows[i].tolist())
-                if not is_solvable(g, counts, d).solvable:
-                    bad = list(counts)
-                    break
+
+        def draws():
+            # uniform ranks from rng, in 16,384-rank batches
+            left = samples
+            while left > 0:
+                k = min(1 << 14, left)
+                left -= k
+                yield _unrank_cols(g.n, expected,
+                                   [rng.randrange(total) for _ in range(k)]).T
+
+        first, _, _ = _scan_chunk(g, [d], draws(), budget=budget)
+        bad = _cfg_list(first[1]) if first is not None else None
         witnesses = [{"size14_witness": _cfg_list(c11),
                       "unsolvable": lower_ok, "samples": samples}]
         exhaustive = bool(params.get("exhaustive", False))

@@ -25,6 +25,14 @@ at a time, and _min_moves_upto3 uses the same step to settle the exact
 3-move class. Every rejected row goes to the exact engine as a plain count
 tuple, and every witness carries the engine's verdict.
 
+Settle loop. _scan_chunk is the one loop that prescreens a block and sends
+the rows the prescreen rejects to the engine. It takes any iterable of
+(B, n) blocks, and has three callers: _scan (serially, or per chunk through
+_scan_worker) over _ascending_blocks ranges; harness's size-13 Petersen
+pass over _ascending_blocks(10, 13), whose per-block hook adds claim-B's
+cost classes; and harness's thm-3.5 sampler over batches of random ranks
+unranked by _unrank_cols.
+
 Budgets. Every scanned configuration is charged to the budget. A parallel
 scan splits the ranks into contiguous chunks, each bounded by the budget
 left when the scan began, charges each chunk's count as its result arrives
@@ -464,20 +472,28 @@ def _demand_stabilizer(g: Graph, demands) -> list:
     return perms
 
 
-def _scan_chunk(g: Graph, demands, size: int, start: int, stop: int, *,
-                mode: str = "unrestricted", collect_all: bool = False,
-                perms=(), budget: _Budget | None = None):
-    """Scan one contiguous ascending-lex range. Returns
-    (first_failure, witnesses, checked) where first_failure is
-    (demand_index, Configuration) or None. With collect_all (single demand
-    only) the scan continues past failures and gathers every witness."""
-    n = g.n
+def _scan_chunk(g: Graph, demands, blocks, *, mode: str = "unrestricted",
+                collect_all: bool = False, perms=(),
+                budget: _Budget | None = None, per_block=None):
+    """The one settle loop. Settles every row of each (B, n) block that
+    blocks yields against every demand: keeps the orbit minima under perms,
+    charges the kept rows to budget, prescreens them with one _FastFilter
+    per demand (unrestricted mode only; in a restricted mode every row goes
+    to the engine), and sends each rejected row to the exact engine as a
+    plain count tuple. per_block, when given, is then called with the
+    block's kept rows.
+
+    A failure is a (demand_index, Configuration) pair the engine confirmed
+    unsolvable. Returns (first_failure, failures, checked): the first
+    failure or None; with collect_all, every failure in block, then demand,
+    then row order (else []); and the number of rows checked. Without
+    collect_all the scan stops at the first failure, before per_block sees
+    that block."""
     use_filters = mode == "unrestricted"
     filters = [_FastFilter(g, d) for d in demands] if use_filters else None
     checked = 0
-    witnesses = []
-    first = None
-    for rows in _ascending_blocks(n, size, start, stop):
+    failures = []
+    for rows in blocks:
         if len(perms):
             rows = rows[_canonical_mask(rows, perms)]
             if rows.shape[0] == 0:
@@ -495,14 +511,13 @@ def _scan_chunk(g: Graph, demands, size: int, start: int, stop: int, *,
                 counts = tuple(rows[i].tolist())
                 if is_solvable(g, counts, d, mode).solvable:
                     continue
-                cfg = Configuration(counts)
-                if first is None:
-                    first = (di, cfg)
-                if collect_all:
-                    witnesses.append(cfg)
-                else:
-                    return first, witnesses, checked
-    return first, witnesses, checked
+                failure = (di, Configuration(counts))
+                if not collect_all:
+                    return failure, [], checked
+                failures.append(failure)
+        if per_block is not None:
+            per_block(rows)
+    return (failures[0] if failures else None), failures, checked
 
 
 def _scan_worker(payload):
@@ -512,8 +527,8 @@ def _scan_worker(payload):
     (g, demand_vecs, size, start, stop, mode, collect_all, perms, left) = payload
     demands = [Distribution(v) for v in demand_vecs]
     try:
-        return _scan_chunk(g, demands, size, start, stop, mode=mode,
-                           collect_all=collect_all, perms=perms,
+        return _scan_chunk(g, demands, _ascending_blocks(g.n, size, start, stop),
+                           mode=mode, collect_all=collect_all, perms=perms,
                            budget=_Budget(left))
     except BudgetExceededError as err:
         return None, [], err.spent
@@ -529,21 +544,22 @@ def _scan(g: Graph, demands, size: int, *, mode: str = "unrestricted",
     it has checked more than the budget left when the scan began, so no
     chunk outruns the cap. Results are read in chunk order and each chunk's
     count is charged as it arrives; at the first chunk that returns a
-    witness (unless collect_all) or overruns the budget, the chunks not yet
+    failure (unless collect_all) or overruns the budget, the chunks not yet
     started are cancelled. The chunks before it found nothing, so the
-    witness, the witnesses and the count checked are the serial scan's."""
+    first failure, the failures and the count checked are the serial
+    scan's."""
     budget = _coerce_budget(budget)
     total = num_configs(g.n, size)
     perms = _demand_stabilizer(g, demands) if symmetry else ()
     if jobs <= 1 or total < 4 * _BLOCK:
-        return _scan_chunk(g, demands, size, 0, total, mode=mode,
-                           collect_all=collect_all, perms=perms,
+        return _scan_chunk(g, demands, _ascending_blocks(g.n, size),
+                           mode=mode, collect_all=collect_all, perms=perms,
                            budget=budget)
     chunk = -(-total // (4 * jobs * _BLOCK)) * _BLOCK
     vecs = [d.demands for d in demands]
     left = budget.cap - budget.spent
     first = None
-    witnesses = []
+    failures = []
     checked = 0
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         futures = [pool.submit(_scan_worker,
@@ -552,10 +568,10 @@ def _scan(g: Graph, demands, size: int, *, mode: str = "unrestricted",
                    for s in range(0, total, chunk)]
         try:
             for fut in futures:
-                cfirst, cwits, cchecked = fut.result()
+                cfirst, cfails, cchecked = fut.result()
                 budget.charge(cchecked)
                 checked += cchecked
-                witnesses.extend(cwits)
+                failures.extend(cfails)
                 if first is None and cfirst is not None:
                     first = cfirst
                     if not collect_all:
@@ -563,7 +579,7 @@ def _scan(g: Graph, demands, size: int, *, mode: str = "unrestricted",
         finally:
             for fut in futures:
                 fut.cancel()
-    return first, witnesses, checked
+    return first, failures, checked
 
 
 def find_unsolvable_witness(g: Graph, d: Distribution, size: int, *,
@@ -582,7 +598,7 @@ def find_unsolvable_witness(g: Graph, d: Distribution, size: int, *,
                                  symmetry=symmetry, budget=budget)
     witness = first[1] if first is not None else None
     return WitnessResult(size=size, witness=witness, configs_checked=checked,
-                         witnesses=tuple(wits))
+                         witnesses=tuple(cfg for _, cfg in wits))
 
 
 def multi_demand_scan(g: Graph, demands, size: int, *, mode: str = "unrestricted",

@@ -5,9 +5,12 @@ import io
 import json
 import logging
 import os
+import random
 import subprocess
 import sys
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from pebblekit import (
@@ -19,9 +22,12 @@ from pebblekit import (
     graph_to_json,
     kneser,
     load_graph,
+    num_configs,
     run_campaign,
     save_graph,
+    unrank_config,
 )
+from pebblekit import numbers
 from pebblekit.harness import atomic_write
 
 REPORT_FIELDS = ["claim", "parameters", "expected", "computed", "verdict",
@@ -94,6 +100,48 @@ def test_budget_exhaustion_yields_budget_verdict():
     assert report.verdict == "budget"
     assert "budget of 100" in report.to_dict()["computed"]["error"]
     assert report.configs_checked > 100
+
+
+def test_thm_3_5_needs_a_sample():
+    for samples in (0, -5):
+        with pytest.raises(HarnessError, match="at least one sample"):
+            run_campaign(CampaignConfig(claim="thm-3.5",
+                                        params={"m": 6, "samples": samples}))
+    proc = run_cli("verify", "thm-3.5", "--m", "6", "--samples", "0")
+    assert proc.returncode == 2
+    assert "at least one sample" in proc.stderr
+
+
+def test_thm_3_5_sampler_charges_whole_batches():
+    """After the one C11 check, the sampler charges each 16,384-rank batch
+    before settling it, so a budget that ends inside a batch is refused at
+    that batch's end."""
+    for budget, spent in ((16_384, 16_385), (16_385, 32_769),
+                          (20_000, 32_769)):
+        report = run_campaign(CampaignConfig(
+            claim="thm-3.5", params={"m": 6, "samples": 100_000},
+            budget=budget))
+        assert report.verdict == "budget"
+        assert report.configs_checked == spent
+
+
+def test_thm_3_5_reports_the_first_bad_sample(monkeypatch):
+    """With a prescreen that rejects every row and an engine that finds
+    every row unsolvable, the sampler stops at the first row drawn for the
+    seed and reports it."""
+    monkeypatch.setattr(numbers._FastFilter, "accept",
+                        lambda self, rows, cache=None:
+                        np.zeros(rows.shape[0], dtype=bool))
+    monkeypatch.setattr(numbers, "is_solvable",
+                        lambda *args: SimpleNamespace(solvable=False))
+    seed = 11
+    first = unrank_config(15, 15,
+                          random.Random(seed).randrange(num_configs(15, 15)))
+    report = run_campaign(CampaignConfig(
+        claim="thm-3.5", params={"m": 6, "samples": 50}, seed=seed))
+    assert report.verdict == "fail" and report.computed is None
+    assert report.witnesses[-1] == {"bad_sample": list(first.counts)}
+    assert report.configs_checked == 1 + 50
 
 
 def test_atomic_write_overwrites_in_place(tmp_path):

@@ -46,8 +46,10 @@ from pebblekit.numbers import (
     _delivery_tree,
     _FastFilter,
     _min_moves_upto3,
+    _scan_chunk,
     _unrank_cols,
 )
+import pebblekit.numbers as numbers_mod
 from pebblekit.harness import _petersen_size13_scan
 
 from oracles import (
@@ -274,6 +276,78 @@ def test_size13_petersen_prescreen_strength(petersen):
     assert rows_seen == num_configs(10, 13) == 497_420
     assert rejected == [6, 336, 2_328]
     assert unsettled == 0
+
+
+def test_scan_chunk_settles_blocks_as_brute_force(monkeypatch):
+    """_scan_chunk, the one settle loop, against oracles.brute_solvable on
+    random connected graphs with n <= 6, stacked and two-target demands
+    together, in 7-row blocks. With collect_all its failures are exactly the
+    brute-rejected (demand index, configuration) pairs in block, then
+    demand, then row order, and per_block sees every block once. Without
+    it, the first failure is the same pair and the count checked stops at
+    that pair's block, for all the demands and for each one alone. In the restricted trials every row of every demand
+    goes to the engine."""
+    engine_calls = []
+
+    def counted(*args):
+        engine_calls.append(args[3])
+        return is_solvable(*args)
+
+    monkeypatch.setattr(numbers_mod, "is_solvable", counted)
+    rng = random.Random(917)
+    failing_trials = late_stops = 0
+    for trial in range(30):
+        n = rng.randrange(2, 7)
+        g = build_graph(n, random_connected_edges(n, rng.randrange(0, 3), rng))
+        adj = neighbor_lists(n, g.edges)
+        demands = _demand_pool(n, rng) if n > 2 else \
+            [Distribution.stacked(n, 0, t) for t in (1, 2)]
+        mode = "greedy" if trial % 10 == 9 else "unrestricted"
+        size = rng.randrange(1, 7)
+        blocks = list(_ascending_blocks(n, size, block=7))
+        memos = [{} for _ in demands]
+        want = []
+        for bi, rows in enumerate(blocks):
+            for di, d in enumerate(demands):
+                for row in rows.tolist():
+                    if mode == "unrestricted":
+                        ok = brute_solvable_memo(adj, row, d.demands, memos[di])
+                    else:
+                        ok = brute_solvable(g, tuple(row), d.demands, mode)
+                    if not ok:
+                        want.append((bi, di, tuple(row)))
+        failing_trials += bool(want)
+
+        seen = []
+        engine_calls.clear()
+        first, fails, checked = _scan_chunk(g, demands, iter(blocks),
+                                            mode=mode, collect_all=True,
+                                            per_block=seen.append)
+        assert [(di, c.counts) for di, c in fails] == \
+            [(di, row) for _, di, row in want]
+        assert len(seen) == len(blocks)
+        assert all(np.array_equal(a, b) for a, b in zip(seen, blocks))
+        assert sum(rows.shape[0] for rows in seen) == checked \
+            == num_configs(n, size)
+        if mode != "unrestricted":
+            assert engine_calls == [mode] * (checked * len(demands))
+
+        # all demands at once, then each alone (its first failure is often
+        # past the first block)
+        for pick in [range(len(demands))] + [[di] for di in range(len(demands))]:
+            first, fails, checked = _scan_chunk(
+                g, [demands[di] for di in pick], iter(blocks), mode=mode)
+            assert fails == []
+            hits = [(bi, list(pick).index(di), row)
+                    for bi, di, row in want if di in pick]
+            if hits:
+                bi, di, row = hits[0]
+                assert (first[0], first[1].counts) == (di, row)
+                assert checked == sum(b.shape[0] for b in blocks[:bi + 1])
+                late_stops += bi > 0
+            else:
+                assert first is None and checked == num_configs(n, size)
+    assert failing_trials >= 10 and late_stops >= 10
 
 
 def test_find_unsolvable_witness_path_example():
