@@ -170,12 +170,13 @@ def _petersen_size13_scan() -> dict:
     """One pass of numbers._scan_chunk over all 497,420 size-13
     configurations, serial and unbudgeted (the claims charge its count),
     with three demands: 2-fold to the root, and the pairs {root, u} and
-    {root, w} for the least u at distance 1 and w at distance 2. Its
-    per-block hook adds claim-B's cost classes: cost is moves + 1, read
-    from _min_moves_upto3, which is exact for 0 to 3 moves; a row it leaves
-    at -1 needs at least 4 moves, or cannot reach the root, and is a
-    cost<=4 failure. Also confirms that the size-12 doubled-stack
-    construction C22 is 2-fold unsolvable (the matching lower bound).
+    {root, w} for the least u at distance 1 and w at distance 2. The
+    block generator adds claim-B's cost classes to each block before
+    yielding it: cost is moves + 1, read from _min_moves_upto3, which is
+    exact for 0 to 3 moves; a row it leaves at -1 needs at least 4 moves,
+    or cannot reach the root, and is a cost<=4 failure. Also confirms that
+    the size-12 doubled-stack construction C22 is 2-fold unsolvable (the
+    matching lower bound).
 
     failures lists the engine-confirmed demand failures in scan order,
     then the cost<=4 failures in scan order; each claim reads one kind."""
@@ -204,8 +205,12 @@ def _petersen_size13_scan() -> dict:
         cost_failures.extend({"demand": "cost<=4", "config": row}
                              for row in rows[moves < 0].tolist())
 
-    _, failed, checked = _scan_chunk(g, demands, _ascending_blocks(n, 13),
-                                     collect_all=True, per_block=cost_classes)
+    def blocks():
+        for rows in _ascending_blocks(n, 13):
+            cost_classes(rows)
+            yield rows
+
+    _, failed, checked = _scan_chunk(g, demands, blocks(), collect_all=True)
     failures = [{"demand": list(demands[di].demands), "config": _cfg_list(c)}
                 for di, c in failed] + cost_failures
 
@@ -407,7 +412,8 @@ def _run_thm_3_5(params, budget, jobs, seed):
         r = 0
         samples = int(params.get("samples", 10 ** 6))
         if samples < 1:
-            raise HarnessError(f"thm-3.5 needs at least one sample, got {samples}")
+            raise HarnessError(
+                f"thm-3.5 needs at least one sample, got {samples}")
         c11 = build_C_t1(g, r, 1)
         budget.charge(1)
         d = Distribution.stacked(g.n, r, 1)

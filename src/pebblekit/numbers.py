@@ -29,9 +29,9 @@ Settle loop. _scan_chunk is the one loop that prescreens a block and sends
 the rows the prescreen rejects to the engine. It takes any iterable of
 (B, n) blocks, and has three callers: _scan (serially, or per chunk through
 _scan_worker) over _ascending_blocks ranges; harness's size-13 Petersen
-pass over _ascending_blocks(10, 13), whose per-block hook adds claim-B's
-cost classes; and harness's thm-3.5 sampler over batches of random ranks
-unranked by _unrank_cols.
+pass over _ascending_blocks(10, 13), whose generator adds claim-B's cost
+classes to each block before yielding it; and harness's thm-3.5 sampler
+over batches of random ranks unranked by _unrank_cols.
 
 Budgets. Every scanned configuration is charged to the budget. A parallel
 scan splits the ranks into contiguous chunks, each bounded by the budget
@@ -256,11 +256,12 @@ def _deliver(cols: np.ndarray, order, par, target: int) -> np.ndarray:
     every tree move is a graph move, and the result is a lower bound on what
     the graph can deliver. Takes an (n, B) column-major block and works on a
     copy; no count ever exceeds the configuration size, so the dtype cannot
-    overflow."""
+    overflow. Returns the target's row as an array of its own, so that a
+    cached result does not keep the whole working copy alive."""
     a = cols.copy()
     for v in order:
         a[par[v]] += a[v] >> 1
-    return a[target]
+    return a[target].copy()
 
 
 def _one_move_children(g: Graph, cols: np.ndarray, idx: np.ndarray):
@@ -474,21 +475,19 @@ def _demand_stabilizer(g: Graph, demands) -> list:
 
 def _scan_chunk(g: Graph, demands, blocks, *, mode: str = "unrestricted",
                 collect_all: bool = False, perms=(),
-                budget: _Budget | None = None, per_block=None):
+                budget: _Budget | None = None):
     """The one settle loop. Settles every row of each (B, n) block that
     blocks yields against every demand: keeps the orbit minima under perms,
     charges the kept rows to budget, prescreens them with one _FastFilter
     per demand (unrestricted mode only; in a restricted mode every row goes
     to the engine), and sends each rejected row to the exact engine as a
-    plain count tuple. per_block, when given, is then called with the
-    block's kept rows.
+    plain count tuple.
 
     A failure is a (demand_index, Configuration) pair the engine confirmed
     unsolvable. Returns (first_failure, failures, checked): the first
     failure or None; with collect_all, every failure in block, then demand,
     then row order (else []); and the number of rows checked. Without
-    collect_all the scan stops at the first failure, before per_block sees
-    that block."""
+    collect_all the scan stops at the first failure."""
     use_filters = mode == "unrestricted"
     filters = [_FastFilter(g, d) for d in demands] if use_filters else None
     checked = 0
@@ -515,8 +514,6 @@ def _scan_chunk(g: Graph, demands, blocks, *, mode: str = "unrestricted",
                 if not collect_all:
                     return failure, [], checked
                 failures.append(failure)
-        if per_block is not None:
-            per_block(rows)
     return (failures[0] if failures else None), failures, checked
 
 
@@ -526,9 +523,10 @@ def _scan_worker(payload):
     the caller's charge then refuses."""
     (g, demand_vecs, size, start, stop, mode, collect_all, perms, left) = payload
     demands = [Distribution(v) for v in demand_vecs]
+    blocks = _ascending_blocks(g.n, size, start, stop)
     try:
-        return _scan_chunk(g, demands, _ascending_blocks(g.n, size, start, stop),
-                           mode=mode, collect_all=collect_all, perms=perms,
+        return _scan_chunk(g, demands, blocks, mode=mode,
+                           collect_all=collect_all, perms=perms,
                            budget=_Budget(left))
     except BudgetExceededError as err:
         return None, [], err.spent

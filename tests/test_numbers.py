@@ -283,10 +283,11 @@ def test_scan_chunk_settles_blocks_as_brute_force(monkeypatch):
     random connected graphs with n <= 6, stacked and two-target demands
     together, in 7-row blocks. With collect_all its failures are exactly the
     brute-rejected (demand index, configuration) pairs in block, then
-    demand, then row order, and per_block sees every block once. Without
-    it, the first failure is the same pair and the count checked stops at
-    that pair's block, for all the demands and for each one alone. In the restricted trials every row of every demand
-    goes to the engine."""
+    demand, then row order, and it draws every block once. Without it, the
+    first failure is the same pair, and both the blocks drawn and the count
+    checked stop at that pair's block, for all the demands and for each one
+    alone. In the restricted trials every row of every demand goes to the
+    engine."""
     engine_calls = []
 
     def counted(*args):
@@ -311,7 +312,8 @@ def test_scan_chunk_settles_blocks_as_brute_force(monkeypatch):
             for di, d in enumerate(demands):
                 for row in rows.tolist():
                     if mode == "unrestricted":
-                        ok = brute_solvable_memo(adj, row, d.demands, memos[di])
+                        ok = brute_solvable_memo(adj, row, d.demands,
+                                                 memos[di])
                     else:
                         ok = brute_solvable(g, tuple(row), d.demands, mode)
                     if not ok:
@@ -319,10 +321,15 @@ def test_scan_chunk_settles_blocks_as_brute_force(monkeypatch):
         failing_trials += bool(want)
 
         seen = []
+
+        def drawn():
+            for rows in blocks:
+                seen.append(rows)
+                yield rows
+
         engine_calls.clear()
-        first, fails, checked = _scan_chunk(g, demands, iter(blocks),
-                                            mode=mode, collect_all=True,
-                                            per_block=seen.append)
+        first, fails, checked = _scan_chunk(g, demands, drawn(), mode=mode,
+                                            collect_all=True)
         assert [(di, c.counts) for di, c in fails] == \
             [(di, row) for _, di, row in want]
         assert len(seen) == len(blocks)
@@ -334,19 +341,23 @@ def test_scan_chunk_settles_blocks_as_brute_force(monkeypatch):
 
         # all demands at once, then each alone (its first failure is often
         # past the first block)
-        for pick in [range(len(demands))] + [[di] for di in range(len(demands))]:
+        picks = [range(len(demands))] + [[di] for di in range(len(demands))]
+        for pick in picks:
+            seen.clear()
             first, fails, checked = _scan_chunk(
-                g, [demands[di] for di in pick], iter(blocks), mode=mode)
+                g, [demands[di] for di in pick], drawn(), mode=mode)
             assert fails == []
             hits = [(bi, list(pick).index(di), row)
                     for bi, di, row in want if di in pick]
             if hits:
                 bi, di, row = hits[0]
                 assert (first[0], first[1].counts) == (di, row)
+                assert len(seen) == bi + 1
                 assert checked == sum(b.shape[0] for b in blocks[:bi + 1])
                 late_stops += bi > 0
             else:
                 assert first is None and checked == num_configs(n, size)
+                assert len(seen) == len(blocks)
     assert failing_trials >= 10 and late_stops >= 10
 
 
