@@ -156,6 +156,9 @@ def test_sizes_past_int16_use_int64_rows():
     want = [r[0] + (r[1] + r[2] // 2) // 2 for r in rows.tolist()]
     assert got.tolist() == want
     assert max(want) >= 1 << 15
+    # the prescreen caches this column per block; it must not hold a view
+    # of _deliver's whole (n, B) working copy
+    assert got.base is None
 
 
 def test_rank_spaces_past_int64_are_refused():
