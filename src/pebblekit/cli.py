@@ -285,16 +285,15 @@ def _cmd_formula(args) -> int:
     return PASS
 
 
-def _add_common(p: argparse.ArgumentParser, budget=True):
-    if budget:
-        p.add_argument("--budget", type=int, default=None,
-                       help="cap on configurations checked (default from "
-                            "PEBBLEKIT_BUDGET or 10^8)")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="worker processes for exhaustive scans")
-        p.add_argument("--symmetry", action="store_true",
-                       help="scan only orbit-minimal configurations under "
-                            "demand-preserving automorphisms")
+def _add_common(p: argparse.ArgumentParser):
+    p.add_argument("--budget", type=int, default=None,
+                   help="cap on configurations checked (default from "
+                        "PEBBLEKIT_BUDGET or 10^8)")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes for exhaustive scans")
+    p.add_argument("--symmetry", action="store_true",
+                   help="scan only orbit-minimal configurations under "
+                        "demand-preserving automorphisms")
     p.add_argument("--seed", type=int, default=0, help="base random seed")
     p.add_argument("--out", default=None, help="also write the result here")
 

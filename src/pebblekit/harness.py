@@ -298,6 +298,10 @@ def _run_thm_2_1(params, budget, jobs, seed):
 def _run_fact_2_2(params, budget, jobs, seed):
     count = int(params.get("count", 50))
     max_n = int(params.get("max_n", 9))
+    if count < 1:
+        raise HarnessError(f"fact-2.2 needs at least one tree, got {count}")
+    if max_n < 3:
+        raise HarnessError(f"fact-2.2 needs max_n of at least 3, got {max_n}")
     ts = _as_int_list(params.get("t", (1, 2, 3)))
     cap = int(params.get("scan_cap", 3_000_000))
     trees = []

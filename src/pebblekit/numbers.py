@@ -15,14 +15,15 @@ creates pebbles. Ranks are int64, so the kernel refuses (n, m) with 2**63
 or more configurations; unrank_config stays the arbitrary-precision scalar
 reference.
 
-Prescreen. _FastFilter accepts the rows it can prove solvable: pebbles
-delivered along one BFS spanning tree per demand target (exact on trees),
-with pay and cut rules for two-target demands. It then looks one move
-ahead on the rows it rejects. Lemma: if c reaches c' in one legal move
-(c(u) >= 2, uv an edge, c' = c - 2e_u + e_v) and c' is D-solvable, then c
-is D-solvable. _one_move_children yields those children one directed edge
-at a time, and _min_moves_upto3 uses the same step to settle the exact
-3-move class. Every rejected row goes to the exact engine as a plain count
+Prescreen. _FastFilter accepts the rows it can prove solvable from
+pebbles moved along one BFS spanning tree per demand target (exact on
+trees): for each target, a route rule and a sink rule, the same two for
+every demand shape. It then looks one move ahead on the rows it rejects.
+Lemma: if c reaches c' in one legal move (c(u) >= 2, uv an edge,
+c' = c - 2e_u + e_v) and c' is D-solvable, then c is D-solvable.
+_one_move_children yields those children one directed edge at a time,
+and _min_moves_upto3 uses the same step to settle the exact 3-move
+class. Every rejected row goes to the exact engine as a plain count
 tuple, and every witness carries the engine's verdict.
 
 Settle loop. _scan_chunk is the one loop that prescreens a block and sends
@@ -293,26 +294,28 @@ def _one_move_children(g: Graph, cols: np.ndarray, idx: np.ndarray):
 class _FastFilter:
     """Sound fast-accept masks for one demand D: rows flagged True are
     provably D-solvable; the exact engine decides the rest. Each demand
-    target r routes along one BFS spanning tree (_delivery_tree), and
-    _deliver gives what that tree carries to r. The masks, and the lemma
-    that makes each sound:
-      - stack (one target r): the tree delivers D(r) to r. Every tree move
-        is a graph move.
-      - deliver-and-route (two targets a, b at distance k): everything the
-        tree of a delivers reaches D(a) + 2^k D(b), or symmetrically. A
-        pebble pile of 2^k D(b) on a walks k edges to b and arrives as D(b),
-        leaving D(a) in place.
-      - pay (two targets): one target's demand is already in place on it,
-        and the other's tree delivers its demand from the rest. The paid
-        pebbles never move.
-      - cut (two targets): in the tree of one target, the other target
-        keeps what its own subtree flushes into it and the rest reaches the
-        root. The two deliveries use disjoint moves on disjoint pebbles.
-      - in place (two or more targets): every target already holds its
-        demand.
-      - lookahead (any demand): some one-move child c - 2e_u + e_v, with
-        c(u) >= 2 and uv an edge, is accepted by the masks above. If c
-        reaches c' in one legal move and c' is D-solvable, so is c.
+    target a routes along one BFS spanning tree (_delivery_tree), whose
+    moves are all graph moves, and _deliver gives what that tree carries to
+    a. Two rules run once per target a, then a lookahead; each is sound for
+    any demand:
+      - route: a's tree delivers at least sum_x D(x) 2^dist(a,x) to a
+        (route[a]). A pile of D(x) 2^k pebbles on a walks the k edges of a
+        shortest path to x and arrives as D(x), leaving every vertex it
+        passes as it was, and D(a) stays on a.
+      - sink: flush a's tree deepest first, where every other target x
+        keeps D(x) of what reaches it and flushes only the excess; every
+        target then holds its demand. Each flush is floor(e/2) moves from a
+        vertex holding e spare pebbles to its tree parent, made after its
+        subtree has flushed, so the flushes are legal moves in order.
+      - lookahead: some one-move child c - 2e_u + e_v, with c(u) >= 2 and
+        uv an edge, is accepted by the rules above. If c reaches c' in one
+        legal move and c' is D-solvable, so is c.
+    With one target both rules are the stack mask, delivered(r) >= D(r);
+    with two, route is deliver-and-route and sink covers the cut rule (the
+    other target keeps everything), the pay rule (it keeps only its demand
+    of its own pebbles and the rest flows on) and the in-place test (every
+    target already holds its demand, so flushing only adds to it). So
+    neither pay nor in place is a rule of its own.
     """
 
     def __init__(self, g: Graph, d: Distribution):
@@ -320,10 +323,11 @@ class _FastFilter:
         self.d = d
         self.targets = d.support
         self.demands = d.demands
-        self.trees = {r: _delivery_tree(g, r) for r in self.targets}
-        if len(self.targets) == 2:
-            a, b = self.targets
-            self.pair_dist = g.distances(a)[b]
+        self.trees = {a: _delivery_tree(g, a) for a in self.targets}
+        self.route = {}
+        for a in self.targets:
+            dist = g.distances(a)
+            self.route[a] = sum(d[x] << dist[x] for x in self.targets)
 
     def accept(self, rows: np.ndarray, cache: dict | None = None) -> np.ndarray:
         """Accept a (B, n) block's rows by the direct masks, then by the
@@ -340,10 +344,6 @@ class _FastFilter:
         return solv
 
     def _masks(self, rows: np.ndarray, cache: dict | None = None) -> np.ndarray:
-        B = rows.shape[0]
-        ts = self.targets
-        if len(ts) == 0:
-            return np.ones(B, dtype=bool)
         if cache is None:
             cache = {}
         cols = rows.T
@@ -356,46 +356,31 @@ class _FastFilter:
                 cache[r] = col
             return col
 
+        ts = self.targets
         if len(ts) == 1:
             r = ts[0]
             return delivered(r) >= self.demands[r]
-        if len(ts) == 2:
-            a, b = ts
-            da, db = self.demands[a], self.demands[b]
-            shift = self.pair_dist
-            solv = (cols[a] >= da) & (cols[b] >= db)
-            # deliver everything to one target, then route the rest across
-            solv |= delivered(a) >= da + (db << shift)
-            solv |= delivered(b) >= db + (da << shift)
-            # pay one target from pebbles already in place, deliver the other
-            # from what remains (only rows not yet accepted)
-            for keep, pay, amt, need in ((b, a, da, db), (a, b, db, da)):
-                todo = np.flatnonzero((cols[pay] >= amt) & ~solv)
-                if todo.size == 0:
-                    continue
-                tmp = cols[:, todo]
-                tmp[pay] -= amt
-                order, par = self.trees[keep]
-                solv[todo[_deliver(tmp, order, par, keep) >= need]] = True
-            # cut one target out of the other's tree: the cut vertex keeps
-            # what its subtree flushes into it, the rest reaches the root;
-            # the two deliveries use disjoint vertex sets
-            for root, cut, need_r, need_c in ((a, b, da, db), (b, a, db, da)):
-                todo = np.flatnonzero(~solv)
-                if todo.size == 0:
-                    break
-                tmp = cols[:, todo]
-                order, par = self.trees[root]
-                for v in order:
-                    if v != cut:
-                        tmp[par[v]] += tmp[v] >> 1
-                hit = (tmp[root] >= need_r) & (tmp[cut] >= need_c)
-                solv[todo[hit]] = True
-            return solv
-        ok = np.ones(B, dtype=bool)
-        for r in ts:
-            ok &= cols[r] >= self.demands[r]
-        return ok
+        # every row meets an empty demand
+        solv = np.full(rows.shape[0], not ts)
+        for a in ts:
+            solv |= delivered(a) >= self.route[a]
+            todo = np.flatnonzero(~solv)
+            if todo.size == 0:
+                break
+            tmp = cols[:, todo]
+            order, par = self.trees[a]
+            # no count exceeds cap, so a target demanding more flushes nothing
+            # and fails the test below
+            cap = np.iinfo(tmp.dtype).max
+            for v in order:
+                keep = min(self.demands[v], cap)
+                if keep:
+                    tmp[par[v]] += np.maximum(tmp[v] - keep, 0) >> 1
+                else:
+                    tmp[par[v]] += tmp[v] >> 1
+            hit = np.all([tmp[x] >= self.demands[x] for x in ts], axis=0)
+            solv[todo[hit]] = True
+        return solv
 
 
 def _min_moves_upto3(g: Graph, rows: np.ndarray, r: int) -> np.ndarray:
@@ -684,24 +669,19 @@ def _root_list(g: Graph, roots) -> list:
 
 
 def pi_t(g: Graph, t: int = 1, roots=None, *, budget=None, jobs: int = 1,
-         symmetry: bool = False, hints=None) -> int:
+         symmetry: bool = False) -> int:
     """t-fold pebbling number: max over the requested roots (all by
     default; pass a single root for vertex-transitive graphs) of the
-    smallest m making every size-m configuration t-fold r-solvable."""
+    smallest m making every size-m configuration t-fold r-solvable. Each
+    root's search starts from its BFS-tree bound (_tree_hint)."""
     if t < 1:
         raise PebblingError("t must be at least 1")
     budget = _coerce_budget(budget)
     best = 0
     for r in _root_list(g, roots):
-        if hints is None:
-            h = _tree_hint(g, r, t)
-        elif isinstance(hints, dict):
-            h = hints.get(r, _tree_hint(g, r, t))
-        else:
-            h = int(hints)
         d = Distribution.stacked(g.n, r, t)
-        best = max(best, pi_D(g, d, h, budget=budget, jobs=jobs,
-                              symmetry=symmetry))
+        best = max(best, pi_D(g, d, _tree_hint(g, r, t), budget=budget,
+                              jobs=jobs, symmetry=symmetry))
     return best
 
 

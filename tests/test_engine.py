@@ -268,7 +268,9 @@ def test_weight_max_fold_and_prescreen_use_target_bfs_rows():
     scaled = sum(c[v] << (diam - m.dist[r][v]) for v in range(n))
     assert w == Fraction(scaled, 1 << diam)
     assert fold == scaled >> diam == 5
-    assert filt.pair_dist == m.dist[r][r + 7] == 7
+    # each target's route demand prices the other target at distance 7
+    d = m.dist[r][r + 7]
+    assert filt.route[r] == filt.route[r + 7] == 1 + (1 << d) == 129
     for x in (r, r + 7):
         order, _ = filt.trees[x]
         assert list(order) == sorted((v for v in range(n) if v != x),

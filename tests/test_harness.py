@@ -27,7 +27,7 @@ from pebblekit import (
     save_graph,
     unrank_config,
 )
-from pebblekit import numbers
+from pebblekit import cli, numbers
 from pebblekit.harness import atomic_write
 
 REPORT_FIELDS = ["claim", "parameters", "expected", "computed", "verdict",
@@ -110,6 +110,17 @@ def test_thm_3_5_needs_a_sample():
     proc = run_cli("verify", "thm-3.5", "--m", "6", "--samples", "0")
     assert proc.returncode == 2
     assert "at least one sample" in proc.stderr
+
+
+def test_fact_2_2_needs_trees_of_at_least_three_vertices(capsys):
+    """An empty tree range or tree count is a usage error (exit 2), not a
+    failed check (exit 1)."""
+    for argv, msg in ((["--max-n", "2"], "max_n of at least 3, got 2"),
+                      (["--max-n", "0"], "max_n of at least 3, got 0"),
+                      (["--count", "0"], "at least one tree, got 0"),
+                      (["--count", "-3"], "at least one tree, got -3")):
+        assert cli.main(["verify", "fact-2.2", *argv]) == 2
+        assert msg in capsys.readouterr().err
 
 
 def test_thm_3_5_sampler_charges_whole_batches():

@@ -159,6 +159,11 @@ def test_sizes_past_int16_use_int64_rows():
     # the prescreen caches this column per block; it must not hold a view
     # of _deliver's whole (n, B) working copy
     assert got.base is None
+    # a demand past int16's range on int16 rows is refused, not overflowed
+    small = next(_ascending_blocks(3, 6))
+    assert small.dtype == np.int16
+    for vec in ((1 << 15, 1, 0), (1, 1 << 15, 0), (1, 1 << 16, 1)):
+        assert not _FastFilter(p3, Distribution(vec)).accept(small).any()
 
 
 def test_rank_spaces_past_int64_are_refused():
@@ -174,14 +179,15 @@ def test_rank_spaces_past_int64_are_refused():
 
 
 def _demand_pool(n, rng):
-    """Stacked t-fold demands and two-target demands on random vertices."""
+    """Stacked t-fold demands, and two- and three-target demands on
+    distinct random vertices (needs n >= 3)."""
     pool = []
     for t in (1, 2, 3):
         pool.append(Distribution.stacked(n, rng.randrange(n), t))
-    for da, db in ((1, 1), (2, 1), (1, 3)):
-        a, b = rng.sample(range(n), 2)
+    for split in ((1, 1), (2, 1), (1, 3), (1, 1, 1), (2, 1, 1)):
         vec = [0] * n
-        vec[a], vec[b] = da, db
+        for v, x in zip(rng.sample(range(n), len(split)), split):
+            vec[v] = x
         pool.append(Distribution(tuple(vec)))
     return pool
 
@@ -190,9 +196,11 @@ def test_prescreen_accepts_only_solvable_rows():
     """Every row a _FastFilter accepts on column-major blocks must be
     solvable: by the memoized brute-force recursion for every accepted row,
     and by the brute-force closure as well for the rows that only the
-    one-move lookahead accepts."""
+    one-move lookahead accepts. On three-target demands the route and sink
+    rules must accept rows whose targets do not already hold their
+    demands."""
     rng = random.Random(916)
-    accepted = lookahead_only = 0
+    accepted = lookahead_only = moved3 = 0
     for trial in range(150):
         n = rng.randrange(2, 7)
         g = build_graph(n, random_connected_edges(n, rng.randrange(0, 3), rng))
@@ -218,9 +226,48 @@ def test_prescreen_accepts_only_solvable_rows():
                 for row in rows[mask & ~direct].tolist():
                     lookahead_only += 1
                     assert brute_solvable(g, tuple(row), d), (g.edges, row, d)
+                if len(filt.targets) == 3:
+                    in_place = np.all(rows >= np.array(d), axis=1)
+                    moved3 += int(np.count_nonzero(direct & ~in_place))
             cache.clear()
     assert accepted > 10_000
     assert lookahead_only > 1_000
+    assert moved3 > 1_000
+
+
+def test_sink_rule_covers_pay_and_cut():
+    """On two-target demands the direct masks accept every row that the
+    pay rule (one target keeps its demand of its own pebbles, the other's
+    tree delivers from the rest) or the cut rule (one target keeps all that
+    its subtree flushes into it, the rest reaches the other) accepts. Both
+    are special cases of the sink rule; the in-place test is a special
+    case of the cut rule."""
+    rng = random.Random(918)
+    paid = 0
+    for trial in range(80):
+        n = rng.randrange(3, 8)
+        g = build_graph(n, random_connected_edges(n, rng.randrange(0, 4), rng))
+        a, b = rng.sample(range(n), 2)
+        vec = [0] * n
+        vec[a], vec[b] = rng.randrange(1, 3), rng.randrange(1, 4)
+        filt = _FastFilter(g, Distribution(tuple(vec)))
+        size = rng.randrange(2, 10)
+        cols = np.concatenate(list(_ascending_blocks(n, size))).T
+        got = filt._masks(cols.T)
+        for root, other in ((a, b), (b, a)):
+            order, par = filt.trees[root]
+            rest = cols.copy()
+            rest[other] -= vec[other]
+            pay = (cols[other] >= vec[other]) & \
+                (_deliver(rest, order, par, root) >= vec[root])
+            cut = cols.copy()
+            for v in order:
+                if v != other:
+                    cut[par[v]] += cut[v] >> 1
+            cut = (cut[root] >= vec[root]) & (cut[other] >= vec[other])
+            assert not ((pay | cut) & ~got).any(), (g.edges, vec)
+            paid += int(np.count_nonzero(pay & ~cut))
+    assert paid > 1_000
 
 
 def _check_min_moves_upto3(g, rows, r):
@@ -283,14 +330,14 @@ def test_size13_petersen_prescreen_strength(petersen):
 
 def test_scan_chunk_settles_blocks_as_brute_force(monkeypatch):
     """_scan_chunk, the one settle loop, against oracles.brute_solvable on
-    random connected graphs with n <= 6, stacked and two-target demands
-    together, in 7-row blocks. With collect_all its failures are exactly the
-    brute-rejected (demand index, configuration) pairs in block, then
-    demand, then row order, and it draws every block once. Without it, the
-    first failure is the same pair, and both the blocks drawn and the count
-    checked stop at that pair's block, for all the demands and for each one
-    alone. In the restricted trials every row of every demand goes to the
-    engine."""
+    random connected graphs with n <= 6, stacked, two-target and
+    three-target demands together, in 7-row blocks. With collect_all its
+    failures are exactly the brute-rejected (demand index, configuration)
+    pairs in block, then demand, then row order, and it draws every block
+    once. Without it, the first failure is the same pair, and both the
+    blocks drawn and the count checked stop at that pair's block, for all
+    the demands and for each one alone. In the restricted trials every row
+    of every demand goes to the engine."""
     engine_calls = []
 
     def counted(*args):
@@ -300,7 +347,7 @@ def test_scan_chunk_settles_blocks_as_brute_force(monkeypatch):
     monkeypatch.setattr(numbers_mod, "is_solvable", counted)
     rng = random.Random(917)
     failing_trials = late_stops = 0
-    for trial in range(30):
+    for trial in range(60):
         n = rng.randrange(2, 7)
         g = build_graph(n, random_connected_edges(n, rng.randrange(0, 3), rng))
         adj = neighbor_lists(n, g.edges)
@@ -372,6 +419,15 @@ def test_find_unsolvable_witness_path_example():
     assert not find_unsolvable_witness(p3, d, 4).found
     with pytest.raises(ValueError):
         find_unsolvable_witness(p3, d, -1)
+
+
+def test_empty_demand_scans_without_the_engine(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("an empty demand needs no engine call")
+
+    monkeypatch.setattr(numbers_mod, "is_solvable", refuse)
+    res = find_unsolvable_witness(path_graph(3), Distribution((0, 0, 0)), 4)
+    assert not res.found and res.configs_checked == num_configs(3, 4)
 
 
 def test_find_unsolvable_witness_petersen(petersen):
@@ -580,6 +636,30 @@ def test_verify_target_conjecture_with_expected_value():
 
     with pytest.raises(PebblingError):
         verify_target_conjecture(tp.graph, 2, demand_classes=[(1, 0, 0, 0)])
+
+
+def test_three_target_check_engine_calls_are_pinned(monkeypatch):
+    """Every size-3 demand on the 2-path with one 2-vertex fan (n = 5,
+    d = 2) at pi_3 = 13. The route and sink rules run for three-target
+    demands too, so the check makes 71 engine calls: 70 rows the
+    prescreen rejects, all solvable, and the one constructed lower
+    witness. With only the in-place test on three-target demands it made
+    3,521. The count is fixed by the prescreen, not by the claim."""
+    verdicts = []
+
+    def counted(*args):
+        out = is_solvable(*args)
+        verdicts.append(out.solvable)
+        return out
+
+    monkeypatch.setattr(numbers_mod, "is_solvable", counted)
+    tp = two_path([2])
+    report = verify_target_conjecture(tp.graph, 3,
+                                      expected_pi=two_path_pi_t(5, 2, 3))
+    assert report["pass"] and report["pi_t"] == 13
+    assert report["demand_count"] == comb(7, 3)
+    assert len(verdicts) == 71
+    assert verdicts.count(False) == 1
 
 
 def test_budget_is_enforced_and_reported(petersen):
