@@ -11,7 +11,8 @@ from .formulas import FormulaError, KneserParams, build_C_t1, build_C_t2, \
     build_J_r, kneser_p, spinal_pi, tree_pi, two_path_pi_t
 from .graph import Graph, GraphError, Metrics, automorphisms, build_graph, \
     count_disjoint_paths, graph_from_json, graph_to_json, metrics, \
-    pair_orbits, shortest_path, simplicial_vertices, vertex_connectivity
+    pair_orbits, shortest_path, simplicial_vertices, stabilizer, \
+    vertex_connectivity
 from .harness import CampaignConfig, ExperimentReport, HarnessError, \
     REGISTRY, load_graph, run_campaign, save_graph
 from .numbers import BudgetExceededError, DEFAULT_BUDGET, WitnessResult, \
@@ -28,7 +29,7 @@ __all__ = [
     # graph
     "Graph", "GraphError", "Metrics", "build_graph", "metrics",
     "shortest_path", "vertex_connectivity", "count_disjoint_paths",
-    "simplicial_vertices", "automorphisms", "pair_orbits",
+    "simplicial_vertices", "automorphisms", "stabilizer", "pair_orbits",
     "graph_to_json", "graph_from_json",
     # families
     "FamilyError", "FanSpec", "TwoPath", "RootedTree", "kneser", "two_path",

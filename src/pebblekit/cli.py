@@ -291,11 +291,14 @@ def _add_common(p: argparse.ArgumentParser):
                         "PEBBLEKIT_BUDGET or 10^8)")
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes for exhaustive scans")
+    p.add_argument("--seed", type=int, default=0, help="base random seed")
+    p.add_argument("--out", default=None, help="also write the result here")
+
+
+def _add_symmetry(p: argparse.ArgumentParser):
     p.add_argument("--symmetry", action="store_true",
                    help="scan only orbit-minimal configurations under "
                         "demand-preserving automorphisms")
-    p.add_argument("--seed", type=int, default=0, help="base random seed")
-    p.add_argument("--out", default=None, help="also write the result here")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -348,6 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("unrestricted", "greedy", "semi_greedy"),
                    default="unrestricted")
     _add_common(p)
+    _add_symmetry(p)
     p.set_defaults(func=_cmd_pi)
 
     p = sub.add_parser("witness", help="search one size for an unsolvable "
@@ -361,6 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("unrestricted", "greedy", "semi_greedy"),
                    default="unrestricted")
     _add_common(p)
+    _add_symmetry(p)
     p.set_defaults(func=_cmd_witness)
 
     p = sub.add_parser("verify-target",
@@ -372,6 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default: all size-t multisets)")
     p.add_argument("--expected-pi", type=int, default=None)
     _add_common(p)
+    _add_symmetry(p)
     p.set_defaults(func=_cmd_verify_target)
 
     p = sub.add_parser("verify", help="run a registered claim verification")

@@ -12,7 +12,7 @@ from itertools import chain
 from math import floor
 from operator import add, ge, le, lt, mul
 
-from .graph import Graph
+from .graph import Graph, stabilizer
 
 __all__ = [
     "PebblingError",
@@ -208,13 +208,60 @@ class Solver:
     least that eccentricity would do: a common power-of-two factor on every
     weight and every need leaves each comparison, the neighbour order, the
     solutions and the state counts unchanged.
+
+    With `group`, the demand's stabilizer (automorphisms s of g with
+    D(s(v)) = D(v) for every v, identity included, as tuples with s[v] the
+    image of v, which `graph.stabilizer` returns), the memo holds one key
+    per orbit: the least of the image keys of a state c under the group,
+    where the image under s is c∘s, the configuration with count c(s(v)) on
+    v. Symmetry lemma: c is D-solvable iff c∘s is. A move u -> v from c
+    corresponds to the move s^-1(u) -> s^-1(v) from c∘s, which is legal
+    because s is an automorphism, and c' >= D iff c'∘s >= D∘s = D. The
+    greedy and semi-greedy rules carry over too: s^-1 maps the unmet targets
+    of c onto those of c∘s, with the same demands and distances. So a state
+    whose least image is in the memo fails, and the search skips it.
+    An image key is linear in the counts: vertex u's count sits at field
+    s^-1(u) of c∘s's key, so a move u -> v adds the per-arc delta
+    (1 << k*s^-1(v)) - (2 << k*s^-1(u)) to it. An expanded state keeps its
+    image keys in its frame, and a child's memo key is one
+    min(map(add, keys, deltas)), with no permutation pass. Widening keeps
+    every stored key least in its orbit: with no field overflowing, the int
+    order of two keys is the order of their counts compared from the last
+    vertex down, which does not depend on k. The DFS order is unchanged and
+    the memo skips only states with no solution at any length, so every
+    call returns the solution the plain solver returns. Below MEMO_CAP it
+    also explores no more states than the plain solver on the same calls: a
+    state is written only once each child is cut, written or already held,
+    so a memo holds every descendant of its states that passes the weight
+    cut; by induction each state the plain memo holds has its least image
+    here, or fails the weight cut, which both searches pay as one state.
+    Without a group, or with the identity alone, a probe stays one add and
+    one set lookup.
     """
 
-    def __init__(self, g: Graph, d: Distribution, mode: str = "unrestricted"):
+    def __init__(self, g: Graph, d: Distribution, mode: str = "unrestricted",
+                 group=None):
         if mode not in MODES:
             raise PebblingError(f"unknown mode {mode!r}; expected one of {MODES}")
         if len(d) != g.n:
             raise PebblingError("demand length must equal vertex count")
+        # inverse[u] is the field of u's count in an image key, one per group
+        # element; None keys the memo by the state itself
+        self.inverses = None
+        if group is not None and len(group) > 1:
+            inverses = []
+            for s in group:
+                s = tuple(map(int, s))
+                if (sorted(s) != list(range(g.n))
+                        or any(d[s[v]] != d[v] for v in range(g.n))
+                        or any(not g.has_edge(s[u], s[v]) for u, v in g.edges)):
+                    raise PebblingError(
+                        f"{s} is not an automorphism keeping the demand")
+                inverse = [0] * g.n
+                for v, w in enumerate(s):
+                    inverse[w] = v
+                inverses.append(tuple(inverse))
+            self.inverses = tuple(inverses)
         self.g = g
         self.demand = d.demands
         self.mode = mode
@@ -245,17 +292,23 @@ class Solver:
         self.failed: set[int] = set()
 
     def _widen(self, k: int):
-        """Re-encode the memo keys and the per-move key deltas at k bits a
-        vertex."""
+        """Re-encode the memo keys and the per-move key deltas (one per
+        group element under symmetry) at k bits a vertex."""
         old, mask, n = self.k, (1 << self.k) - 1, self.n
         keys = list(self.failed)
         self.failed.clear()
         self.failed.update(sum(((key >> old * v) & mask) << k * v for v in range(n))
                            for key in keys)
         self.k = k
-        demand, W = self.demand, self.W
+        demand, W, inverses = self.demand, self.W, self.inverses
+
+        def delta(u, v):
+            if inverses is None:
+                return (1 << k * v) - (2 << k * u)
+            return tuple((1 << k * p[v]) - (2 << k * p[u]) for p in inverses)
+
         self.arcs = tuple(
-            tuple((u, v, (1 << k * v) - (2 << k * u), tuple(w[v] - 2 * w[u] for w in W),
+            tuple((u, v, delta(u, v), tuple(w[v] - 2 * w[u] for w in W),
                    bool(demand[u] or demand[v])) for u, v in moves)
             for moves in self.moves_from)
 
@@ -282,7 +335,15 @@ class Solver:
         if width > self.k:
             self._widen(width)
         k = self.k
-        key = sum(x << k * v for v, x in enumerate(counts))
+        # under symmetry `images` holds the state's image keys and `key`,
+        # the memo key, is their least; without it `images` is None
+        images = None
+        if self.inverses is None:
+            key = sum(x << k * v for v, x in enumerate(counts))
+        else:
+            images = tuple(sum(x << k * p[v] for v, x in enumerate(counts))
+                           for p in self.inverses)
+            key = min(images)
         need = self.need
         weights = tuple(sum(map(mul, counts, w)) for w in self.W)
         failed = self.failed
@@ -314,8 +375,8 @@ class Solver:
                 failed.add(key)
             return SolveOutcome(False, None, 1)
         # frames[i] holds the i-th state on the current path below the one in
-        # `key`: its key, its untried moves, its weights and its deficit;
-        # path[i] is the move taken out of it
+        # `key`: its key, its image keys, its untried moves, its weights and
+        # its deficit; path[i] is the move taken out of it
         frames: list = []
         path: list[tuple[int, int]] = []
         # children of a state at depth `last` sit at the move bound
@@ -334,7 +395,7 @@ class Solver:
                             True, Solution(tuple(path), len(path) + 1 if single else None),
                             states)
                 states += 1
-                child = key + dk
+                child = min(map(add, images, dk)) if images else key + dk
                 if bound or child in failed:
                     continue
                 cw = tuple(map(add, weights, dw))
@@ -343,9 +404,11 @@ class Solver:
                     counts[v] += 1
                     nxt = moves_out()
                     if nxt is not None:
-                        frames.append((key, it, weights, deficit))
+                        frames.append((key, images, it, weights, deficit))
                         path.append((u, v))
                         key, it, weights = child, nxt, cw
+                        if images:
+                            images = tuple(map(add, images, dk))
                         if touch:
                             deficit = left
                         bound = len(path) == last
@@ -363,20 +426,24 @@ class Solver:
                 u, v = path.pop()
                 counts[u] += 2
                 counts[v] -= 1
-                key, it, weights, deficit = frames.pop()
+                key, images, it, weights, deficit = frames.pop()
                 bound = len(path) == last
 
 
 _solver_cache: OrderedDict[tuple, Solver] = OrderedDict()
 
 
-def get_solver(g: Graph, d: Distribution, mode: str = "unrestricted") -> Solver:
+def get_solver(g: Graph, d: Distribution, mode: str = "unrestricted",
+               symmetry: bool = False) -> Solver:
     """The cached solver for (g, d, mode); the cache keeps the
-    SOLVER_CACHE_CAP most recently used solvers, memos included."""
-    key = (g, d.demands, mode)
+    SOLVER_CACHE_CAP most recently used solvers, memos included. With
+    symmetry the solver keys its memo by orbit under the demand's
+    stabilizer, computed once when the solver is built; it is cached apart
+    from the plain one."""
+    key = (g, d.demands, mode, True) if symmetry else (g, d.demands, mode)
     solver = _solver_cache.get(key)
     if solver is None:
-        solver = Solver(g, d, mode)
+        solver = Solver(g, d, mode, stabilizer(g, [d.demands]) if symmetry else None)
         _solver_cache[key] = solver
         if len(_solver_cache) > SOLVER_CACHE_CAP:
             _solver_cache.popitem(last=False)
@@ -386,7 +453,7 @@ def get_solver(g: Graph, d: Distribution, mode: str = "unrestricted") -> Solver:
 
 
 def is_solvable(g: Graph, c: Configuration | tuple[int, ...], d: Distribution,
-                mode: str = "unrestricted") -> SolveOutcome:
+                mode: str = "unrestricted", symmetry: bool = False) -> SolveOutcome:
     """Exact decision: can c reach a configuration pointwise >= d?
 
     c is a Configuration or a plain tuple of per-vertex counts; the scans
@@ -395,10 +462,14 @@ def is_solvable(g: Graph, c: Configuration | tuple[int, ...], d: Distribution,
     greedy mode permits only moves strictly decreasing the distance to some
     unmet target; semi_greedy permits non-increasing ones. Solvers (with
     their memo of failed states) are cached per (graph, demand, mode).
+    symmetry keys the memo by orbit under the demand's stabilizer (see
+    Solver): the verdict and solution are the same, and a deep unsolvable
+    search visits fewer states, but each probe costs one add per group
+    element.
     """
     if d.size < 1:
         return SolveOutcome(True, Solution((), None), 0)
-    return get_solver(g, d, mode).solve(c)
+    return get_solver(g, d, mode, symmetry).solve(c)
 
 
 def min_cost_solution(g: Graph, c: Configuration, r: int, max_moves: int | None = None):

@@ -18,6 +18,7 @@ __all__ = [
     "count_disjoint_paths",
     "simplicial_vertices",
     "automorphisms",
+    "stabilizer",
     "pair_orbits",
     "graph_to_json",
     "graph_from_json",
@@ -256,10 +257,24 @@ def simplicial_vertices(g: Graph) -> frozenset[int]:
 
 def automorphisms(g: Graph) -> list[tuple[int, ...]]:
     """All adjacency-preserving vertex permutations, as tuples p with p[v]
-    the image of v. Backtracking pruned by distance-profile invariants."""
+    the image of v, the identity first."""
+    return stabilizer(g)
+
+
+def stabilizer(g: Graph, vectors=()) -> list[tuple[int, ...]]:
+    """The automorphisms p of g that keep every vector: x[p[v]] == x[v] for
+    each x in vectors and each vertex v. Tuples p with p[v] the image of v,
+    in lexicographic order, so the identity comes first; with no vectors
+    this is all of Aut(g).
+
+    Backtracking assigns vertices in index order and tries for v only the
+    vertices w with v's distance profile and v's entry in every vector, so
+    a demand's fixed targets cut the search down to its stabilizer instead
+    of enumerating Aut(g) and filtering it."""
     n = g.n
     dist = g.metrics.dist
-    profile = [tuple(sorted(Counter(dist[v]).items())) for v in range(n)]
+    profile = [(tuple(sorted(Counter(dist[v]).items())), tuple(x[v] for x in vectors))
+               for v in range(n)]
     candidates = [[w for w in range(n) if profile[w] == profile[v]] for v in range(n)]
     adj = [set(a) for a in g.adjacency]
     assign = [-1] * n

@@ -234,10 +234,14 @@ def _petersen_size13_scan() -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _as_int_list(value) -> list:
-    if isinstance(value, (list, tuple)):
-        return [int(x) for x in value]
-    return [int(value)]
+def _as_int_list(params, name: str, default) -> list:
+    """The integer list params[name] (default when absent); an empty list is
+    refused, since a claim checked for no value would pass vacuously."""
+    value = params.get(name, default)
+    out = [int(x) for x in value] if isinstance(value, (list, tuple)) else [int(value)]
+    if not out:
+        raise HarnessError(f"{name} needs at least one value, got {value!r}")
+    return out
 
 
 def _as_int(value) -> int:
@@ -257,15 +261,24 @@ def _parse_spec(params) -> FanSpec:
     return FanSpec(tuple(raw))
 
 
+def _fan_specs(max_n, d_values) -> list:
+    """Every fan spec with at most max_n vertices; an empty set is refused,
+    since a claim checked on no 2-path would pass vacuously."""
+    specs = list(enumerate_fan_specs(max_n, d_values))
+    if not specs:
+        raise HarnessError(f"no 2-path has max_n={max_n} and d_values={d_values}")
+    return specs
+
+
 def _specs_for(params):
     if "enumerate" in params:
         en = params["enumerate"]
-        return list(enumerate_fan_specs(en["max_n"], en.get("d_values")))
+        return _fan_specs(en["max_n"], en.get("d_values"))
     return [_parse_spec(params)]
 
 
 def _run_thm_2_1(params, budget, jobs, seed):
-    ts = _as_int_list(params.get("t", (1, 2, 3)))
+    ts = _as_int_list(params, "t", (1, 2, 3))
     specs = _specs_for(params)
     expected = {}
     computed = {}
@@ -302,7 +315,7 @@ def _run_fact_2_2(params, budget, jobs, seed):
         raise HarnessError(f"fact-2.2 needs at least one tree, got {count}")
     if max_n < 3:
         raise HarnessError(f"fact-2.2 needs max_n of at least 3, got {max_n}")
-    ts = _as_int_list(params.get("t", (1, 2, 3)))
+    ts = _as_int_list(params, "t", (1, 2, 3))
     cap = int(params.get("scan_cap", 3_000_000))
     trees = []
     attempt = 0
@@ -340,7 +353,7 @@ def _run_cor_2_3(params, budget, jobs, seed):
     d_values = params.get("d_values")
     pairs = 0
     mismatches = []
-    for spec in enumerate_fan_specs(max_n, d_values):
+    for spec in _fan_specs(max_n, d_values):
         tp = two_path(spec)
         g = tp.graph
         n, d = g.n, tp.d
@@ -365,8 +378,7 @@ def _run_thm_2_6(params, budget, jobs, seed):
     if "spec" in params:
         specs = [_parse_spec(params)]
     else:
-        specs = list(enumerate_fan_specs(int(params.get("max_n", 8)),
-                                         params.get("d_values", [2, 3])))
+        specs = _fan_specs(int(params.get("max_n", 8)), params.get("d_values", [2, 3]))
     failures = []
     witnesses = []
     for spec in specs:
@@ -391,7 +403,7 @@ def _run_thm_2_6(params, budget, jobs, seed):
 
 
 def _run_cor_3_3(params, budget, jobs, seed):
-    ms = _as_int_list(params.get("m_values", (5, 6, 7)))
+    ms = _as_int_list(params, "m_values", (5, 6, 7))
     expected = {str(m): comb(m - 2, 2) for m in ms}
     computed = {str(m): vertex_connectivity(kneser(m, 2)) for m in ms}
     return {"expected": expected, "provenance": "[PAPER]",
@@ -453,8 +465,8 @@ def _run_thm_3_5(params, budget, jobs, seed):
 
 
 def _run_lem_3_6(params, budget, jobs, seed):
-    ms = _as_int_list(params.get("m_values", (5, 6)))
-    ts = _as_int_list(params.get("t_values", (1, 2, 3)))
+    ms = _as_int_list(params, "m_values", (5, 6))
+    ts = _as_int_list(params, "t_values", (1, 2, 3))
     results = []
     passed = True
     for m in ms:
@@ -467,7 +479,7 @@ def _run_lem_3_6(params, budget, jobs, seed):
                     ("C_t1", build_C_t1(g, r, t), n + 2 * t - 3),
                     ("C_t2", build_C_t2(g, r, t), 4 * t + 2 * (m - 2) - 2)):
                 budget.charge(1)
-                unsolv = not is_solvable(g, cfg, d).solvable
+                unsolv = not is_solvable(g, cfg, d, symmetry=True).solvable
                 ok = unsolv and cfg.size == want_size
                 passed &= ok
                 results.append({"m": m, "t": t, "config": name,
@@ -502,7 +514,7 @@ def _run_claim_b(params, budget, jobs, seed):
 
 
 def _run_cor_3_10(params, budget, jobs, seed):
-    ts = _as_int_list(params.get("t_values", (1, 2)))
+    ts = _as_int_list(params, "t_values", (1, 2))
     expected = {}
     computed = {}
     witnesses = []

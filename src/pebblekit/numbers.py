@@ -54,7 +54,7 @@ import numpy as np
 from .engine import Configuration, Distribution, PebblingError, is_solvable
 from .families import RootedTree, TwoPath, _peel_paths, max_path_partition
 from .formulas import build_C_t1, build_C_t2, tree_pi
-from .graph import Graph, automorphisms, build_graph
+from .graph import Graph, build_graph, stabilizer
 
 __all__ = [
     "BudgetExceededError",
@@ -296,8 +296,8 @@ class _FastFilter:
     provably D-solvable; the exact engine decides the rest. Each demand
     target a routes along one BFS spanning tree (_delivery_tree), whose
     moves are all graph moves, and _deliver gives what that tree carries to
-    a. Two rules run once per target a, then a lookahead; each is sound for
-    any demand:
+    a. Two rules run once per target a, every target's route before the
+    first sink, then a lookahead; each is sound for any demand:
       - route: a's tree delivers at least sum_x D(x) 2^dist(a,x) to a
         (route[a]). A pile of D(x) 2^k pebbles on a walks the k edges of a
         shortest path to x and arrives as D(x), leaving every vertex it
@@ -360,10 +360,12 @@ class _FastFilter:
         if len(ts) == 1:
             r = ts[0]
             return delivered(r) >= self.demands[r]
-        # every row meets an empty demand
+        # every row meets an empty demand; the route tests run first, so
+        # each sink flushes only the rows no route accepts
         solv = np.full(rows.shape[0], not ts)
         for a in ts:
             solv |= delivered(a) >= self.route[a]
+        for a in ts:
             todo = np.flatnonzero(~solv)
             if todo.size == 0:
                 break
@@ -445,19 +447,6 @@ def _canonical_mask(rows: np.ndarray, perms) -> np.ndarray:
     return keep
 
 
-def _demand_stabilizer(g: Graph, demands) -> list:
-    """Nontrivial automorphisms preserving every demand vector: solvability
-    is invariant under them, so scanning orbit minima suffices."""
-    vecs = [d.demands for d in demands]
-    perms = []
-    for p in automorphisms(g):
-        if all(p[i] == i for i in range(g.n)):
-            continue
-        if all(v[p[i]] == v[i] for v in vecs for i in range(g.n)):
-            perms.append(np.array(p, dtype=np.intp))
-    return perms
-
-
 def _scan_chunk(g: Graph, demands, blocks, *, mode: str = "unrestricted",
                 collect_all: bool = False, perms=(),
                 budget: _Budget | None = None):
@@ -533,7 +522,11 @@ def _scan(g: Graph, demands, size: int, *, mode: str = "unrestricted",
     scan's."""
     budget = _coerce_budget(budget)
     total = num_configs(g.n, size)
-    perms = _demand_stabilizer(g, demands) if symmetry else ()
+    # solvability is invariant under the automorphisms keeping every demand,
+    # so scanning orbit minima suffices; the identity (listed first) is dropped
+    perms = ([np.array(p, dtype=np.intp)
+              for p in stabilizer(g, [d.demands for d in demands])[1:]]
+             if symmetry else ())
     if jobs <= 1 or total < 4 * _BLOCK:
         return _scan_chunk(g, demands, _ascending_blocks(g.n, size),
                            mode=mode, collect_all=collect_all, perms=perms,

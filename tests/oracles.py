@@ -8,7 +8,7 @@ one exception on both counts.
 """
 
 from collections import deque
-from itertools import chain, combinations, product
+from itertools import chain, combinations, permutations, product
 from operator import ge, mul
 
 from pebblekit import engine
@@ -285,6 +285,14 @@ def random_connected_edges(n, extra, rng):
     rng.shuffle(pool)
     edges.update(pool[:extra])
     return sorted(edges)
+
+
+def brute_automorphisms(g):
+    """Every vertex permutation mapping the edge set onto itself, in
+    lexicographic order; n! candidates, so small graphs only."""
+    edge_set = {(min(u, v), max(u, v)) for u, v in g.edges}
+    return [p for p in permutations(range(g.n))
+            if all((min(p[u], p[v]), max(p[u], p[v])) in edge_set for u, v in edge_set)]
 
 
 def brute_is_two_path(g):

@@ -3,6 +3,7 @@
 import random
 from collections import OrderedDict
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from pebblekit import (
     min_cost_solution,
     replay,
     solvable_within,
+    stabilizer,
     stats,
     weight,
 )
@@ -451,6 +453,102 @@ def test_lem_3_6_search_counts_are_pinned():
         d = Distribution.stacked(g.n, 0, t)
         for build, (states, memo) in zip((build_C_t1, build_C_t2), want):
             solver = Solver(g, d)
+            out = solver.solve(build(g, 0, t))
+            assert not out.solvable
+            assert (out.states_explored, len(solver.failed)) == (states, memo)
+
+
+def test_symmetric_search_matches_the_plain_search():
+    """Solver with the demand's stabilizer against Solver(g, d) on cycles,
+    stars, the Petersen graph and small random graphs, in all three modes:
+    one shared solver pair per (graph, demand, mode), called with mixed
+    sizes so the key width grows over a filled memo, and with mixed move
+    bounds. Half the configurations are uniform; the other half grow one
+    random pebble at a time until they pass every target's weight cut and
+    then get up to two more, so the search gets past its first state. Each
+    call gives the plain verdict and solution, explores no more states, and
+    agrees with oracles.brute_solvable when unbounded and small."""
+    rng = random.Random(83)
+    graphs = ([build_graph(n, [(i, (i + 1) % n) for i in range(n)]) for n in (4, 5, 6)]
+              + [build_graph(k + 1, [(0, i) for i in range(1, k + 1)]) for k in (3, 4)]
+              + [kneser(5, 2)])
+    for n in (4, 5, 5, 6, 6):
+        graphs.append(build_graph(n, random_connected_edges(n, rng.randrange(n), rng)))
+    nontrivial = widened = fewer = 0
+    for g in graphs:
+        for _ in range(10):
+            demand = [0] * g.n
+            for x in rng.sample(range(g.n), rng.choice((1, 1, 1, 1, 2, 3))):
+                demand[x] = rng.randrange(1, 5)
+            d = Distribution(tuple(demand))
+            group = stabilizer(g, [d.demands])
+            nontrivial += len(group) > 1
+            for mode in MODES:
+                sym, plain = Solver(g, d, mode, group), Solver(g, d, mode)
+                for _ in range(7):
+                    if rng.random() < 0.5:
+                        c = random_config(
+                            g.n, rng.choice((rng.randrange(9), rng.randrange(9, 24))), rng)
+                    else:
+                        grown = [0] * g.n
+                        while not all(sum(map(mul, grown, w)) >= need
+                                      for w, need in zip(plain.W, plain.need)):
+                            grown[rng.randrange(g.n)] += 1
+                        for _ in range(rng.randrange(3)):
+                            grown[rng.randrange(g.n)] += 1
+                        c = tuple(grown)
+                    max_moves = rng.choice((None, None, 0, 1, 2, 3, 5))
+                    k, memo = sym.k, len(sym.failed)
+                    got, want = sym.solve(c, max_moves), plain.solve(c, max_moves)
+                    assert (got.solvable, got.solution) == (want.solvable, want.solution)
+                    assert got.states_explored <= want.states_explored
+                    fewer += got.states_explored < want.states_explored
+                    if max_moves is None and sum(c) < 9:
+                        assert got.solvable == brute_solvable(g, c, d.demands, mode)
+                    widened += sym.k > k and memo > 0
+    assert nontrivial > 50 and widened > 40 and fewer > 10
+
+
+def test_symmetric_solvers_are_cached_apart_and_check_their_group(petersen):
+    d = Distribution.stacked(10, 0, 1)
+    sym = get_solver(petersen, d, symmetry=True)
+    assert get_solver(petersen, d, symmetry=True) is sym
+    assert get_solver(petersen, d) is not sym
+    assert len(sym.inverses) == 12
+    jr = build_J_r(petersen, 0)
+    assert is_solvable(petersen, jr, d, symmetry=True) == sym.solve(jr)
+    # a swap of two vertices keeps no edge set of the Petersen graph, and
+    # an automorphism moving the root changes the demand
+    swap = (1, 0) + tuple(range(2, 10))
+    moved = next(p for p in stabilizer(petersen) if p[0] != 0)
+    for bad in (swap, moved):
+        with pytest.raises(PebblingError, match="not an automorphism keeping"):
+            Solver(petersen, d, group=[tuple(range(10)), bad])
+    # the identity alone keys the memo by the state itself
+    assert Solver(petersen, d, group=[tuple(range(10))]).inverses is None
+
+
+def test_symmetric_lem_3_6_search_counts_are_pinned():
+    """(states explored, memo entries) of all twelve lem-3.6 cases on a
+    fresh Solver keyed by the root's stabilizer, S_2 x S_{m-2}: 12 elements
+    at m=5 and 48 at m=6. The implementation fixes these counts, not the
+    paper: they follow from the DFS order, the weight cut, the memo rule
+    and the orbit keys, so only a change meant to move them may re-record
+    them. The largest case, (6, 3) C_t1, explores 165,559 states against
+    the plain solver's 3,330,253."""
+    pins = {(5, 1): ((1, 1), (16, 14)),
+            (5, 2): ((85, 68), (499, 219)),
+            (5, 3): ((493, 292), (2428, 1087)),
+            (6, 1): ((1, 1), (73, 45)),
+            (6, 2): ((10573, 2798), (12925, 2249)),
+            (6, 3): ((165559, 22632), (170815, 23383))}
+    for (m, t), want in pins.items():
+        g = kneser(m, 2)
+        d = Distribution.stacked(g.n, 0, t)
+        group = stabilizer(g, [d.demands])
+        assert len(group) == {5: 12, 6: 48}[m]
+        for build, (states, memo) in zip((build_C_t1, build_C_t2), want):
+            solver = Solver(g, d, group=group)
             out = solver.solve(build(g, 0, t))
             assert not out.solvable
             assert (out.states_explored, len(solver.failed)) == (states, memo)

@@ -22,10 +22,11 @@ from pebblekit import (
     two_path,
     vertex_connectivity,
 )
-from pebblekit.graph import automorphisms
+from pebblekit.graph import automorphisms, stabilizer
 
 from oracles import (
     bfs_dist,
+    brute_automorphisms,
     brute_connectivity,
     brute_pair_cut,
     brute_simplicial,
@@ -177,6 +178,41 @@ def test_automorphisms_petersen(petersen):
     for p in perms:
         mapped = {(min(p[u], p[v]), max(p[u], p[v])) for u, v in edge_set}
         assert mapped == edge_set
+
+
+def test_stabilizer_is_the_filtered_automorphism_group(petersen):
+    """stabilizer(g, vectors), which backtracks only over assignments that
+    keep every vector, equals Aut(g) filtered by those vectors, identity
+    first; on small random graphs Aut(g) itself matches every permutation
+    of the vertices that keeps the edges."""
+    rng = random.Random(17)
+    graphs = [petersen, kneser(6, 2)] + [cycle_graph(n) for n in (3, 5, 6)]
+    for n in rng.choices(range(2, 8), k=12):
+        g = build_graph(n, random_connected_edges(n, rng.randrange(0, n), rng))
+        assert automorphisms(g) == brute_automorphisms(g)
+        graphs.append(g)
+    sizes = []
+    for g in graphs:
+        aut = automorphisms(g)
+        vector_sets = [[], [tuple(1 if v == 0 else 0 for v in range(g.n))]]
+        for _ in range(4):
+            vecs = []
+            for _ in range(rng.randrange(1, 3)):
+                x = [0] * g.n
+                for v in rng.sample(range(g.n), rng.randrange(1, min(3, g.n) + 1)):
+                    x[v] = rng.randrange(1, 3)
+                vecs.append(tuple(x))
+            vector_sets.append(vecs)
+        for vecs in vector_sets:
+            got = stabilizer(g, vecs)
+            assert got == [p for p in aut
+                           if all(x[p[v]] == x[v] for x in vecs for v in range(g.n))]
+            assert got[0] == tuple(range(g.n))
+            sizes.append(len(got))
+    # the root stabilizers S_2 x S_{m-2}: 12 on Petersen, 48 on K(6,2)
+    assert sizes[1] == 12 and sizes[7] == 48
+    assert len(automorphisms(kneser(6, 2))) == 720
+    assert sum(s > 1 for s in sizes) > 40
 
 
 def test_pair_orbits_petersen(petersen):

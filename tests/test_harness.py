@@ -123,6 +123,42 @@ def test_fact_2_2_needs_trees_of_at_least_three_vertices(capsys):
         assert msg in capsys.readouterr().err
 
 
+def test_empty_value_lists_are_refused(capsys):
+    """A claim asked to check no m, no t or no 2-path would pass with no
+    cases; an empty list or an empty fan-spec range is a usage error
+    (exit 2) instead."""
+    for argv, msg in ((["lem-3.6", "--m-values", "[]"], "m_values needs at least one"),
+                      (["lem-3.6", "--t-values", "[]"], "t_values needs at least one"),
+                      (["cor-3.10", "--t-values", "[]"], "t_values needs at least one"),
+                      (["cor-3.3", "--m-values", "[]"], "m_values needs at least one"),
+                      (["thm-2.1", "--t", "[]"], "t needs at least one"),
+                      (["thm-2.1", "--enumerate", "3"], "no 2-path has max_n=3"),
+                      (["thm-2.1", "--enumerate", "6", "--d-values", "[]"],
+                       "no 2-path has max_n=6 and d_values=[]"),
+                      (["cor-2.3", "--max-n", "3"], "no 2-path has max_n=3"),
+                      (["thm-2.6", "--max-n", "3"], "no 2-path has max_n=3")):
+        assert cli.main(["verify", *argv]) == 2
+        assert msg in capsys.readouterr().err
+    with pytest.raises(HarnessError, match="t_values needs at least one"):
+        run_campaign(CampaignConfig(claim="lem-3.6", params={"t_values": ()}))
+
+
+def test_symmetry_is_a_flag_of_the_scan_commands(tmp_path, capsys):
+    """--symmetry belongs to pi, witness and verify-target, the commands
+    whose scans read it. verify never read it, so there it is a usage
+    error rather than a flag that silently does nothing."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "lem-3.6", "--symmetry"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --symmetry" in capsys.readouterr().err
+    graph = tmp_path / "p3.json"
+    graph.write_text(path3_json() + "\n")
+    for argv in (["pi", "--root", "0"], ["witness", "--root", "0", "--size", "3"],
+                 ["verify-target", "--t", "1", "--expected-pi", "4"]):
+        assert cli.main([argv[0], "--graph", str(graph), *argv[1:], "--symmetry"]) == 0
+        capsys.readouterr()
+
+
 def test_thm_3_5_sampler_charges_whole_batches():
     """After the one C11 check, the sampler charges each 16,384-rank batch
     before settling it, so a budget that ends inside a batch is refused at
