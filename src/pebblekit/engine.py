@@ -10,7 +10,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from math import floor
-from operator import add, ge, le, lt, mul
+from operator import add, ge, le, lshift, lt, mul
 
 from .graph import Graph, stabilizer
 
@@ -209,17 +209,17 @@ class Solver:
     weight and every need leaves each comparison, the neighbour order, the
     solutions and the state counts unchanged.
 
-    With `group`, the demand's stabilizer (automorphisms s of g with
-    D(s(v)) = D(v) for every v, identity included, as tuples with s[v] the
-    image of v, which `graph.stabilizer` returns), the memo holds one key
-    per orbit: the least of the image keys of a state c under the group,
-    where the image under s is c∘s, the configuration with count c(s(v)) on
-    v. Symmetry lemma: c is D-solvable iff c∘s is. A move u -> v from c
-    corresponds to the move s^-1(u) -> s^-1(v) from c∘s, which is legal
-    because s is an automorphism, and c' >= D iff c'∘s >= D∘s = D. The
-    greedy and semi-greedy rules carry over too: s^-1 maps the unmet targets
-    of c onto those of c∘s, with the same demands and distances. So a state
-    whose least image is in the memo fails, and the search skips it.
+    With symmetric=True, the solver computes once the demand's stabilizer
+    with `graph.stabilizer`: the automorphisms s of g with D(s(v)) = D(v)
+    for every v, identity included. When that group is nontrivial the memo
+    holds one key per orbit: the least of the image keys of a state c under
+    the group, where the image under s is c∘s, the configuration with count
+    c(s(v)) on v. Symmetry lemma: c is D-solvable iff c∘s is. A move u -> v
+    from c corresponds to the move s^-1(u) -> s^-1(v) from c∘s, which is
+    legal because s is an automorphism, and c' >= D iff c'∘s >= D∘s = D.
+    The greedy and semi-greedy rules carry over too: s^-1 maps the unmet
+    targets of c onto those of c∘s, with the same demands and distances. So
+    a state whose least image is in the memo fails, and the search skips it.
     An image key is linear in the counts: vertex u's count sits at field
     s^-1(u) of c∘s's key, so a move u -> v adds the per-arc delta
     (1 << k*s^-1(v)) - (2 << k*s^-1(u)) to it. An expanded state keeps its
@@ -235,33 +235,25 @@ class Solver:
     so a memo holds every descendant of its states that passes the weight
     cut; by induction each state the plain memo holds has its least image
     here, or fails the weight cut, which both searches pay as one state.
-    Without a group, or with the identity alone, a probe stays one add and
-    one set lookup.
+    With a trivial stabilizer, or without symmetric, a probe stays one add
+    and one set lookup. get_solver builds every solver symmetric; the plain
+    solver is the reference the symmetric search is tested against.
     """
 
     def __init__(self, g: Graph, d: Distribution, mode: str = "unrestricted",
-                 group=None):
+                 symmetric: bool = False):
         if mode not in MODES:
             raise PebblingError(f"unknown mode {mode!r}; expected one of {MODES}")
         if len(d) != g.n:
             raise PebblingError("demand length must equal vertex count")
-        # inverse[u] is the field of u's count in an image key, one per group
-        # element; None keys the memo by the state itself
+        # inverses[i][u] is the field of u's count in the i-th image key;
+        # None keys the memo by the state itself
         self.inverses = None
-        if group is not None and len(group) > 1:
-            inverses = []
-            for s in group:
-                s = tuple(map(int, s))
-                if (sorted(s) != list(range(g.n))
-                        or any(d[s[v]] != d[v] for v in range(g.n))
-                        or any(not g.has_edge(s[u], s[v]) for u, v in g.edges)):
-                    raise PebblingError(
-                        f"{s} is not an automorphism keeping the demand")
-                inverse = [0] * g.n
-                for v, w in enumerate(s):
-                    inverse[w] = v
-                inverses.append(tuple(inverse))
-            self.inverses = tuple(inverses)
+        if symmetric:
+            group = stabilizer(g, [d.demands])
+            if len(group) > 1:
+                self.inverses = tuple(tuple(sorted(range(g.n), key=s.__getitem__))
+                                      for s in group)
         self.g = g
         self.demand = d.demands
         self.mode = mode
@@ -286,14 +278,15 @@ class Solver:
             tuple(sum(1 << i for i, x in enumerate(self.targets)
                       if closer(self.dist[x][v], self.dist[x][u])) for u, v in moves)
             for moves in self.moves_from)
-        # bits per vertex in a memo key, and the per-move records at that width
+        # bits per vertex in a memo key, and the field offsets and per-move
+        # records at that width; a configuration of size 0 keeps k at 0
         self.k = 0
-        self.arcs: tuple = ()
         self.failed: set[int] = set()
+        self._widen(0)
 
     def _widen(self, k: int):
         """Re-encode the memo keys and the per-move key deltas (one per
-        group element under symmetry) at k bits a vertex."""
+        group element with a nontrivial stabilizer) at k bits a vertex."""
         old, mask, n = self.k, (1 << self.k) - 1, self.n
         keys = list(self.failed)
         self.failed.clear()
@@ -301,6 +294,9 @@ class Solver:
                            for key in keys)
         self.k = k
         demand, W, inverses = self.demand, self.W, self.inverses
+        # the bit offset of each vertex's field in each image key
+        self.shifts = tuple(tuple(k * f for f in p)
+                            for p in inverses or (range(n),))
 
         def delta(u, v):
             if inverses is None:
@@ -334,15 +330,13 @@ class Solver:
         width = sum(counts).bit_length()
         if width > self.k:
             self._widen(width)
-        k = self.k
-        # under symmetry `images` holds the state's image keys and `key`,
-        # the memo key, is their least; without it `images` is None
+        # with a nontrivial stabilizer `images` holds the state's image keys
+        # and `key`, the memo key, is their least; otherwise `images` is None
         images = None
         if self.inverses is None:
-            key = sum(x << k * v for v, x in enumerate(counts))
+            key = sum(map(lshift, counts, self.shifts[0]))
         else:
-            images = tuple(sum(x << k * p[v] for v, x in enumerate(counts))
-                           for p in self.inverses)
+            images = tuple(sum(map(lshift, counts, s)) for s in self.shifts)
             key = min(images)
         need = self.need
         weights = tuple(sum(map(mul, counts, w)) for w in self.W)
@@ -395,6 +389,9 @@ class Solver:
                             True, Solution(tuple(path), len(path) + 1 if single else None),
                             states)
                 states += 1
+                # an expanded child adds the deltas again below: a tuple
+                # built here would cost every memo hit, which dominates the
+                # deep unsolvable searches the orbit keys are for
                 child = min(map(add, images, dk)) if images else key + dk
                 if bound or child in failed:
                     continue
@@ -433,17 +430,15 @@ class Solver:
 _solver_cache: OrderedDict[tuple, Solver] = OrderedDict()
 
 
-def get_solver(g: Graph, d: Distribution, mode: str = "unrestricted",
-               symmetry: bool = False) -> Solver:
+def get_solver(g: Graph, d: Distribution, mode: str = "unrestricted") -> Solver:
     """The cached solver for (g, d, mode); the cache keeps the
-    SOLVER_CACHE_CAP most recently used solvers, memos included. With
-    symmetry the solver keys its memo by orbit under the demand's
-    stabilizer, computed once when the solver is built; it is cached apart
-    from the plain one."""
-    key = (g, d.demands, mode, True) if symmetry else (g, d.demands, mode)
+    SOLVER_CACHE_CAP most recently used solvers, memos included. The solver
+    is symmetric: it keys its memo by orbit under the demand's stabilizer,
+    computed once when the solver is built (see Solver)."""
+    key = (g, d.demands, mode)
     solver = _solver_cache.get(key)
     if solver is None:
-        solver = Solver(g, d, mode, stabilizer(g, [d.demands]) if symmetry else None)
+        solver = Solver(g, d, mode, symmetric=True)
         _solver_cache[key] = solver
         if len(_solver_cache) > SOLVER_CACHE_CAP:
             _solver_cache.popitem(last=False)
@@ -453,7 +448,7 @@ def get_solver(g: Graph, d: Distribution, mode: str = "unrestricted",
 
 
 def is_solvable(g: Graph, c: Configuration | tuple[int, ...], d: Distribution,
-                mode: str = "unrestricted", symmetry: bool = False) -> SolveOutcome:
+                mode: str = "unrestricted") -> SolveOutcome:
     """Exact decision: can c reach a configuration pointwise >= d?
 
     c is a Configuration or a plain tuple of per-vertex counts; the scans
@@ -461,15 +456,15 @@ def is_solvable(g: Graph, c: Configuration | tuple[int, ...], d: Distribution,
 
     greedy mode permits only moves strictly decreasing the distance to some
     unmet target; semi_greedy permits non-increasing ones. Solvers (with
-    their memo of failed states) are cached per (graph, demand, mode).
-    symmetry keys the memo by orbit under the demand's stabilizer (see
-    Solver): the verdict and solution are the same, and a deep unsolvable
+    their memo of failed states) are cached per (graph, demand, mode) and
+    key the memo by orbit under the demand's stabilizer (see Solver): the
+    verdict and solution are the plain search's, and a deep unsolvable
     search visits fewer states, but each probe costs one add per group
     element.
     """
     if d.size < 1:
         return SolveOutcome(True, Solution((), None), 0)
-    return get_solver(g, d, mode, symmetry).solve(c)
+    return get_solver(g, d, mode).solve(c)
 
 
 def min_cost_solution(g: Graph, c: Configuration, r: int, max_moves: int | None = None):

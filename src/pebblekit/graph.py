@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -268,39 +268,55 @@ def stabilizer(g: Graph, vectors=()) -> list[tuple[int, ...]]:
     this is all of Aut(g).
 
     Backtracking assigns vertices in index order and tries for v only the
-    vertices w with v's distance profile and v's entry in every vector, so
-    a demand's fixed targets cut the search down to its stabilizer instead
-    of enumerating Aut(g) and filtering it."""
+    vertices w with v's profile: its entries in the vectors and the multiset
+    of (entries of s, dist(s, v)) over the sources s. The sources are the
+    vertices where some vector is nonzero, which any such p permutes, so
+    one BFS per source suffices and a demand's fixed targets cut the search
+    down to its stabilizer instead of enumerating Aut(g) and filtering it;
+    with no nonzero entry every vertex is a source. The search keeps its
+    own stack, so no graph size reaches Python's recursion limit."""
     n = g.n
-    dist = g.metrics.dist
-    profile = [(tuple(sorted(Counter(dist[v]).items())), tuple(x[v] for x in vectors))
+    entries = [tuple(x[v] for x in vectors) for v in range(n)]
+    sources = [v for v in range(n) if any(entries[v])]
+    rows = ([g.distances(s) for s in sources] if sources
+            else [g.metrics.dist[s] for s in range(n)])
+    sources = sources or range(n)
+    profile = [(entries[v],
+                tuple(sorted((entries[s], row[v]) for s, row in zip(sources, rows))))
                for v in range(n)]
-    candidates = [[w for w in range(n) if profile[w] == profile[v]] for v in range(n)]
+    classes: dict = {}
+    for v in range(n):
+        classes.setdefault(profile[v], []).append(v)
+    candidates = [classes[profile[v]] for v in range(n)]
     adj = [set(a) for a in g.adjacency]
+    lower = [[u for u in g.adjacency[v] if u < v] for v in range(n)]
     assign = [-1] * n
-    used = [False] * n
+    taken: set[int] = set()
     perms: list[tuple[int, ...]] = []
-
-    def backtrack(i: int):
-        if i == n:
+    # its[i] yields the untried candidates for vertex i, and want[i] holds
+    # the images of i's lower neighbours: p keeps every edge iff, for each
+    # i, these are exactly the assigned neighbours of p[i]
+    its = [iter(candidates[0])]
+    want: list[set[int]] = [set()]
+    while its:
+        i = len(its) - 1
+        if assign[i] >= 0:
+            taken.discard(assign[i])
+            assign[i] = -1
+        for w in its[i]:
+            if w not in taken and adj[w] & taken == want[i]:
+                break
+        else:
+            its.pop()
+            want.pop()
+            continue
+        assign[i] = w
+        taken.add(w)
+        if i + 1 == n:
             perms.append(tuple(assign))
-            return
-        for w in candidates[i]:
-            if used[w]:
-                continue
-            ok = True
-            for j in range(i):
-                if (j in adj[i]) != (assign[j] in adj[w]):
-                    ok = False
-                    break
-            if ok:
-                assign[i] = w
-                used[w] = True
-                backtrack(i + 1)
-                used[w] = False
-        assign[i] = -1
-
-    backtrack(0)
+        else:
+            its.append(iter(candidates[i + 1]))
+            want.append({assign[u] for u in lower[i + 1]})
     return perms
 
 

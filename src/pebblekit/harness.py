@@ -479,7 +479,7 @@ def _run_lem_3_6(params, budget, jobs, seed):
                     ("C_t1", build_C_t1(g, r, t), n + 2 * t - 3),
                     ("C_t2", build_C_t2(g, r, t), 4 * t + 2 * (m - 2) - 2)):
                 budget.charge(1)
-                unsolv = not is_solvable(g, cfg, d, symmetry=True).solvable
+                unsolv = not is_solvable(g, cfg, d).solvable
                 ok = unsolv and cfg.size == want_size
                 passed &= ok
                 results.append({"m": m, "t": t, "config": name,

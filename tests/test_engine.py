@@ -459,7 +459,7 @@ def test_lem_3_6_search_counts_are_pinned():
 
 
 def test_symmetric_search_matches_the_plain_search():
-    """Solver with the demand's stabilizer against Solver(g, d) on cycles,
+    """Solver(g, d, mode, symmetric=True) against Solver(g, d, mode) on cycles,
     stars, the Petersen graph and small random graphs, in all three modes:
     one shared solver pair per (graph, demand, mode), called with mixed
     sizes so the key width grows over a filled memo, and with mixed move
@@ -481,10 +481,9 @@ def test_symmetric_search_matches_the_plain_search():
             for x in rng.sample(range(g.n), rng.choice((1, 1, 1, 1, 2, 3))):
                 demand[x] = rng.randrange(1, 5)
             d = Distribution(tuple(demand))
-            group = stabilizer(g, [d.demands])
-            nontrivial += len(group) > 1
+            nontrivial += len(stabilizer(g, [d.demands])) > 1
             for mode in MODES:
-                sym, plain = Solver(g, d, mode, group), Solver(g, d, mode)
+                sym, plain = Solver(g, d, mode, symmetric=True), Solver(g, d, mode)
                 for _ in range(7):
                     if rng.random() < 0.5:
                         c = random_config(
@@ -509,23 +508,22 @@ def test_symmetric_search_matches_the_plain_search():
     assert nontrivial > 50 and widened > 40 and fewer > 10
 
 
-def test_symmetric_solvers_are_cached_apart_and_check_their_group(petersen):
+def test_cached_solvers_key_their_memo_by_the_demand_stabilizer(petersen):
     d = Distribution.stacked(10, 0, 1)
-    sym = get_solver(petersen, d, symmetry=True)
-    assert get_solver(petersen, d, symmetry=True) is sym
-    assert get_solver(petersen, d) is not sym
-    assert len(sym.inverses) == 12
+    sym = get_solver(petersen, d)
+    assert get_solver(petersen, d) is sym
+    # the root's stabilizer in Aut(Petersen), whose inverses it keeps
+    group = stabilizer(petersen, [d.demands])
+    assert len(group) == len(sym.inverses) == 12
+    assert {tuple(p[s[v]] for v in range(10)) for s, p in zip(group, sym.inverses)} \
+        == {tuple(range(10))}
     jr = build_J_r(petersen, 0)
-    assert is_solvable(petersen, jr, d, symmetry=True) == sym.solve(jr)
-    # a swap of two vertices keeps no edge set of the Petersen graph, and
-    # an automorphism moving the root changes the demand
-    swap = (1, 0) + tuple(range(2, 10))
-    moved = next(p for p in stabilizer(petersen) if p[0] != 0)
-    for bad in (swap, moved):
-        with pytest.raises(PebblingError, match="not an automorphism keeping"):
-            Solver(petersen, d, group=[tuple(range(10)), bad])
-    # the identity alone keys the memo by the state itself
-    assert Solver(petersen, d, group=[tuple(range(10))]).inverses is None
+    assert is_solvable(petersen, jr, d) == sym.solve(jr)
+    assert Solver(petersen, d).inverses is None
+    # a demand that only the identity keeps leaves the probe one add
+    path = path_graph(5)
+    assert get_solver(path, Distribution.stacked(5, 1, 1)).inverses is None
+    assert len(get_solver(path, Distribution.stacked(5, 2, 1)).inverses) == 2
 
 
 def test_symmetric_lem_3_6_search_counts_are_pinned():
@@ -545,10 +543,9 @@ def test_symmetric_lem_3_6_search_counts_are_pinned():
     for (m, t), want in pins.items():
         g = kneser(m, 2)
         d = Distribution.stacked(g.n, 0, t)
-        group = stabilizer(g, [d.demands])
-        assert len(group) == {5: 12, 6: 48}[m]
         for build, (states, memo) in zip((build_C_t1, build_C_t2), want):
-            solver = Solver(g, d, group=group)
+            solver = Solver(g, d, symmetric=True)
+            assert len(solver.inverses) == {5: 12, 6: 48}[m]
             out = solver.solve(build(g, 0, t))
             assert not out.solvable
             assert (out.states_explored, len(solver.failed)) == (states, memo)

@@ -209,10 +209,28 @@ def test_stabilizer_is_the_filtered_automorphism_group(petersen):
                            if all(x[p[v]] == x[v] for x in vecs for v in range(g.n))]
             assert got[0] == tuple(range(g.n))
             sizes.append(len(got))
+        # a vector with no nonzero entry keeps every automorphism
+        assert stabilizer(g, [(0,) * g.n]) == aut
     # the root stabilizers S_2 x S_{m-2}: 12 on Petersen, 48 on K(6,2)
     assert sizes[1] == 12 and sizes[7] == 48
     assert len(automorphisms(kneser(6, 2))) == 720
     assert sum(s > 1 for s in sizes) > 40
+
+
+def test_stabilizer_of_a_demand_on_a_long_path():
+    """A demand's stabilizer runs one BFS per demand vertex, never the
+    all-pairs matrix, and keeps its own stack: 1,501 vertices are past
+    Python's default recursion limit."""
+    n = 1501
+    g = path_graph(n)
+    flip = tuple(range(n - 1, -1, -1))
+    for support, want in (((0,), 1), ((749,), 1), ((750,), 2), ((0, n - 1), 2),
+                          ((3, n - 1), 1)):
+        x = [0] * n
+        for v in support:
+            x[v] = 2
+        assert stabilizer(g, [x]) == [tuple(range(n)), flip][:want]
+    assert "metrics" not in g.__dict__
 
 
 def test_pair_orbits_petersen(petersen):
