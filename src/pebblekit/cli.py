@@ -95,14 +95,23 @@ def _parse_spec_arg(text: str) -> dict:
     return spec
 
 
+def _t_from_args(args) -> int:
+    """--t, or 1 when it is missing; refuses t < 1."""
+    t = 1 if args.t is None else args.t
+    if t < 1:
+        raise PebblingError("t must be at least 1")
+    return t
+
+
 def _demand_from_args(args, n: int) -> Distribution:
+    t = _t_from_args(args)
     if getattr(args, "demand", None):
         vec = _parse_ints(args.demand)
         if len(vec) != n:
             raise PebblingError(f"demand has {len(vec)} entries for {n} vertices")
         return Distribution(tuple(vec))
     if getattr(args, "root", None) is not None:
-        return Distribution.stacked(n, args.root, getattr(args, "t", 1) or 1)
+        return Distribution.stacked(n, args.root, t)
     raise PebblingError("need --demand or --root")
 
 
@@ -168,9 +177,10 @@ def _cmd_pi(args) -> int:
                      symmetry=args.symmetry, mode=args.mode)
         payload = {"demand": list(d.demands), "pi": value}
     else:
-        value = pi_t(g, args.t or 1, budget=args.budget, jobs=args.jobs,
+        t = _t_from_args(args)
+        value = pi_t(g, t, budget=args.budget, jobs=args.jobs,
                      symmetry=args.symmetry)
-        payload = {"t": args.t or 1, "pi_t": value}
+        payload = {"t": t, "pi_t": value}
     if args.expect is not None:
         payload["expected"] = args.expect
         payload["match"] = value == args.expect

@@ -96,6 +96,8 @@ class Distribution:
 
     @classmethod
     def stacked(cls, n: int, r: int, t: int = 1) -> "Distribution":
+        if not 0 <= r < n:
+            raise PebblingError(f"root {r} is not a vertex of a {n}-vertex graph")
         demands = [0] * n
         demands[r] = t
         return cls(tuple(demands))

@@ -75,6 +75,10 @@ def test_configuration_and_distribution_validation():
     assert Configuration((1, 2, 0)).size == 3
     d = Distribution.stacked(4, 2, 3)
     assert d.demands == (0, 0, 3, 0) and d.size == 3
+    # a root outside 0..n-1 is refused, never indexed from the end
+    for r in (4, -1):
+        with pytest.raises(PebblingError, match=f"root {r} is not a vertex"):
+            Distribution.stacked(4, r, 1)
 
 
 def test_replay():

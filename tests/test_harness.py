@@ -330,6 +330,34 @@ def test_cli_pi_and_witness(tmp_path):
     assert proc.returncode == 1 and json.loads(proc.stdout)["found"] is False
 
 
+def test_cli_refuses_bad_roots_and_t(tmp_path, capsys):
+    """--root must name a vertex and --t must be at least 1 in solve, pi
+    and witness; only a missing --t reads as 1."""
+    petersen = tmp_path / "petersen.json"
+    petersen.write_text(graph_to_json(kneser(5, 2)) + "\n")
+    config = ["--config", ",".join(["1"] * 10)]
+    size = ["--size", "3"]
+    for cmd, extra in (("solve", config), ("pi", []), ("witness", size)):
+        for root in ("10", "-1"):
+            assert cli.main([cmd, "--graph", str(petersen), "--root", root,
+                             *extra]) == 2
+            assert f"root {root} is not a vertex" in capsys.readouterr().err
+        for t in ("0", "-1"):
+            assert cli.main([cmd, "--graph", str(petersen), "--root", "0",
+                             "--t", t, *extra]) == 2
+            assert "t must be at least 1" in capsys.readouterr().err
+    assert cli.main(["pi", "--graph", str(petersen), "--t", "0"]) == 2
+    assert "t must be at least 1" in capsys.readouterr().err
+    graph = tmp_path / "p3.json"
+    graph.write_text(path3_json() + "\n")
+    assert cli.main(["pi", "--graph", str(graph), "--root", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["demand"] == [1, 0, 0]
+    assert cli.main(["pi", "--graph", str(graph), "--root", "0",
+                     "--t", "2"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"demand": [2, 0, 0],
+                                                   "pi": 8}
+
+
 def test_cli_verify_and_verify_target(tmp_path):
     proc = run_cli("verify", "thm-2.1")
     assert proc.returncode == 0
