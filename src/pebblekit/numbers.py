@@ -6,14 +6,17 @@ is the lexicographically least one; the public enumerate_configs stream is
 the conventional descending order starting at (m, 0, ..., 0).
 
 Scan pipeline. One numpy kernel, _unrank_cols, maps an array of ranks to
-their configurations in the ascending order; scans feed it consecutive
-ranks and thm-3.5's sampler feeds it random ones. It writes column-major
-(n, B) blocks, one contiguous column per vertex, so the prescreen adds
-whole vertex rows at a time. The dtype is int16 when the size m is below
-2**15 and int64 otherwise: every count is at most m, and delivery never
-creates pebbles. Ranks are int64, so the kernel refuses (n, m) with 2**63
-or more configurations; unrank_config stays the arbitrary-precision scalar
-reference.
+their configurations in the ascending order. thm-3.5's sampler feeds it
+random ranks. Scans read consecutive ranks from _ascending_blocks, which
+calls the kernel twice per scan, for a table of heads (the first counts)
+and a table of tails (the rest), and builds each block by repeating heads
+and gathering tails; sizes whose tables would outgrow one block feed the
+kernel every rank instead. Blocks are column-major (n, B), one contiguous
+column per vertex, so the prescreen adds whole vertex rows at a time. The
+dtype is int16 when the size m is below 2**15 and int64 otherwise: every
+count is at most m, and delivery never creates pebbles. Ranks are int64,
+so the kernel refuses (n, m) with 2**63 or more configurations;
+unrank_config stays the arbitrary-precision scalar reference.
 
 Prescreen. _FastFilter accepts the rows it can prove solvable from
 pebbles moved along one BFS spanning tree per demand target (exact on
@@ -209,15 +212,64 @@ def _unrank_cols(n: int, m: int, ranks) -> np.ndarray:
     return out
 
 
+def _tail_split(n: int, m: int) -> int:
+    """The tail length p at which _ascending_blocks splits size-m rows on n
+    vertices: the p in 1..n-1 whose larger table, C(m+n-p, n-p) heads or
+    C(m+p, p) tails, is least. 0 when even that table has more than _BLOCK
+    columns (n = 1, or m large for n), and then every rank is unranked."""
+    size, p = min(((max(num_configs(n - p + 1, m), num_configs(p + 1, m)), p)
+                   for p in range(1, n)), default=(0, 0))
+    return p if size <= _BLOCK else 0
+
+
 def _ascending_blocks(n: int, m: int, start: int = 0, stop: int | None = None,
                       block: int = _BLOCK):
-    """Consecutive ascending-lex configurations as (B, n) blocks. Each is the
-    transposed view of a contiguous _unrank_cols block, so rows[:, v] reads
-    one contiguous column."""
+    """Consecutive ascending-lex configurations as (B, n) blocks, each the
+    transposed view of a contiguous (n, B) block, so rows[:, v] reads one
+    contiguous column. Every block equals _unrank_cols over its ranks.
+
+    Call the first n-p counts of a row its head and the last p its tail.
+    In ascending lex order the rows sharing a head form one contiguous run,
+    whose tails step through the p-part compositions of the m' = m - |head|
+    pebbles left, in ascending order. The heads, read with m' appended, are
+    the (n-p+1)-part compositions of m in ascending order, and the
+    (p+1)-part ones hold every tail table back to back: first part m - m',
+    rest the tail, starting at column C(m+p, p) - C(m'+p, p). So two
+    _unrank_cols tables build every block: one searchsorted finds the runs
+    a block meets, np.repeat copies their heads, and one gather reads the
+    tails. _tail_split picks p so that neither table has more than _BLOCK
+    columns, and the tables live for this call only; (n, m) with no such p
+    unrank every rank."""
     total = _int64_total(n, m)
     stop = total if stop is None else min(stop, total)
+    if start < 0:
+        raise ValueError(f"ranks out of range for ({n}, {m})")
+    p = _tail_split(n, m) if start < stop else 0
+    if not p:
+        for s in range(start, stop, block):
+            yield _unrank_cols(n, m, np.arange(s, min(s + block, stop))).T
+        return
+    h = n - p
+    heads = _unrank_cols(h + 1, m, np.arange(num_configs(h + 1, m)))
+    tails = _unrank_cols(p + 1, m, np.arange(num_configs(p + 1, m)))[1:]
+    left = heads[h].astype(np.int64)
+    runs = np.array([num_configs(p, k) for k in range(m + 1)],
+                    dtype=np.int64)[left]
+    ends = np.cumsum(runs)
+    tail_cols = np.array([num_configs(p + 1, k) for k in range(m + 1)],
+                         dtype=np.int64)
+    # tail-table column of rank r in head j's run: r + off[j]
+    off = tail_cols[m] - tail_cols[left] - (ends - runs)
     for s in range(start, stop, block):
-        yield _unrank_cols(n, m, np.arange(s, min(s + block, stop))).T
+        e = min(s + block, stop)
+        j0, j1 = np.searchsorted(ends, (s, e - 1), side="right")
+        counts = np.diff(np.concatenate(([s], ends[j0:j1], [e])))
+        out = np.empty((n, e - s), dtype=heads.dtype)
+        out[:h] = np.repeat(heads[:h, j0:j1 + 1], counts, axis=1)
+        col = np.repeat(off[j0:j1 + 1], counts)
+        col += np.arange(s, e)
+        np.take(tails, col, axis=1, out=out[h:])
+        yield out.T
 
 
 def _bfs_parents(g: Graph, r: int) -> list:

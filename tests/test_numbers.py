@@ -44,9 +44,11 @@ from pebblekit.numbers import (
     _default_lower_candidates,
     _deliver,
     _delivery_tree,
+    _BLOCK,
     _FastFilter,
     _min_moves_upto3,
     _scan_chunk,
+    _tail_split,
     _unrank_cols,
 )
 import pebblekit.numbers as numbers_mod
@@ -139,6 +141,102 @@ def test_ascending_block_slices_concatenate_to_the_full_order():
     rows = next(_ascending_blocks(n, m))
     assert rows.T.flags.c_contiguous
     assert [b.tolist() for b in _ascending_blocks(1, 3)] == [[[3]]]
+
+
+def assert_kernel_blocks(n, m, start, stop, block):
+    """_ascending_blocks(n, m, start, stop, block) yields, block by block,
+    _unrank_cols over the same ranks: values, dtype and the (n, B)
+    C-contiguous layout behind each (B, n) view."""
+    end = num_configs(n, m) if stop is None else min(stop, num_configs(n, m))
+    spans = [(s, min(s + block, end)) for s in range(start, end, block)]
+    got = list(_ascending_blocks(n, m, start, stop, block))
+    assert len(got) == len(spans)
+    for rows, (s, e) in zip(got, spans):
+        want = _unrank_cols(n, m, np.arange(s, e))
+        assert rows.dtype == want.dtype and rows.T.flags.c_contiguous
+        assert np.array_equal(rows.T, want), (n, m, s, e)
+
+
+def head_runs(n, m):
+    """(first, last + 1) rank of every run of rows sharing the first
+    n - _tail_split(n, m) counts, read off the kernel's full order."""
+    total = num_configs(n, m)
+    head = _unrank_cols(n, m, np.arange(total))[:n - _tail_split(n, m)]
+    cuts = np.flatnonzero((head[:, 1:] != head[:, :-1]).any(axis=0)) + 1
+    bounds = [0, *cuts.tolist(), total]
+    return list(zip(bounds, bounds[1:]))
+
+
+def test_ascending_blocks_are_the_kernel_blocks():
+    rng = random.Random(1104)
+    split = 0
+    for n in range(1, 9):
+        for m in (0, 1, 2, 5, 9):
+            total = num_configs(n, m)
+            cases = [(0, None, _BLOCK), (1, total - 1, 997)]
+            for _ in range(8):
+                cases.append((rng.randrange(total + 2),
+                              rng.choice([None, rng.randrange(total + 3)]),
+                              rng.randrange(1, 400)))
+            if _tail_split(n, m):
+                split += 1
+                long = [(a, b) for a, b in head_runs(n, m) if b - a >= 3]
+                for a, b in rng.sample(long, min(3, len(long))):
+                    cases += [(a + 1, b - 1, _BLOCK),  # wholly inside a run
+                              (a, b, _BLOCK),          # exactly one run
+                              (a + 1, None, b - a - 1),  # ends at the run end
+                              (a, None, 2),            # starts at a run start
+                              (b - 2, b + 2, 1)]       # one row at a time
+            for case in cases:
+                assert_kernel_blocks(n, m, *case)
+    # both sides of the split rule are exercised
+    assert 0 < split < 8 * 5
+    # past int16: n = 2 splits, n = 3 unranks every rank
+    m = (1 << 15) + 5
+    assert _tail_split(2, m) == 1 and _tail_split(3, m) == 0
+    for n in (2, 3):
+        total = num_configs(n, m)
+        for start, stop, block in ((total - 50, None, 16), (0, 40, 7),
+                                   (total // 2 - 33, total // 2 + 33, 13)):
+            assert_kernel_blocks(n, m, start, stop, block)
+    assert_kernel_blocks(2, m, 0, None, 5000)
+    # no split of (15, 15) fits the table bound
+    assert _tail_split(15, 15) == 0
+    mid = num_configs(15, 15) // 3
+    assert_kernel_blocks(15, 15, mid, mid + 300, 64)
+    with pytest.raises(ValueError, match="out of range"):
+        next(_ascending_blocks(4, 3, -1))
+
+
+def test_ascending_block_tables_stay_within_the_bound(monkeypatch):
+    """A split (n, m) builds its two tables, each of at most _BLOCK
+    columns, and then unranks nothing more; any other (n, m) unranks each
+    block's ranks. The choice depends on (n, m) alone."""
+    assert (_tail_split(10, 13), _tail_split(7, 25)) == (5, 3)
+    assert _tail_split(1, 3) == _tail_split(15, 15) == 0
+    assert _tail_split(3, (1 << 15) + 5) == 0
+    # the bound is tight: C(36, 4) <= _BLOCK < C(37, 4)
+    assert (_tail_split(7, 32), _tail_split(7, 33)) == (3, 0)
+    calls = []
+
+    def spy(n, m, ranks):
+        calls.append((n, len(ranks)))
+        return _unrank_cols(n, m, ranks)
+
+    monkeypatch.setattr(numbers_mod, "_unrank_cols", spy)
+    for n, m in ((10, 13), (7, 25), (7, 32), (2, (1 << 15) + 5), (15, 15),
+                 (7, 33), (1, 3), (3, (1 << 15) + 5)):
+        p = _tail_split(n, m)
+        start = num_configs(n, m) // 2
+        for stop in (start + 1, start + 200):
+            calls.clear()
+            blocks = list(_ascending_blocks(n, m, start, stop, 64))
+            if p:
+                assert calls == [(n - p + 1, num_configs(n - p + 1, m)),
+                                 (p + 1, num_configs(p + 1, m))]
+                assert max(k for _, k in calls) <= _BLOCK
+            else:
+                assert calls == [(n, b.shape[0]) for b in blocks]
 
 
 def test_sizes_past_int16_use_int64_rows():
