@@ -2,8 +2,8 @@
 configuration enumeration, plus unsolvable-witness search.
 
 Enumeration scans ascend in lexicographic order so the first witness found
-is the lexicographically least one; the public enumerate_configs stream is
-the conventional descending order starting at (m, 0, ..., 0).
+is the lexicographically least one. It is the package's one enumeration
+order.
 
 Scan pipeline. One numpy kernel, _unrank_cols, maps an array of ranks to
 their configurations in the ascending order. thm-3.5's sampler feeds it
@@ -64,7 +64,6 @@ __all__ = [
     "WitnessResult",
     "DEFAULT_BUDGET",
     "num_configs",
-    "enumerate_configs",
     "unrank_config",
     "find_unsolvable_witness",
     "multi_demand_scan",
@@ -131,27 +130,6 @@ class WitnessResult:
 def num_configs(n: int, m: int) -> int:
     """Number of pebble configurations of size m on n vertices."""
     return comb(n + m - 1, n - 1)
-
-
-def enumerate_configs(n: int, m: int):
-    """All weak compositions of m into n parts, lexicographically descending
-    from (m, 0, ..., 0)."""
-    if n < 1:
-        raise ValueError("need at least one vertex")
-    if m < 0:
-        raise ValueError("pebble count must be nonnegative")
-    a = [0] * n
-    a[0] = m
-    while True:
-        yield Configuration(tuple(a))
-        j = next((i for i in range(n - 2, -1, -1) if a[i] > 0), None)
-        if j is None:
-            return
-        tail = sum(a[j + 1:])
-        a[j] -= 1
-        a[j + 1] = tail + 1
-        for i in range(j + 2, n):
-            a[i] = 0
 
 
 def unrank_config(n: int, m: int, rank: int) -> Configuration:

@@ -50,6 +50,27 @@ def all_configs(n, size):
         yield tuple(parts)
 
 
+def enumerate_configs(n: int, m: int):
+    """All weak compositions of m into n parts, lexicographically descending
+    from (m, 0, ..., 0)."""
+    if n < 1:
+        raise ValueError("need at least one vertex")
+    if m < 0:
+        raise ValueError("pebble count must be nonnegative")
+    a = [0] * n
+    a[0] = m
+    while True:
+        yield Configuration(tuple(a))
+        j = next((i for i in range(n - 2, -1, -1) if a[i] > 0), None)
+        if j is None:
+            return
+        tail = sum(a[j + 1:])
+        a[j] -= 1
+        a[j + 1] = tail + 1
+        for i in range(j + 2, n):
+            a[i] = 0
+
+
 def brute_solvable(g, counts, demands, mode="unrestricted"):
     """Breadth-first closure over every configuration reachable from counts."""
     n = g.n

@@ -19,7 +19,6 @@ from pebblekit import (
     build_J_r,
     check_pi_t_equals,
     demands_of_size,
-    enumerate_configs,
     find_unsolvable_witness,
     is_solvable,
     kneser,
@@ -60,6 +59,7 @@ from oracles import (
     brute_solvable,
     brute_solvable_memo,
     brute_unsolvable_set,
+    enumerate_configs,
     neighbor_lists,
     random_config,
     random_connected_edges,
