@@ -230,14 +230,14 @@ def _ascending_blocks(n: int, m: int, start: int = 0, stop: int | None = None,
     h = n - p
     heads = _unrank_cols(h + 1, m, np.arange(num_configs(h + 1, m)))
     tails = _unrank_cols(p + 1, m, np.arange(num_configs(p + 1, m)))[1:]
+    widths = np.array([num_configs(p, k) for k in range(m + 1)],
+                      dtype=np.int64)
     left = heads[h].astype(np.int64)
-    runs = np.array([num_configs(p, k) for k in range(m + 1)],
-                    dtype=np.int64)[left]
+    runs = widths[left]
     ends = np.cumsum(runs)
-    tail_cols = np.array([num_configs(p + 1, k) for k in range(m + 1)],
-                         dtype=np.int64)
-    # tail-table column of rank r in head j's run: r + off[j]
-    off = tail_cols[m] - tail_cols[left] - (ends - runs)
+    # tail table m' follows those of m'+1..m; rank r in head j's run reads
+    # tail column r + off[j]
+    off = (widths.sum() - np.cumsum(widths))[left] - (ends - runs)
     for s in range(start, stop, block):
         e = min(s + block, stop)
         j0, j1 = np.searchsorted(ends, (s, e - 1), side="right")
