@@ -3,7 +3,7 @@ verification harness for the bundled claim registry."""
 
 from .engine import Configuration, Distribution, MODES, PebblingError, \
     Solution, SolveOutcome, Solver, apply_move, find_slides, is_solvable, \
-    max_fold, min_cost_solution, replay, solvable_within, stats, weight
+    max_fold, min_cost_solution, replay, stats, weight
 from .families import FamilyError, FanSpec, RootedTree, TwoPath, \
     enumerate_fan_specs, is_spinal_root, is_two_path, kneser, \
     max_path_partition, random_tree, spinal_tree, two_path
@@ -37,8 +37,7 @@ __all__ = [
     # engine
     "MODES", "PebblingError", "Configuration", "Distribution", "Solution",
     "SolveOutcome", "Solver", "apply_move", "replay", "stats", "weight",
-    "is_solvable", "solvable_within", "min_cost_solution", "find_slides",
-    "max_fold",
+    "is_solvable", "min_cost_solution", "find_slides", "max_fold",
     # formulas
     "FormulaError", "KneserParams", "tree_pi", "two_path_pi_t", "spinal_pi",
     "kneser_p", "build_C_t1", "build_C_t2", "build_J_r",

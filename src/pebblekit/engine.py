@@ -391,11 +391,13 @@ class Solver:
                             True, Solution(tuple(path), len(path) + 1 if single else None),
                             states)
                 states += 1
+                if bound:
+                    continue
                 # an expanded child adds the deltas again below: a tuple
                 # built here would cost every memo hit, which dominates the
                 # deep unsolvable searches the orbit keys are for
                 child = min(map(add, images, dk)) if images else key + dk
-                if bound or child in failed:
+                if child in failed:
                     continue
                 cw = tuple(map(add, weights, dw))
                 if all(map(ge, cw, need)):
@@ -498,11 +500,6 @@ def min_cost_solution(g: Graph, c: Configuration, r: int, max_moves: int | None 
             lo = mid + 1
     cost = best.solution.cost
     return best.solution, cost <= (1 << max(solver.dist[r]))
-
-
-def solvable_within(g: Graph, c: Configuration, r: int, max_moves: int) -> bool:
-    """Can one pebble reach r using at most max_moves pebbling steps?"""
-    return get_solver(g, Distribution.stacked(g.n, r, 1)).solve(c, max_moves).solvable
 
 
 def find_slides(g: Graph, c: Configuration, cap: int | None = None):

@@ -26,7 +26,6 @@ from pebblekit import (
     metrics,
     min_cost_solution,
     replay,
-    solvable_within,
     stabilizer,
     stats,
     weight,
@@ -41,6 +40,11 @@ from oracles import ReferenceSolver, brute_min_moves, brute_solvable, \
 
 def path_graph(n):
     return build_graph(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def within(g, c, r, max_moves):
+    """Can one pebble reach r in at most max_moves moves?"""
+    return get_solver(g, Distribution.stacked(g.n, r, 1)).solve(c, max_moves).solvable
 
 
 def small_instances(seed, count, max_n=6, max_size=8, max_demand=2):
@@ -137,7 +141,7 @@ def test_is_solvable_validation():
         is_solvable(p3, Configuration((0, 0, 0)), Distribution.stacked(3, 0, 1),
                     mode="fastest")
     with pytest.raises(PebblingError):
-        solvable_within(p3, Configuration((0, 0, 4)), 0, -1)
+        within(p3, Configuration((0, 0, 4)), 0, -1)
     with pytest.raises(PebblingError):
         is_solvable(p3, (3, -1, 0), Distribution.stacked(3, 2, 1))
     # the empty demand is trivially met
@@ -208,12 +212,12 @@ def test_min_cost_solution_matches_brute_and_is_cheap():
         assert cheap and sol.cost <= 1 << metrics(g).ecc[r]
 
 
-def test_solvable_within_matches_brute_depth():
+def test_bounded_solve_matches_brute_depth():
     for g, c, d in small_instances(36, 120):
         r = next(i for i, x in enumerate(d) if x)
         moves = brute_min_moves(g, c, r)
         for cap in range(6):
-            assert solvable_within(g, Configuration(c), r, cap) == \
+            assert within(g, Configuration(c), r, cap) == \
                 (moves is not None and moves <= cap)
 
 
@@ -231,8 +235,8 @@ def test_deep_searches_do_not_recurse_per_move():
     assert replay(k2, c, out.solution.moves).counts == (1050, 0)
     n = 1100
     g, slide = path_graph(n), long_slide(n)
-    assert solvable_within(g, slide, n - 1, n - 1)
-    assert not solvable_within(g, slide, n - 1, n - 2)
+    assert within(g, slide, n - 1, n - 1)
+    assert not within(g, slide, n - 1, n - 2)
     sol, cheap = min_cost_solution(g, slide, n - 1)
     assert sol.cost == n and cheap
     assert replay(g, slide, sol.moves).counts[n - 1] == 1
@@ -291,7 +295,7 @@ def test_bounded_solves_read_but_never_write_the_memo(petersen):
     assert not solver.solve(Configuration((0, 2)), 0).solvable
     assert not solver.failed
     assert solver.solve(Configuration((0, 2))).solvable
-    assert not solvable_within(k2, Configuration((0, 2)), 0, 0)
+    assert not within(k2, Configuration((0, 2)), 0, 0)
     assert is_solvable(k2, Configuration((0, 2)), unit).solvable
     # a state proved unsolvable stays failed under every bound
     jr = build_J_r(petersen, 0)
@@ -309,7 +313,7 @@ def test_bounded_and_unbounded_calls_share_solvers_soundly():
         cfg = Configuration(c)
         moves = brute_min_moves(g, c, r)
         for cap in (2, 0, 1):
-            assert solvable_within(g, cfg, r, cap) == \
+            assert within(g, cfg, r, cap) == \
                 (moves is not None and moves <= cap)
             assert is_solvable(g, cfg, Distribution.stacked(g.n, r, 1)).solvable == \
                 (moves is not None)
