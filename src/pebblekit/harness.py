@@ -23,9 +23,9 @@ from .formulas import KneserParams, build_C_t1, build_C_t2, build_J_r, \
 from .graph import _decode_graph, Graph, graph_to_json, pair_orbits, \
     vertex_connectivity
 from .numbers import _ascending_blocks, _coerce_budget, _min_moves_upto3, \
-    _scan_chunk, _unrank_cols, BudgetExceededError, check_pi_t_equals, \
-    find_unsolvable_witness, num_configs, tree_dust_witness, \
-    two_path_lower_candidates, verify_target_conjecture
+    _scan_chunk, _uniform_ranks, _unrank_cols, BudgetExceededError, \
+    check_pi_t_equals, find_unsolvable_witness, num_configs, \
+    tree_dust_witness, two_path_lower_candidates, verify_target_conjecture
 from .version import VERSION
 
 __all__ = [
@@ -444,7 +444,7 @@ def _run_thm_3_5(params, budget, jobs, seed):
                 k = min(1 << 14, left)
                 left -= k
                 yield _unrank_cols(g.n, expected,
-                                   [rng.randrange(total) for _ in range(k)]).T
+                                   _uniform_ranks(rng, total, k)).T
 
         first, _, _ = _scan_chunk(g, [d], draws(), budget=budget)
         bad = _cfg_list(first[1]) if first is not None else None

@@ -7,13 +7,15 @@ order.
 
 Scan pipeline. One numpy kernel, _unrank_cols, maps an array of ranks to
 their configurations in the ascending order. thm-3.5's sampler feeds it
-random ranks. Scans read consecutive ranks from _ascending_blocks, which
-calls the kernel twice per scan, for a table of heads (the first counts)
-and a table of tails (the rest), and builds each block by repeating heads
-and gathering tails; sizes whose tables would outgrow one block feed the
-kernel every rank instead. Blocks are column-major (n, B), one contiguous
-column per vertex, so the prescreen adds whole vertex rows at a time. The
-dtype is int16 when the size m is below 2**15 and int64 otherwise: every
+random ranks, which _uniform_ranks reads in bulk from the seeded
+random.Random's own word stream: the same draws as randrange. Scans read
+consecutive ranks from _ascending_blocks, which calls the kernel twice
+per scan, for a table of heads (the first counts) and a table of tails
+(the rest), and builds each block by repeating heads and gathering tails;
+sizes whose tables would outgrow one block feed the kernel every rank
+instead. Blocks are column-major (n, B), one contiguous column per
+vertex, so the prescreen adds whole vertex rows at a time. The dtype is
+int16 when the size m is below 2**15 and int64 otherwise: every
 count is at most m, and delivery never creates pebbles. Ranks are int64,
 so the kernel refuses (n, m) with 2**63 or more configurations;
 unrank_config stays the arbitrary-precision scalar reference.
@@ -35,7 +37,7 @@ the rows the prescreen rejects to the engine. It takes any iterable of
 _scan_worker) over _ascending_blocks ranges; harness's size-13 Petersen
 pass over _ascending_blocks(10, 13), whose generator adds claim-B's cost
 classes to each block before yielding it; and harness's thm-3.5 sampler
-over batches of random ranks unranked by _unrank_cols.
+over batches of _uniform_ranks unranked by _unrank_cols.
 
 Budgets. Every scanned configuration is charged to the budget. A parallel
 scan splits the ranks into contiguous chunks, each bounded by the budget
@@ -178,16 +180,46 @@ def _unrank_cols(n: int, m: int, ranks) -> np.ndarray:
         raise ValueError(f"ranks out of range for ({n}, {m})")
     out = np.empty((n, rank.size), dtype=np.int16 if m < 1 << 15 else np.int64)
     rest = np.full(rank.size, m, dtype=np.int64)
+    # table[k] = C(k + p, p): p cumulative sums of ones give p = n - 1, and
+    # each slot steps p down by differences, C(k+p, p) - C(k-1+p, p) =
+    # C(k+p-1, p-1); no entry exceeds C(m+n-1, n-1) = total < 2**63
+    table = np.ones(m + 1, dtype=np.int64)
+    for _ in range(n - 1):
+        table = table.cumsum()
     for slot in range(n - 1):
-        p = n - 1 - slot
-        table = np.array([comb(k + p, p) for k in range(m + 1)], dtype=np.int64)
         top = table[rest]
         k = np.searchsorted(table, top - rank)
         out[slot] = rest - k
         rank -= top - table[k]
         rest = k
+        table = np.diff(table, prepend=0)
     out[n - 1] = rest
     return out
+
+
+def _uniform_ranks(rng, total: int, k: int) -> np.ndarray:
+    """[rng.randrange(total) for _ in range(k)] as an int64 array, leaving
+    the random.Random rng in the state that loop leaves it in.
+
+    randrange(total) repeats getrandbits(b), b = total.bit_length(), until
+    a try is below total. With b <= 32, that is total < 2**32, each try is
+    one 32-bit Mersenne Twister word shifted right by 32 - b, and
+    getrandbits(32 * w) returns w consecutive words, the first in the low
+    32 bits. So each round reads one try per rank still missing in one call
+    and keeps the tries below total in order; a round never reads past the
+    try that gives the k-th rank, so the word stream ends where the loop's
+    ends."""
+    if not 1 <= total < 1 << 32:
+        raise ValueError(f"uniform ranks need 1 <= total < 2**32, got {total}")
+    shift = 32 - total.bit_length()
+    kept = [np.empty(0, dtype=np.int64)]
+    need = k
+    while need > 0:
+        words = rng.getrandbits(32 * need).to_bytes(4 * need, "little")
+        tries = np.frombuffer(words, dtype="<u4").astype(np.int64) >> shift
+        kept.append(tries[tries < total])
+        need -= kept[-1].size
+    return np.concatenate(kept)
 
 
 def _tail_split(n: int, m: int) -> int:

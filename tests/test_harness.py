@@ -172,6 +172,46 @@ def test_thm_3_5_sampler_charges_whole_batches():
         assert report.configs_checked == spent
 
 
+def test_thm_3_5_samples_the_randrange_draws(monkeypatch):
+    """The sampler settles, in order and across the 16,384-rank batch
+    boundary, the configurations at the ranks that one
+    random.Random(seed).randrange call per sample draws."""
+    blocks = []
+    accept = numbers._FastFilter.accept
+
+    def recording(self, rows, cache=None):
+        blocks.append(rows.tolist())
+        return accept(self, rows, cache)
+
+    monkeypatch.setattr(numbers._FastFilter, "accept", recording)
+    seed, samples = 5, 20_000
+    report = run_campaign(CampaignConfig(
+        claim="thm-3.5", params={"m": 6, "samples": samples}, seed=seed))
+    assert report.verdict == "pass"
+    assert report.configs_checked == 1 + samples
+    assert [len(b) for b in blocks] == [16_384, samples - 16_384]
+    rng = random.Random(seed)
+    total = num_configs(15, 15)
+    assert [row for b in blocks for row in b] == [
+        list(unrank_config(15, 15, rng.randrange(total)).counts)
+        for _ in range(samples)]
+
+
+def test_thm_3_5_leaves_numpy_random_unimported():
+    """The sampler reads the seeded random.Random's words itself: importing
+    numpy.random would add about 5 MB to a sampling run's peak memory."""
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys\n"
+         "from pebblekit import cli\n"
+         "code = cli.main(['verify', 'thm-3.5', '--m', '6', "
+         "'--samples', '20000'])\n"
+         "print(code, 'numpy.random' in sys.modules)"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"
+
+
 def test_thm_3_5_reports_the_first_bad_sample(monkeypatch):
     """With a prescreen that rejects every row and an engine that finds
     every row unsolvable, the sampler stops at the first row drawn for the

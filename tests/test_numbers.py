@@ -48,6 +48,7 @@ from pebblekit.numbers import (
     _min_moves_upto3,
     _scan_chunk,
     _tail_split,
+    _uniform_ranks,
     _unrank_cols,
 )
 import pebblekit.numbers as numbers_mod
@@ -123,6 +124,48 @@ def test_unrank_cols_matches_unrank_config_at_every_rank():
         _unrank_cols(3, 2, [num_configs(3, 2)])
     with pytest.raises(ValueError):
         _unrank_cols(3, 2, [-1])
+
+
+def test_unrank_cols_tables_hold_at_wide_sizes():
+    """The kernel's binomial tables, built by cumulative sums and stepped
+    down by differences, agree with the scalar reference where entries
+    reach 2**55 (30, 30) and where a table is 2**15 long."""
+    rng = random.Random(31)
+    for n, m in ((1, 0), (1, 9), (4, 0), (15, 15), (20, 40), (30, 30),
+                 (2, 2 ** 15 + 5), (3, 2 ** 15 + 5)):
+        total = num_configs(n, m)
+        ranks = [0, total - 1, total // 2] + [rng.randrange(total)
+                                              for _ in range(40)]
+        got = _unrank_cols(n, m, ranks).T.tolist()
+        assert [tuple(r) for r in got] == [unrank_config(n, m, k).counts
+                                           for k in ranks]
+
+
+def test_uniform_ranks_are_the_randrange_draws():
+    """_uniform_ranks(rng, total, k) is [rng.randrange(total) for _ in
+    range(k)] and leaves rng where that loop leaves it, call after call:
+    at acceptance rates from just over 1/2 (2**31 + 1) to 1 (2**31), at
+    thm-3.5's C(29, 15) and at the largest one-word total."""
+    for total in (1, 2, 3, 1000, num_configs(15, 15), 2 ** 31, 2 ** 31 + 1,
+                  2 ** 32 - 1):
+        for seed in (0, 7):
+            bulk, scalar = random.Random(seed), random.Random(seed)
+            for k in (1, 7, 16_384, 0, 7):
+                got = _uniform_ranks(bulk, total, k)
+                assert got.dtype == np.int64
+                assert got.tolist() == [scalar.randrange(total)
+                                        for _ in range(k)]
+                assert bulk.getstate() == scalar.getstate()
+            assert bulk.random() == scalar.random()
+
+
+def test_uniform_ranks_refuse_totals_past_one_word():
+    rng = random.Random(3)
+    state = rng.getstate()
+    for total in (0, -1, 2 ** 32, 2 ** 32 + 1):
+        with pytest.raises(ValueError, match="1 <= total < 2\\*\\*32"):
+            _uniform_ranks(rng, total, 5)
+    assert rng.getstate() == state
 
 
 def test_ascending_block_slices_concatenate_to_the_full_order():
