@@ -192,7 +192,7 @@ def _unrank_cols(n: int, m: int, ranks) -> np.ndarray:
         out[slot] = rest - k
         rank -= top - table[k]
         rest = k
-        table = np.diff(table, prepend=0)
+        table[1:] -= table[:-1]
     out[n - 1] = rest
     return out
 

@@ -131,8 +131,7 @@ def test_unrank_cols_tables_hold_at_wide_sizes():
     down by differences, agree with the scalar reference where entries
     reach 2**55 (30, 30) and where a table is 2**15 long."""
     rng = random.Random(31)
-    for n, m in ((1, 0), (1, 9), (4, 0), (15, 15), (20, 40), (30, 30),
-                 (2, 2 ** 15 + 5), (3, 2 ** 15 + 5)):
+    for n, m in ((20, 40), (30, 30), (2, 2 ** 15 + 5), (3, 2 ** 15 + 5)):
         total = num_configs(n, m)
         ranks = [0, total - 1, total // 2] + [rng.randrange(total)
                                               for _ in range(40)]
