@@ -22,10 +22,11 @@ from .formulas import KneserParams, build_C_t1, build_C_t2, build_J_r, \
     kneser_p, spinal_pi, tree_pi, two_path_pi_t
 from .graph import _decode_graph, Graph, graph_to_json, pair_orbits, \
     vertex_connectivity
-from .numbers import _ascending_blocks, _coerce_budget, _min_moves_upto3, \
-    _scan_chunk, _uniform_ranks, _unrank_cols, BudgetExceededError, \
-    check_pi_t_equals, find_unsolvable_witness, num_configs, \
-    tree_dust_witness, two_path_lower_candidates, verify_target_conjecture
+from .numbers import _ascending_blocks, _check_jobs, _coerce_budget, \
+    _min_moves_upto3, _scan_chunk, _uniform_ranks, _unrank_cols, \
+    BudgetExceededError, check_pi_t_equals, find_unsolvable_witness, \
+    num_configs, tree_dust_witness, two_path_lower_candidates, \
+    verify_target_conjecture
 from .version import VERSION
 
 __all__ = [
@@ -640,6 +641,7 @@ def run_campaign(config: CampaignConfig) -> ExperimentReport:
         known = ", ".join(sorted(REGISTRY))
         raise HarnessError(f"unknown claim id {config.claim!r}; known: {known}")
     params = {**spec.defaults, **(config.params or {})}
+    _check_jobs(config.jobs)
     budget = _coerce_budget(config.budget)
     start = time.perf_counter()
     try:

@@ -23,13 +23,16 @@ unrank_config stays the arbitrary-precision scalar reference.
 Prescreen. _FastFilter accepts the rows it can prove solvable from
 pebbles moved along one BFS spanning tree per demand target (exact on
 trees): for each target, a route rule and a sink rule, the same two for
-every demand shape. It then looks one move ahead on the rows it rejects.
-Lemma: if c reaches c' in one legal move (c(u) >= 2, uv an edge,
-c' = c - 2e_u + e_v) and c' is D-solvable, then c is D-solvable.
-_one_move_children yields those children one directed edge at a time,
-and _min_moves_upto3 uses the same step to settle the exact 3-move
-class. Every rejected row goes to the exact engine as a plain count
-tuple, and every witness carries the engine's verdict.
+every demand shape. It then looks one move ahead on the rows it rejects,
+and two moves ahead on the rows that still fail. Lemma: if c reaches c'
+in one legal move (c(u) >= 2, uv an edge, c' = c - 2e_u + e_v) and c' is
+D-solvable, then c is D-solvable; applied twice, so is a row with a
+two-move descendant that the masks accept. _one_move_children yields the
+children one directed edge at a time, and _min_moves_upto3 uses the same
+step to settle the exact 3-move class. _flat_children builds the second
+level's children and grandchildren flat, at most _CHUNK columns at a
+time. Every rejected row goes to the exact engine as a plain count tuple,
+and every witness carries the engine's verdict.
 
 Settle loop. _scan_chunk is the one loop that prescreens a block and sends
 the rows the prescreen rejects to the engine. It takes any iterable of
@@ -80,6 +83,7 @@ __all__ = [
 
 DEFAULT_BUDGET = 10 ** 8
 _BLOCK = 1 << 16
+_CHUNK = _BLOCK >> 2  # second-level children per _masks call
 
 
 class BudgetExceededError(RuntimeError):
@@ -106,11 +110,22 @@ class _Budget:
 
 
 def _coerce_budget(budget) -> _Budget:
+    """A fresh _Budget for a cap given as an int, or read from
+    PEBBLEKIT_BUDGET (default DEFAULT_BUDGET) when None. A cap of 0 is
+    legal; a negative one is refused."""
     if isinstance(budget, _Budget):
         return budget
     if budget is None:
-        budget = int(os.environ.get("PEBBLEKIT_BUDGET", DEFAULT_BUDGET))
-    return _Budget(int(budget))
+        budget = os.environ.get("PEBBLEKIT_BUDGET", DEFAULT_BUDGET)
+    cap = int(budget)
+    if cap < 0:
+        raise ValueError(f"budget must be at least 0, got {cap}")
+    return _Budget(cap)
+
+
+def _check_jobs(jobs: int):
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
 
 
 @dataclass(frozen=True)
@@ -353,6 +368,36 @@ def _one_move_children(g: Graph, cols: np.ndarray, idx: np.ndarray):
             return
 
 
+def _flat_children(cols: np.ndarray, live: np.ndarray, arcs, limit: int):
+    """The one-move children of the live columns of an (n, k) column-major
+    block, built flat in chunks of at most limit columns: yields
+    (src, child), where column j of child is column src[j] of cols with the
+    move of one directed edge uv applied (c(u) >= 2, c - 2e_u + e_v). arcs
+    is a (2, A) array of every directed edge's tail and head, and each
+    chunk is one gather of the parent columns plus two scatters.
+
+    Parents are taken in steps of max(1, limit // A) columns, so a step's
+    arc test holds at most max(limit, A) cells, and its children are
+    sliced into chunks of at most limit. live is a boolean mask over the
+    columns, read again at each step: a caller clears a column once its
+    row is settled, and the steps after that build none of its
+    children."""
+    us, vs = arcs
+    if us.size == 0:
+        return
+    step = max(1, limit // us.size)
+    for s in range(0, cols.shape[1], step):
+        part = s + np.flatnonzero(live[s:s + step])
+        arc, j = np.nonzero(cols[us[:, None], part] >= 2)
+        for c in range(0, arc.size, limit):
+            a, src = arc[c:c + limit], part[j[c:c + limit]]
+            child = cols[:, src]
+            k = np.arange(src.size)
+            child[us[a], k] -= 2
+            child[vs[a], k] += 1
+            yield src, child
+
+
 class _FastFilter:
     """Sound fast-accept masks for one demand D: rows flagged True are
     provably D-solvable; the exact engine decides the rest. Each demand
@@ -372,6 +417,12 @@ class _FastFilter:
       - lookahead: some one-move child c - 2e_u + e_v, with c(u) >= 2 and
         uv an edge, is accepted by the rules above. If c reaches c' in one
         legal move and c' is D-solvable, so is c.
+      - second level: on the rows the lookahead rejects, some one-move
+        child of a one-move child is accepted by the rules above. By the
+        same lemma twice, c -> c' -> c'' with c'' D-solvable makes c
+        D-solvable. The grandchildren come in chunks of at most _CHUNK
+        columns, so no _masks call sees more than one block's rows, and a
+        row's chunks stop once one of them accepts it.
     With one target both rules are the stack mask, delivered(r) >= D(r);
     with two, route is deliver-and-route and sink covers the cut rule (the
     other target keeps everything), the pay rule (it keeps only its demand
@@ -386,6 +437,8 @@ class _FastFilter:
         self.targets = d.support
         self.demands = d.demands
         self.trees = {a: _delivery_tree(g, a) for a in self.targets}
+        arcs = [(u, v) for u in range(g.n) for v in g.adjacency[u]]
+        self.arcs = np.array(arcs, dtype=np.intp).reshape(-1, 2).T
         self.route = {}
         for a in self.targets:
             dist = g.distances(a)
@@ -393,7 +446,8 @@ class _FastFilter:
 
     def accept(self, rows: np.ndarray, cache: dict | None = None) -> np.ndarray:
         """Accept a (B, n) block's rows by the direct masks, then by the
-        lookahead on the rows they reject. The optional cache shares
+        one-move lookahead on the rows they reject, then by the second
+        level on the rows still rejected. The optional cache shares
         delivered columns for the same block across filters whose demands
         hit the same target; the children are other rows and never use
         it."""
@@ -403,6 +457,19 @@ class _FastFilter:
             hit = sel[self._masks(child.T)]
             solv[hit] = True
             todo[hit] = False
+        # second level: every child of these rows has failed the masks
+        left = np.flatnonzero(todo)
+        if left.size == 0:
+            return solv
+        live = np.ones(left.size, dtype=bool)
+        for src, kids in _flat_children(rows.T[:, left], live, self.arcs,
+                                        _CHUNK):
+            kid_live = np.ones(src.size, dtype=bool)
+            for sub, grand in _flat_children(kids, kid_live, self.arcs,
+                                             _CHUNK):
+                live[src[sub[self._masks(grand.T)]]] = False
+                kid_live &= live[src]
+        solv[left[~live]] = True
         return solv
 
     def _masks(self, rows: np.ndarray, cache: dict | None = None) -> np.ndarray:
@@ -582,6 +649,7 @@ def _scan(g: Graph, demands, size: int, *, mode: str = "unrestricted",
     started are cancelled. The chunks before it found nothing, so the
     first failure, the failures and the count checked are the serial
     scan's."""
+    _check_jobs(jobs)
     budget = _coerce_budget(budget)
     total = num_configs(g.n, size)
     # solvability is invariant under the automorphisms keeping every demand,

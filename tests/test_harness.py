@@ -102,6 +102,33 @@ def test_budget_exhaustion_yields_budget_verdict():
     assert report.configs_checked > 100
 
 
+def test_bad_jobs_and_budgets_are_usage_errors(tmp_path, capsys):
+    """jobs below 1 and negative budgets are usage errors (exit 2) in pi,
+    witness and verify, and ValueErrors for run_campaign, before any
+    configuration is checked. A budget of 0 is legal: the claim reports
+    the budget verdict."""
+    for jobs in (0, -3):
+        with pytest.raises(ValueError, match=f"jobs must be at least 1, got {jobs}"):
+            run_campaign(CampaignConfig(claim="lem-3.6", jobs=jobs))
+    with pytest.raises(ValueError, match="budget must be at least 0, got -5"):
+        run_campaign(CampaignConfig(claim="cor-3.10", budget=-5))
+    graph = tmp_path / "petersen.json"
+    graph.write_text(graph_to_json(kneser(5, 2)) + "\n")
+    scans = (["pi", "--graph", str(graph)],
+             ["witness", "--graph", str(graph), "--root", "0", "--size", "9"],
+             ["verify", "cor-3.10"])
+    for argv in scans:
+        for bad, msg in ((["--jobs", "0"], "jobs must be at least 1, got 0"),
+                         (["--jobs", "-3"], "jobs must be at least 1, got -3"),
+                         (["--budget", "-1"], "budget must be at least 0, got -1")):
+            assert cli.main([*argv, *bad]) == 2
+            captured = capsys.readouterr()
+            assert msg in captured.err and captured.out == ""
+    assert cli.main(["verify", "cor-3.10", "--budget", "0"]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"] == "budget" and report["configs_checked"] > 0
+
+
 def test_thm_3_5_needs_a_sample():
     for samples in (0, -5):
         with pytest.raises(HarnessError, match="at least one sample"):

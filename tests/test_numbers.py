@@ -45,6 +45,7 @@ from pebblekit.numbers import (
     _delivery_tree,
     _BLOCK,
     _FastFilter,
+    _flat_children,
     _min_moves_upto3,
     _scan_chunk,
     _tail_split,
@@ -332,46 +333,76 @@ def _demand_pool(n, rng):
     return pool
 
 
+def _within_moves(filt, rows, arcs, moves):
+    """Per row of a (B, n) block: whether at most `moves` legal moves reach
+    a configuration that filt's direct masks accept. Tries every directed
+    edge (u, v) of every row not yet accepted, one arc at a time, with no
+    use of the filter's own lookahead."""
+    ok = filt._masks(rows)
+    if moves:
+        for u, v in arcs:
+            todo = np.flatnonzero(~ok & (rows[:, u] >= 2))
+            if todo.size:
+                child = rows[todo]
+                child[:, u] -= 2
+                child[:, v] += 1
+                ok[todo[_within_moves(filt, child, arcs, moves - 1)]] = True
+    return ok
+
+
 def test_prescreen_accepts_only_solvable_rows():
     """Every row a _FastFilter accepts on column-major blocks must be
     solvable: by the memoized brute-force recursion for every accepted row,
     and by the brute-force closure as well for the rows that only the
-    one-move lookahead accepts. On three-target demands the route and sink
-    rules must accept rows whose targets do not already hold their
-    demands."""
+    lookahead accepts, counting apart those that no one-move child of the
+    direct masks covers, so only the second level accepts them. On
+    three-target demands the route and sink rules must accept rows whose
+    targets do not already hold their demands."""
     rng = random.Random(916)
-    accepted = lookahead_only = moved3 = 0
+    accepted = lookahead_only = second_only = moved3 = 0
     for trial in range(150):
         n = rng.randrange(2, 7)
         g = build_graph(n, random_connected_edges(n, rng.randrange(0, 3), rng))
         adj = neighbor_lists(n, g.edges)
+        arcs = [(u, v) for u in range(n) for v in adj[u]]
         demands = _demand_pool(n, rng) if n > 2 else \
             [Distribution.stacked(n, 0, t) for t in (1, 2)]
         filters = [_FastFilter(g, d) for d in demands]
         # the brute verdicts of this trial, per demand and configuration
         verdicts = {d.demands: {} for d in demands}
         size = rng.randrange(2, 9)
+        every = np.concatenate(list(_ascending_blocks(n, size)))
+        one_move = {filt.d.demands: _within_moves(filt, every, arcs, 1)
+                    for filt in filters}
         cache: dict = {}
+        start = 0
         for rows in _ascending_blocks(n, size, block=rng.randrange(5, 50)):
             assert rows.T.flags.c_contiguous
+            stop = start + rows.shape[0]
             for filt in filters:
                 d = filt.d.demands
                 mask = filt.accept(rows, cache)
                 direct = filt._masks(rows, cache)
+                one = one_move[d][start:stop]
                 assert not (direct & ~mask).any()
+                assert not (one & ~mask).any()
                 for row in rows[mask].tolist():
                     accepted += 1
                     assert brute_solvable_memo(adj, row, d, verdicts[d]), \
                         (g.edges, row, d)
-                for row in rows[mask & ~direct].tolist():
+                for row, first in zip(rows[mask & ~direct].tolist(),
+                                      one[mask & ~direct]):
                     lookahead_only += 1
+                    second_only += not first
                     assert brute_solvable(g, tuple(row), d), (g.edges, row, d)
                 if len(filt.targets) == 3:
                     in_place = np.all(rows >= np.array(d), axis=1)
                     moved3 += int(np.count_nonzero(direct & ~in_place))
             cache.clear()
+            start = stop
     assert accepted > 10_000
     assert lookahead_only > 1_000
+    assert second_only > 300
     assert moved3 > 1_000
 
 
@@ -446,26 +477,102 @@ def test_min_moves_upto3_on_size13_petersen_rows(petersen):
 
 def test_size13_petersen_prescreen_strength(petersen):
     """The three demand filters of the size-13 Petersen pass leave exactly
-    6, 336 and 2,328 of the 497,420 rows to the exact engine, and every
-    row needs at most 3 moves to the root. These counts are fixed by the
-    prescreen's implementation, not by the claims: the direct masks alone
-    leave 3,329, 2,712 and 66,806, so a lookahead that is silently off
-    shows here while every correctness test still passes."""
+    0, 0 and 336 of the 497,420 rows to the exact engine, and every row
+    needs at most 3 moves to the root. These counts are fixed by the
+    prescreen's implementation, not by the claims. The test works out each
+    level itself, arc by arc, and pins it: the direct masks alone leave
+    3,329, 2,712 and 66,806, one move ahead 6, 336 and 2,328, and two
+    moves ahead 0, 0 and 336, which accept must equal row for row. So a
+    lookahead level that is silently off shows here while every
+    correctness test still passes."""
     g = petersen
+    arcs = [(u, v) for u in range(10) for v in g.adjacency[u]]
     demands = [Distribution(tuple(v))
                for v in _petersen_size13_scan()["demand_vectors"]]
     filters = [_FastFilter(g, d) for d in demands]
-    rejected = [0, 0, 0]
+    rejected = np.zeros((3, 3), dtype=np.int64)  # [moves][demand]
     unsettled = rows_seen = 0
     for rows in _ascending_blocks(10, 13):
         rows_seen += rows.shape[0]
         cache: dict = {}
         for di, filt in enumerate(filters):
-            rejected[di] += int(np.count_nonzero(~filt.accept(rows, cache)))
+            got = filt.accept(rows, cache)
+            for moves in range(3):
+                ok = _within_moves(filt, rows, arcs, moves)
+                rejected[moves, di] += int(np.count_nonzero(~ok))
+            assert np.array_equal(got, ok)
         unsettled += int(np.count_nonzero(_min_moves_upto3(g, rows, 0) < 0))
     assert rows_seen == num_configs(10, 13) == 497_420
-    assert rejected == [6, 336, 2_328]
+    assert rejected.tolist() == [[3_329, 2_712, 66_806], [6, 336, 2_328],
+                                 [0, 0, 336]]
     assert unsettled == 0
+
+
+def test_flat_children_are_every_legal_move_in_bounded_chunks():
+    """_flat_children yields each live column's one-move children exactly
+    once, whatever the chunk limit, including limits below the number of
+    arcs; every chunk has at most limit columns; and a column cleared from
+    live between chunks gets no further children."""
+    rng = random.Random(919)
+    moves = 0
+    for trial in range(40):
+        n = rng.randrange(1, 7)
+        g = build_graph(n, random_connected_edges(n, rng.randrange(0, 4), rng))
+        adj = neighbor_lists(n, g.edges)
+        arcs = _FastFilter(g, Distribution.stacked(n, 0, 1)).arcs
+        rows = [random_config(n, rng.randrange(0, 12), rng) for _ in range(30)]
+        cols = np.array(rows, dtype=np.int16).reshape(-1, n).T.copy()
+        want = []
+        for i, row in enumerate(rows):
+            for u in range(n):
+                for v in adj[u] if row[u] >= 2 else ():
+                    child = list(row)
+                    child[u] -= 2
+                    child[v] += 1
+                    want.append((i, tuple(child)))
+        moves += len(want)
+        for limit in (1, 3, 7, 1000):
+            step = max(1, limit // max(1, arcs.shape[1]))
+            live = np.ones(len(rows), dtype=bool)
+            live[::5] = False
+            got = []
+            for src, child in _flat_children(cols, live, arcs, limit):
+                assert 0 < src.size <= limit and child.shape == (n, src.size)
+                assert live[src].all()
+                got += zip(src.tolist(), map(tuple, child.T.tolist()))
+            assert sorted(got) == sorted((i, c) for i, c in want if i % 5)
+            # clearing every column after the first chunk leaves only the
+            # rest of that chunk's step
+            live = np.ones(len(rows), dtype=bool)
+            steps = set()
+            for src, child in _flat_children(cols, live, arcs, limit):
+                steps.update((src // step).tolist())
+                live[:] = False
+            assert len(steps) <= 1
+    assert moves > 2_000
+
+
+def test_lookahead_chunks_stay_within_a_block(monkeypatch):
+    """On blocks whose rows the direct masks and the one-move lookahead
+    mostly reject, a path scanned far below its pebbling number, the
+    second level builds many more grandchildren than a block holds, yet
+    no _masks call inside accept sees more than _BLOCK rows."""
+    seen = []
+    masks = _FastFilter._masks
+
+    def spied(self, rows, cache=None):
+        seen.append(rows.shape[0])
+        return masks(self, rows, cache)
+
+    monkeypatch.setattr(_FastFilter, "_masks", spied)
+    n = 8
+    g = path_graph(n)
+    rows = next(_ascending_blocks(n, 20))
+    mask = _FastFilter(g, Distribution.stacked(n, 0, 2)).accept(rows)
+    assert seen[0] == rows.shape[0] == _BLOCK
+    assert np.count_nonzero(mask) < _BLOCK // 2
+    assert max(seen) <= _BLOCK
+    assert sum(seen[1:]) > 8 * _BLOCK
 
 
 def test_scan_chunk_settles_blocks_as_brute_force(monkeypatch):
@@ -780,11 +887,12 @@ def test_verify_target_conjecture_with_expected_value():
 
 def test_three_target_check_engine_calls_are_pinned(monkeypatch):
     """Every size-3 demand on the 2-path with one 2-vertex fan (n = 5,
-    d = 2) at pi_3 = 13. The route and sink rules run for three-target
-    demands too, so the check makes 71 engine calls: 70 rows the
-    prescreen rejects, all solvable, and the one constructed lower
-    witness. With only the in-place test on three-target demands it made
-    3,521. The count is fixed by the prescreen, not by the claim."""
+    d = 2) at pi_3 = 13. The route and sink rules and both lookahead
+    levels run for three-target demands too, so the check makes 13 engine
+    calls: 12 rows the prescreen rejects, all solvable, and the one
+    constructed lower witness. With the one-move lookahead alone it made
+    71, and with only the in-place test on three-target demands 3,521. The
+    count is fixed by the prescreen, not by the claim."""
     verdicts = []
 
     def counted(*args):
@@ -798,7 +906,7 @@ def test_three_target_check_engine_calls_are_pinned(monkeypatch):
                                       expected_pi=two_path_pi_t(5, 2, 3))
     assert report["pass"] and report["pi_t"] == 13
     assert report["demand_count"] == comb(7, 3)
-    assert len(verdicts) == 71
+    assert len(verdicts) == 13
     assert verdicts.count(False) == 1
 
 
@@ -851,6 +959,31 @@ def test_budget_environment_default(petersen, monkeypatch):
     with pytest.raises(BudgetExceededError) as info:
         pi_D(petersen, Distribution.stacked(10, 0, 1))
     assert info.value.cap == 50
+
+
+def test_bad_jobs_and_budgets_are_refused(petersen, monkeypatch):
+    """jobs below 1 and negative budgets are refused before any scan, from
+    an argument or from PEBBLEKIT_BUDGET; a budget of 0 is a cap that the
+    first configuration checked exceeds."""
+    d = Distribution.stacked(10, 0, 1)
+    for jobs in (0, -3):
+        with pytest.raises(ValueError, match=f"jobs must be at least 1, got {jobs}"):
+            find_unsolvable_witness(petersen, d, 9, jobs=jobs)
+        with pytest.raises(ValueError, match="jobs must be at least 1"):
+            pi_t(petersen, 1, roots=0, jobs=jobs)
+    with pytest.raises(ValueError, match="budget must be at least 0, got -1"):
+        find_unsolvable_witness(petersen, d, 9, budget=-1)
+    with pytest.raises(ValueError, match="budget must be at least 0, got -5"):
+        pi_D(petersen, d, budget=-5)
+    with pytest.raises(BudgetExceededError) as info:
+        find_unsolvable_witness(petersen, d, 9, budget=0)
+    assert info.value.cap == 0
+    monkeypatch.setenv("PEBBLEKIT_BUDGET", "-1")
+    with pytest.raises(ValueError, match="budget must be at least 0, got -1"):
+        pi_D(petersen, d)
+    monkeypatch.setenv("PEBBLEKIT_BUDGET", "0")
+    with pytest.raises(BudgetExceededError):
+        pi_D(petersen, d)
 
 
 def test_rooted_tree_rejects_non_trees():
