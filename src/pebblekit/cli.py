@@ -297,10 +297,10 @@ def _cmd_formula(args) -> int:
 
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--budget", type=int, default=None,
-                   help="cap on configurations checked (default from "
-                        "PEBBLEKIT_BUDGET or 10^8)")
+                   help="cap on configurations checked, at least 0 "
+                        "(default from PEBBLEKIT_BUDGET or 10^8)")
     p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes for exhaustive scans")
+                   help="worker processes for exhaustive scans, at least 1")
     p.add_argument("--seed", type=int, default=0, help="base random seed")
     p.add_argument("--out", default=None, help="also write the result here")
 

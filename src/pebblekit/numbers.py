@@ -968,6 +968,7 @@ def verify_target_conjecture(g: Graph, t: int = 1, demand_classes=None, *,
     """
     if t < 1:
         raise PebblingError("t must be at least 1")
+    _check_jobs(jobs)
     budget = _coerce_budget(budget)
     root_list = _root_list(g, roots)
     if demand_classes is None:

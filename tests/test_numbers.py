@@ -511,8 +511,9 @@ def test_size13_petersen_prescreen_strength(petersen):
 def test_flat_children_are_every_legal_move_in_bounded_chunks():
     """_flat_children yields each live column's one-move children exactly
     once, whatever the chunk limit, including limits below the number of
-    arcs; every chunk has at most limit columns; and a column cleared from
-    live between chunks gets no further children."""
+    arcs; every chunk has at most limit columns; and once every column is
+    cleared from live, only the rest of the current step of parents
+    comes."""
     rng = random.Random(919)
     moves = 0
     for trial in range(40):
@@ -541,8 +542,6 @@ def test_flat_children_are_every_legal_move_in_bounded_chunks():
                 assert live[src].all()
                 got += zip(src.tolist(), map(tuple, child.T.tolist()))
             assert sorted(got) == sorted((i, c) for i, c in want if i % 5)
-            # clearing every column after the first chunk leaves only the
-            # rest of that chunk's step
             live = np.ones(len(rows), dtype=bool)
             steps = set()
             for src, child in _flat_children(cols, live, arcs, limit):
@@ -971,6 +970,11 @@ def test_bad_jobs_and_budgets_are_refused(petersen, monkeypatch):
             find_unsolvable_witness(petersen, d, 9, jobs=jobs)
         with pytest.raises(ValueError, match="jobs must be at least 1"):
             pi_t(petersen, 1, roots=0, jobs=jobs)
+    # the lower-witness candidates are checked before the scan, so the
+    # refusal comes first
+    with pytest.raises(ValueError, match="jobs must be at least 1"):
+        verify_target_conjecture(petersen, 2, expected_pi=13, jobs=0,
+                                 budget=0)
     with pytest.raises(ValueError, match="budget must be at least 0, got -1"):
         find_unsolvable_witness(petersen, d, 9, budget=-1)
     with pytest.raises(ValueError, match="budget must be at least 0, got -5"):
