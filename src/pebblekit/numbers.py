@@ -374,7 +374,10 @@ def _flat_children(cols: np.ndarray, live: np.ndarray, arcs, limit: int):
     (src, child), where column j of child is column src[j] of cols with the
     move of one directed edge uv applied (c(u) >= 2, c - 2e_u + e_v). arcs
     is a (2, A) array of every directed edge's tail and head, and each
-    chunk is one gather of the parent columns plus two scatters.
+    chunk is one gather of the parent columns plus two scatters. The
+    second lookahead level uses it: a chunk of children costs a fixed few
+    numpy calls whatever the number of edges, where _one_move_children
+    costs a few per directed edge.
 
     Parents are taken in steps of max(1, limit // A) columns, so a step's
     arc test holds at most max(limit, A) cells, and its children are
