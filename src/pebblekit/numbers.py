@@ -27,12 +27,18 @@ every demand shape. It then looks one move ahead on the rows it rejects,
 and two moves ahead on the rows that still fail. Lemma: if c reaches c'
 in one legal move (c(u) >= 2, uv an edge, c' = c - 2e_u + e_v) and c' is
 D-solvable, then c is D-solvable; applied twice, so is a row with a
-two-move descendant that the masks accept. _one_move_children yields the
-children one directed edge at a time, and _min_moves_upto3 uses the same
-step to settle the exact 3-move class. _flat_children builds the second
-level's children and grandchildren flat, at most _CHUNK columns at a
-time. Every rejected row goes to the exact engine as a plain count tuple,
-and every witness carries the engine's verdict.
+two-move descendant that the masks accept. No move raises a row's weight
+w_a(c) = sum_x c(x) 2^-dist(a, x) towards a target a, so a row with
+w_a(c) < w_a(D) at some target is unsolvable, and neither level looks at
+it or at its children. accept runs the masks and the first level;
+pending runs the second on doubling batches of the rows accept rejects,
+as the settle loop draws them, so a scan that stops at its first witness
+pays for it only up to that row's batch. _flat_children builds the
+one-move children of a block flat, at most _CHUNK columns at a time, from
+the (2, A) table of directed edges; both levels use it, and so does
+_min_moves_upto3 to settle the exact 3-move class. Every row left goes to
+the exact engine as a plain count tuple, and every witness carries the
+engine's verdict.
 
 Settle loop. _scan_chunk is the one loop that prescreens a block and sends
 the rows the prescreen rejects to the engine. It takes any iterable of
@@ -83,7 +89,8 @@ __all__ = [
 
 DEFAULT_BUDGET = 10 ** 8
 _BLOCK = 1 << 16
-_CHUNK = _BLOCK >> 2  # second-level children per _masks call
+_CHUNK = _BLOCK >> 2  # lookahead children per _masks call
+_FIRST = 64  # rows in the second level's first batch
 
 
 class BudgetExceededError(RuntimeError):
@@ -342,63 +349,65 @@ def _deliver(cols: np.ndarray, order, par, target: int) -> np.ndarray:
     return a[target].copy()
 
 
-def _one_move_children(g: Graph, cols: np.ndarray, idx: np.ndarray):
-    """The one-move children of the rows of an (n, B) column-major block
-    that idx marks, one directed edge uv at a time: yields (sel, child),
-    where sel lists the marked columns with c(u) >= 2 and child is an
-    (n, len(sel)) copy of them with the move applied (c - 2e_u + e_v).
-
-    idx is a boolean mask over the block's columns and is the work list: a
-    caller clears a column once that row is settled, and the edges after
-    that skip it. Counts stay within the configuration size, so the dtype
-    cannot overflow."""
-    todo = np.flatnonzero(idx)
-    for u in range(g.n):
-        src = todo[cols[u, todo] >= 2]
-        for v in g.adjacency[u]:
-            src = src[idx[src]]
-            if src.size == 0:
-                break
-            child = cols[:, src]
-            child[u] -= 2
-            child[v] += 1
-            yield src, child
-        todo = todo[idx[todo]]
-        if todo.size == 0:
-            return
+def _arc_table(g: Graph) -> np.ndarray:
+    """Every directed edge uv of g as a (2, A) array of tails and heads."""
+    arcs = [(u, v) for u in range(g.n) for v in g.adjacency[u]]
+    return np.array(arcs, dtype=np.intp).reshape(-1, 2).T
 
 
 def _flat_children(cols: np.ndarray, live: np.ndarray, arcs, limit: int):
     """The one-move children of the live columns of an (n, k) column-major
-    block, built flat in chunks of at most limit columns: yields
-    (src, child), where column j of child is column src[j] of cols with the
-    move of one directed edge uv applied (c(u) >= 2, c - 2e_u + e_v). arcs
-    is a (2, A) array of every directed edge's tail and head, and each
-    chunk is one gather of the parent columns plus two scatters. The
-    second lookahead level uses it: a chunk of children costs a fixed few
-    numpy calls whatever the number of edges, where _one_move_children
-    costs a few per directed edge.
+    block, in chunks of at most limit columns: yields (src, child), where
+    column j of child is column src[j] of cols with the move of one
+    directed edge uv applied (c(u) >= 2, c - 2e_u + e_v). arcs is
+    _arc_table's (2, A) array. Counts stay within the configuration size,
+    so the dtype cannot overflow.
 
-    Parents are taken in steps of max(1, limit // A) columns, so a step's
-    arc test holds at most max(limit, A) cells, and its children are
-    sliced into chunks of at most limit. live is a boolean mask over the
-    columns, read again at each step: a caller clears a column once its
-    row is settled, and the steps after that build none of its
-    children."""
+    The arcs are taken in order, and each one's live columns with c(u) >= 2
+    are gathered until more than limit // 8 children are waiting; these are
+    then built, one gather of the parent columns and one of the moves per
+    chunk. So arcs with few children share a chunk, an arc with many fills
+    several, and a caller that settles rows between chunks (the
+    lookahead) sees few children of a settled row. live is a boolean mask
+    over the columns and is the work list, read again after each chunk: a
+    caller clears a column once its row is settled, and no later chunk
+    holds a child of it."""
     us, vs = arcs
-    if us.size == 0:
-        return
-    step = max(1, limit // us.size)
-    for s in range(0, cols.shape[1], step):
-        part = s + np.flatnonzero(live[s:s + step])
-        arc, j = np.nonzero(cols[us[:, None], part] >= 2)
-        for c in range(0, arc.size, limit):
-            a, src = arc[c:c + limit], part[j[c:c + limit]]
-            child = cols[:, src]
-            k = np.arange(src.size)
-            child[us[a], k] -= 2
-            child[vs[a], k] += 1
-            yield src, child
+    delta = np.zeros((cols.shape[0], us.size), dtype=cols.dtype)
+    delta[us, np.arange(us.size)] -= 2
+    delta[vs, np.arange(us.size)] += 1
+
+    def chunks(srcs, ids):
+        src = np.concatenate(srcs)
+        arc = np.repeat(ids, [x.size for x in srcs])
+        for c in range(0, src.size, limit):
+            s, a = src[c:c + limit], arc[c:c + limit]
+            keep = live[s]
+            if keep.any():
+                s = s[keep]
+                child = cols.take(s, axis=1)
+                child += delta.take(a[keep], axis=1)
+                yield s, child
+
+    todo = np.flatnonzero(live)
+    srcs, ids, waiting = [], [], 0
+    for a in range(us.size):
+        if a == 0 or us[a] != us[a - 1]:
+            todo = todo[live[todo]]
+            if todo.size == 0:
+                break
+            rich = todo[cols[us[a], todo] >= 2]
+        elif not srcs:
+            rich = rich[live[rich]]
+        if rich.size:
+            srcs.append(rich)
+            ids.append(a)
+            waiting += rich.size
+        if waiting > limit // 8:
+            yield from chunks(srcs, ids)
+            srcs, ids, waiting = [], [], 0
+    if srcs:
+        yield from chunks(srcs, ids)
 
 
 class _FastFilter:
@@ -417,15 +426,26 @@ class _FastFilter:
         target then holds its demand. Each flush is floor(e/2) moves from a
         vertex holding e spare pebbles to its tree parent, made after its
         subtree has flushed, so the flushes are legal moves in order.
+      - weight: no row lighter than D at some target a goes on to the
+        lookahead. Writing w_a(c) = sum_x c(x) 2^-dist(a,x), a move from u
+        to v removes 2^(1-dist(a,u)) and adds 2^-dist(a,v), no more since
+        dist(a,v) >= dist(a,u) - 1, so no move raises w_a, and a
+        configuration meeting D has w_a >= w_a(D). A row below w_a(D) is
+        unsolvable, and so is each of its descendants; the engine confirms
+        it. The weights are float64, so rounding on huge counts can only
+        change which rows the lookahead tries, never what it accepts.
       - lookahead: some one-move child c - 2e_u + e_v, with c(u) >= 2 and
         uv an edge, is accepted by the rules above. If c reaches c' in one
         legal move and c' is D-solvable, so is c.
-      - second level: on the rows the lookahead rejects, some one-move
+      - second level (pending): on the rows accept leaves, some one-move
         child of a one-move child is accepted by the rules above. By the
         same lemma twice, c -> c' -> c'' with c'' D-solvable makes c
-        D-solvable. The grandchildren come in chunks of at most _CHUNK
-        columns, so no _masks call sees more than one block's rows, and a
-        row's chunks stop once one of them accepts it.
+        D-solvable. Children below the weight bound build no grandchildren.
+        It runs lazily, on doubling batches of accept's rejects, as the
+        settle loop draws the rows left to the engine.
+    The children and grandchildren come in chunks of at most _CHUNK
+    columns, so no _masks call sees more than one block's rows, and a row's
+    chunks stop once one of them accepts it.
     With one target both rules are the stack mask, delivered(r) >= D(r);
     with two, route is deliver-and-route and sink covers the cut rule (the
     other target keeps everything), the pay rule (it keeps only its demand
@@ -440,40 +460,69 @@ class _FastFilter:
         self.targets = d.support
         self.demands = d.demands
         self.trees = {a: _delivery_tree(g, a) for a in self.targets}
-        arcs = [(u, v) for u in range(g.n) for v in g.adjacency[u]]
-        self.arcs = np.array(arcs, dtype=np.intp).reshape(-1, 2).T
+        self.arcs = _arc_table(g)
         self.route = {}
+        self.weight = []
         for a in self.targets:
             dist = g.distances(a)
             self.route[a] = sum(d[x] << dist[x] for x in self.targets)
+            w = np.ldexp(1.0, -np.array(dist))
+            self.weight.append((w, float(np.dot(self.demands, w))))
 
     def accept(self, rows: np.ndarray, cache: dict | None = None) -> np.ndarray:
         """Accept a (B, n) block's rows by the direct masks, then by the
-        one-move lookahead on the rows they reject, then by the second
-        level on the rows still rejected. The optional cache shares
-        delivered columns for the same block across filters whose demands
-        hit the same target; the children are other rows and never use
-        it."""
+        one-move lookahead on the rows they reject that meet the weight
+        bound. The optional cache shares delivered columns for the same
+        block across filters whose demands hit the same target; the
+        children are other rows and never use it."""
         solv = self._masks(rows, cache)
         todo = ~solv
-        for sel, child in _one_move_children(self.g, rows.T, todo):
-            hit = sel[self._masks(child.T)]
+        left = np.flatnonzero(todo)
+        todo[left] = self._heavy(rows[left])
+        for src, child in _flat_children(rows.T, todo, self.arcs, _CHUNK):
+            hit = src[self._masks(child.T)]
             solv[hit] = True
             todo[hit] = False
-        # second level: every child of these rows has failed the masks
-        left = np.flatnonzero(todo)
-        if left.size == 0:
-            return solv
-        live = np.ones(left.size, dtype=bool)
-        for src, kids in _flat_children(rows.T[:, left], live, self.arcs,
-                                        _CHUNK):
-            kid_live = np.ones(src.size, dtype=bool)
+        return solv
+
+    def pending(self, rows: np.ndarray, cache: dict | None = None):
+        """Yield, in ascending order, the indices of the rows of a (B, n)
+        block that neither accept nor the second level accepts: the rows
+        left to the exact engine. The second level runs as the indices are
+        drawn, on batches of accept's rejects that start at _FIRST rows and
+        double, so a caller that stops at its first failure pays it only
+        for the rows up to that failure's batch."""
+        left = np.flatnonzero(~self.accept(rows, cache))
+        s, k = 0, _FIRST
+        while s < left.size:
+            part = left[s:s + k]
+            yield from part[~self._two_moves(rows, part)].tolist()
+            s, k = s + k, 2 * k
+
+    def _two_moves(self, rows: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        """The second level on the rows idx lists, all of which accept
+        rejects: True where some one-move child of a one-move child passes
+        the direct masks. Rows and children below the weight bound build no
+        children."""
+        heavy = np.flatnonzero(self._heavy(rows[idx]))
+        live = np.ones(heavy.size, dtype=bool)
+        for src, kids in _flat_children(rows.T[:, idx[heavy]], live,
+                                        self.arcs, _CHUNK):
+            kid_live = self._heavy(kids.T)
             for sub, grand in _flat_children(kids, kid_live, self.arcs,
                                              _CHUNK):
                 live[src[sub[self._masks(grand.T)]]] = False
                 kid_live &= live[src]
-        solv[left[~live]] = True
+        solv = np.zeros(idx.size, dtype=bool)
+        solv[heavy[~live]] = True
         return solv
+
+    def _heavy(self, rows: np.ndarray) -> np.ndarray:
+        """Rows whose weight towards every target a is at least w_a(D)."""
+        ok = np.ones(rows.shape[0], dtype=bool)
+        for w, need in self.weight:
+            ok &= rows @ w >= need
+        return ok
 
     def _masks(self, rows: np.ndarray, cache: dict | None = None) -> np.ndarray:
         if cache is None:
@@ -553,8 +602,8 @@ def _min_moves_upto3(g: Graph, rows: np.ndarray, r: int) -> np.ndarray:
 
     moves = upto2(rows)
     todo = moves < 0
-    for sel, child in _one_move_children(g, rows.T, todo):
-        hit = sel[upto2(child.T) >= 0]
+    for src, child in _flat_children(rows.T, todo, _arc_table(g), _CHUNK):
+        hit = src[upto2(child.T) >= 0]
         moves[hit] = 3
         todo[hit] = False
     return moves
@@ -586,8 +635,8 @@ def _scan_chunk(g: Graph, demands, blocks, *, mode: str = "unrestricted",
     blocks yields against every demand: keeps the orbit minima under perms,
     charges the kept rows to budget, prescreens them with one _FastFilter
     per demand (unrestricted mode only; in a restricted mode every row goes
-    to the engine), and sends each rejected row to the exact engine as a
-    plain count tuple.
+    to the engine), and sends each row the filter's pending yields to the
+    exact engine as a plain count tuple.
 
     A failure is a (demand_index, Configuration) pair the engine confirmed
     unsolvable. Returns (first_failure, failures, checked): the first
@@ -609,7 +658,7 @@ def _scan_chunk(g: Graph, demands, blocks, *, mode: str = "unrestricted",
         cache: dict = {}
         for di, d in enumerate(demands):
             if use_filters:
-                pending = np.flatnonzero(~filters[di].accept(rows, cache))
+                pending = filters[di].pending(rows, cache)
             else:
                 pending = range(rows.shape[0])
             for i in pending:

@@ -10,7 +10,6 @@ import subprocess
 import sys
 from types import SimpleNamespace
 
-import numpy as np
 import pytest
 
 from pebblekit import (
@@ -243,9 +242,9 @@ def test_thm_3_5_reports_the_first_bad_sample(monkeypatch):
     """With a prescreen that rejects every row and an engine that finds
     every row unsolvable, the sampler stops at the first row drawn for the
     seed and reports it."""
-    monkeypatch.setattr(numbers._FastFilter, "accept",
+    monkeypatch.setattr(numbers._FastFilter, "pending",
                         lambda self, rows, cache=None:
-                        np.zeros(rows.shape[0], dtype=bool))
+                        iter(range(rows.shape[0])))
     monkeypatch.setattr(numbers, "is_solvable",
                         lambda *args: SimpleNamespace(solvable=False))
     seed = 11

@@ -334,32 +334,47 @@ def _demand_pool(n, rng):
 
 
 def _within_moves(filt, rows, arcs, moves):
-    """Per row of a (B, n) block: whether at most `moves` legal moves reach
-    a configuration that filt's direct masks accept. Tries every directed
-    edge (u, v) of every row not yet accepted, one arc at a time, with no
-    use of the filter's own lookahead."""
-    ok = filt._masks(rows)
+    """Per row of a (B, n) block, for k = 0..moves: whether at most k legal
+    moves reach a configuration that filt's direct masks accept, as a list
+    of masks indexed by k. Tries every directed edge (u, v) of every row
+    that no single move settles, one arc at a time, with no use of the
+    filter's own lookahead or weight bound."""
+    levels = [filt._masks(rows)]
+    levels += [levels[0].copy() for _ in range(moves)]
     if moves:
         for u, v in arcs:
-            todo = np.flatnonzero(~ok & (rows[:, u] >= 2))
+            todo = np.flatnonzero(~levels[1] & (rows[:, u] >= 2))
             if todo.size:
                 child = rows[todo]
                 child[:, u] -= 2
                 child[:, v] += 1
-                ok[todo[_within_moves(filt, child, arcs, moves - 1)]] = True
-    return ok
+                sub = _within_moves(filt, child, arcs, moves - 1)
+                for k in range(1, moves + 1):
+                    levels[k][todo[sub[k - 1]]] = True
+    return levels
+
+
+def _prescreen(filt, rows, cache=None):
+    """The whole prescreen as the settle loop sees it: True on the rows
+    that pending does not leave to the engine."""
+    mask = np.ones(rows.shape[0], dtype=bool)
+    mask[list(filt.pending(rows, cache))] = False
+    return mask
 
 
 def test_prescreen_accepts_only_solvable_rows():
-    """Every row a _FastFilter accepts on column-major blocks must be
-    solvable: by the memoized brute-force recursion for every accepted row,
-    and by the brute-force closure as well for the rows that only the
-    lookahead accepts, counting apart those that no one-move child of the
-    direct masks covers, so only the second level accepts them. On
+    """Every row the prescreen (accept, then pending's second level)
+    accepts on column-major blocks must be solvable: by the memoized
+    brute-force recursion for every accepted row, and by the brute-force
+    closure as well for the rows that only the lookahead accepts, counting
+    apart those that no one-move child of the direct masks covers, so only
+    the second level accepts them. accept is exactly the one-move closure
+    of the direct masks, so the weight bound drops no row a move would
+    settle, and every row below the weight bound is unsolvable. On
     three-target demands the route and sink rules must accept rows whose
     targets do not already hold their demands."""
     rng = random.Random(916)
-    accepted = lookahead_only = second_only = moved3 = 0
+    accepted = lookahead_only = second_only = moved3 = light = 0
     for trial in range(150):
         n = rng.randrange(2, 7)
         g = build_graph(n, random_connected_edges(n, rng.randrange(0, 3), rng))
@@ -372,7 +387,7 @@ def test_prescreen_accepts_only_solvable_rows():
         verdicts = {d.demands: {} for d in demands}
         size = rng.randrange(2, 9)
         every = np.concatenate(list(_ascending_blocks(n, size)))
-        one_move = {filt.d.demands: _within_moves(filt, every, arcs, 1)
+        one_move = {filt.d.demands: _within_moves(filt, every, arcs, 1)[1]
                     for filt in filters}
         cache: dict = {}
         start = 0
@@ -381,11 +396,14 @@ def test_prescreen_accepts_only_solvable_rows():
             stop = start + rows.shape[0]
             for filt in filters:
                 d = filt.d.demands
-                mask = filt.accept(rows, cache)
+                shallow = filt.accept(rows, cache)
+                mask = _prescreen(filt, rows, cache)
                 direct = filt._masks(rows, cache)
                 one = one_move[d][start:stop]
                 assert not (direct & ~mask).any()
                 assert not (one & ~mask).any()
+                assert np.array_equal(shallow, one)
+                assert not (shallow & ~mask).any()
                 for row in rows[mask].tolist():
                     accepted += 1
                     assert brute_solvable_memo(adj, row, d, verdicts[d]), \
@@ -395,6 +413,10 @@ def test_prescreen_accepts_only_solvable_rows():
                     lookahead_only += 1
                     second_only += not first
                     assert brute_solvable(g, tuple(row), d), (g.edges, row, d)
+                for row in rows[~filt._heavy(rows)].tolist():
+                    light += 1
+                    assert not brute_solvable_memo(adj, row, d, verdicts[d]), \
+                        (g.edges, row, d)
                 if len(filt.targets) == 3:
                     in_place = np.all(rows >= np.array(d), axis=1)
                     moved3 += int(np.count_nonzero(direct & ~in_place))
@@ -404,6 +426,7 @@ def test_prescreen_accepts_only_solvable_rows():
     assert lookahead_only > 1_000
     assert second_only > 300
     assert moved3 > 1_000
+    assert light > 1_000
 
 
 def test_sink_rule_covers_pay_and_cut():
@@ -482,9 +505,9 @@ def test_size13_petersen_prescreen_strength(petersen):
     prescreen's implementation, not by the claims. The test works out each
     level itself, arc by arc, and pins it: the direct masks alone leave
     3,329, 2,712 and 66,806, one move ahead 6, 336 and 2,328, and two
-    moves ahead 0, 0 and 336, which accept must equal row for row. So a
-    lookahead level that is silently off shows here while every
-    correctness test still passes."""
+    moves ahead 0, 0 and 336. accept must equal the one-move level and
+    pending the two-move rejects, row for row. So a lookahead level that is
+    silently off shows here while every correctness test still passes."""
     g = petersen
     arcs = [(u, v) for u in range(10) for v in g.adjacency[u]]
     demands = [Distribution(tuple(v))
@@ -496,11 +519,12 @@ def test_size13_petersen_prescreen_strength(petersen):
         rows_seen += rows.shape[0]
         cache: dict = {}
         for di, filt in enumerate(filters):
-            got = filt.accept(rows, cache)
-            for moves in range(3):
-                ok = _within_moves(filt, rows, arcs, moves)
+            levels = _within_moves(filt, rows, arcs, 2)
+            for moves, ok in enumerate(levels):
                 rejected[moves, di] += int(np.count_nonzero(~ok))
-            assert np.array_equal(got, ok)
+            assert np.array_equal(filt.accept(rows, cache), levels[1])
+            assert list(filt.pending(rows, cache)) == \
+                np.flatnonzero(~levels[2]).tolist()
         unsettled += int(np.count_nonzero(_min_moves_upto3(g, rows, 0) < 0))
     assert rows_seen == num_configs(10, 13) == 497_420
     assert rejected.tolist() == [[3_329, 2_712, 66_806], [6, 336, 2_328],
@@ -512,8 +536,7 @@ def test_flat_children_are_every_legal_move_in_bounded_chunks():
     """_flat_children yields each live column's one-move children exactly
     once, whatever the chunk limit, including limits below the number of
     arcs; every chunk has at most limit columns; and once every column is
-    cleared from live, only the rest of the current step of parents
-    comes."""
+    cleared from live, no further chunk comes."""
     rng = random.Random(919)
     moves = 0
     for trial in range(40):
@@ -533,7 +556,6 @@ def test_flat_children_are_every_legal_move_in_bounded_chunks():
                     want.append((i, tuple(child)))
         moves += len(want)
         for limit in (1, 3, 7, 1000):
-            step = max(1, limit // max(1, arcs.shape[1]))
             live = np.ones(len(rows), dtype=bool)
             live[::5] = False
             got = []
@@ -543,19 +565,25 @@ def test_flat_children_are_every_legal_move_in_bounded_chunks():
                 got += zip(src.tolist(), map(tuple, child.T.tolist()))
             assert sorted(got) == sorted((i, c) for i, c in want if i % 5)
             live = np.ones(len(rows), dtype=bool)
-            steps = set()
+            chunks = 0
             for src, child in _flat_children(cols, live, arcs, limit):
-                steps.update((src // step).tolist())
+                chunks += 1
                 live[:] = False
-            assert len(steps) <= 1
+            assert chunks <= 1
     assert moves > 2_000
 
 
+def _band(n, width):
+    """Vertices 0..n-1, adjacent when 0 < |i - j| <= width."""
+    return build_graph(n, [(i, j) for i in range(n)
+                           for j in range(i + 1, min(n, i + width + 1))])
+
+
 def test_lookahead_chunks_stay_within_a_block(monkeypatch):
-    """On blocks whose rows the direct masks and the one-move lookahead
-    mostly reject, a path scanned far below its pebbling number, the
-    second level builds many more grandchildren than a block holds, yet
-    no _masks call inside accept sees more than _BLOCK rows."""
+    """On a block whose lookahead builds many more children and
+    grandchildren than a block holds (9 vertices, i ~ j when
+    0 < |i - j| <= 3, 3 pebbles demanded at 0, scanned at size 12), no
+    _masks call inside accept or pending sees more than _BLOCK rows."""
     seen = []
     masks = _FastFilter._masks
 
@@ -564,14 +592,44 @@ def test_lookahead_chunks_stay_within_a_block(monkeypatch):
         return masks(self, rows, cache)
 
     monkeypatch.setattr(_FastFilter, "_masks", spied)
-    n = 8
-    g = path_graph(n)
-    rows = next(_ascending_blocks(n, 20))
-    mask = _FastFilter(g, Distribution.stacked(n, 0, 2)).accept(rows)
+    g = _band(9, 3)
+    rows = next(_ascending_blocks(9, 12))
+    left = list(_FastFilter(g, Distribution.stacked(9, 0, 3)).pending(rows))
     assert seen[0] == rows.shape[0] == _BLOCK
-    assert np.count_nonzero(mask) < _BLOCK // 2
+    assert len(left) > _BLOCK // 8
     assert max(seen) <= _BLOCK
     assert sum(seen[1:]) > 8 * _BLOCK
+
+
+def test_second_level_runs_on_drawn_batches_only(monkeypatch):
+    """pending runs the second level on accept's rejects in ascending
+    batches of _FIRST, 2 _FIRST, 4 _FIRST, ... rows, each when the rows
+    before it are drawn: the first index drawn costs one batch, and a
+    witness scan that stops on the block's first row runs one batch."""
+    batches = []
+    two_moves = _FastFilter._two_moves
+
+    def spied(self, rows, idx):
+        batches.append(idx.tolist())
+        return two_moves(self, rows, idx)
+
+    monkeypatch.setattr(_FastFilter, "_two_moves", spied)
+    g = _band(9, 3)
+    d = Distribution.stacked(9, 0, 3)
+    filt = _FastFilter(g, d)
+    rows = next(_ascending_blocks(9, 12))
+    rejects = np.flatnonzero(~filt.accept(rows)).tolist()
+    it = filt.pending(rows)
+    next(it)
+    assert batches == [rejects[:numbers_mod._FIRST]]
+    list(it)
+    assert [len(b) for b in batches[:3]] == [numbers_mod._FIRST << k
+                                             for k in range(3)]
+    assert sum(batches, []) == rejects
+    batches.clear()
+    first, _, checked = _scan_chunk(g, [d], [rows])
+    assert first == (0, Configuration(tuple(rows[0].tolist())))
+    assert len(batches) == 1 and checked == rows.shape[0]
 
 
 def test_scan_chunk_settles_blocks_as_brute_force(monkeypatch):
