@@ -391,12 +391,13 @@ def _flat_children(cols: np.ndarray, live: np.ndarray, arcs, limit: int):
 
     todo = np.flatnonzero(live)
     srcs, ids, waiting = [], [], 0
-    for a in range(us.size):
-        if a == 0 or us[a] != us[a - 1]:
+    tails = us.tolist()
+    for a, u in enumerate(tails):
+        if a == 0 or u != tails[a - 1]:
             todo = todo[live[todo]]
             if todo.size == 0:
                 break
-            rich = todo[cols[us[a], todo] >= 2]
+            rich = todo[cols[u, todo] >= 2]
         elif not srcs:
             rich = rich[live[rich]]
         if rich.size:
@@ -466,8 +467,8 @@ class _FastFilter:
         for a in self.targets:
             dist = g.distances(a)
             self.route[a] = sum(d[x] << dist[x] for x in self.targets)
-            w = np.ldexp(1.0, -np.array(dist))
-            self.weight.append((w, float(np.dot(self.demands, w))))
+            w = [2.0 ** -k for k in dist]
+            self.weight.append((w, sum(w[x] * d[x] for x in self.targets)))
 
     def accept(self, rows: np.ndarray, cache: dict | None = None) -> np.ndarray:
         """Accept a (B, n) block's rows by the direct masks, then by the
@@ -478,7 +479,7 @@ class _FastFilter:
         solv = self._masks(rows, cache)
         todo = ~solv
         left = np.flatnonzero(todo)
-        todo[left] = self._heavy(rows[left])
+        todo[left] = self._heavy(rows.T[:, left])
         for src, child in _flat_children(rows.T, todo, self.arcs, _CHUNK):
             hit = src[self._masks(child.T)]
             solv[hit] = True
@@ -504,11 +505,11 @@ class _FastFilter:
         rejects: True where some one-move child of a one-move child passes
         the direct masks. Rows and children below the weight bound build no
         children."""
-        heavy = np.flatnonzero(self._heavy(rows[idx]))
+        heavy = np.flatnonzero(self._heavy(rows.T[:, idx]))
         live = np.ones(heavy.size, dtype=bool)
         for src, kids in _flat_children(rows.T[:, idx[heavy]], live,
                                         self.arcs, _CHUNK):
-            kid_live = self._heavy(kids.T)
+            kid_live = self._heavy(kids)
             for sub, grand in _flat_children(kids, kid_live, self.arcs,
                                              _CHUNK):
                 live[src[sub[self._masks(grand.T)]]] = False
@@ -517,11 +518,15 @@ class _FastFilter:
         solv[heavy[~live]] = True
         return solv
 
-    def _heavy(self, rows: np.ndarray) -> np.ndarray:
-        """Rows whose weight towards every target a is at least w_a(D)."""
-        ok = np.ones(rows.shape[0], dtype=bool)
+    def _heavy(self, cols: np.ndarray) -> np.ndarray:
+        """The columns of an (n, k) block whose weight towards every target
+        a is at least w_a(D), summed one vertex row at a time."""
+        ok = np.ones(cols.shape[1], dtype=bool)
         for w, need in self.weight:
-            ok &= rows @ w >= need
+            tot = np.zeros(cols.shape[1])
+            for x, wx in enumerate(w):
+                tot += cols[x] * wx
+            ok &= tot >= need
         return ok
 
     def _masks(self, rows: np.ndarray, cache: dict | None = None) -> np.ndarray:

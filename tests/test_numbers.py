@@ -413,7 +413,7 @@ def test_prescreen_accepts_only_solvable_rows():
                     lookahead_only += 1
                     second_only += not first
                     assert brute_solvable(g, tuple(row), d), (g.edges, row, d)
-                for row in rows[~filt._heavy(rows)].tolist():
+                for row in rows[~filt._heavy(rows.T)].tolist():
                     light += 1
                     assert not brute_solvable_memo(adj, row, d, verdicts[d]), \
                         (g.edges, row, d)
