@@ -372,6 +372,9 @@ def _flat_children(cols: np.ndarray, live: np.ndarray, arcs, limit: int):
     over the columns and is the work list, read again after each chunk: a
     caller clears a column once its row is settled, and no later chunk
     holds a child of it."""
+    todo = np.flatnonzero(live)
+    if todo.size == 0:
+        return
     us, vs = arcs
     delta = np.zeros((cols.shape[0], us.size), dtype=cols.dtype)
     delta[us, np.arange(us.size)] -= 2
@@ -389,7 +392,6 @@ def _flat_children(cols: np.ndarray, live: np.ndarray, arcs, limit: int):
                 child += delta.take(a[keep], axis=1)
                 yield s, child
 
-    todo = np.flatnonzero(live)
     srcs, ids, waiting = [], [], 0
     tails = us.tolist()
     for a, u in enumerate(tails):
@@ -479,6 +481,8 @@ class _FastFilter:
         solv = self._masks(rows, cache)
         todo = ~solv
         left = np.flatnonzero(todo)
+        if left.size == 0:
+            return solv
         todo[left] = self._heavy(rows.T[:, left])
         for src, child in _flat_children(rows.T, todo, self.arcs, _CHUNK):
             hit = src[self._masks(child.T)]
