@@ -580,10 +580,11 @@ def _band(n, width):
 
 
 def test_lookahead_chunks_stay_within_a_block(monkeypatch):
-    """On a block whose lookahead builds many more children and
-    grandchildren than a block holds (9 vertices, i ~ j when
-    0 < |i - j| <= 3, 3 pebbles demanded at 0, scanned at size 12), no
-    _masks call inside accept or pending sees more than _BLOCK rows."""
+    """No _masks call inside accept or pending sees more than _BLOCK rows:
+    on the first size-20 block of the 8-vertex path at t = 2, where the
+    prescreen rejects most rows, and on a block whose lookahead builds
+    many more children and grandchildren than a block holds (9 vertices,
+    i ~ j when 0 < |i - j| <= 3, 3 pebbles demanded at 0, size 12)."""
     seen = []
     masks = _FastFilter._masks
 
@@ -592,13 +593,19 @@ def test_lookahead_chunks_stay_within_a_block(monkeypatch):
         return masks(self, rows, cache)
 
     monkeypatch.setattr(_FastFilter, "_masks", spied)
-    g = _band(9, 3)
-    rows = next(_ascending_blocks(9, 12))
-    left = list(_FastFilter(g, Distribution.stacked(9, 0, 3)).pending(rows))
-    assert seen[0] == rows.shape[0] == _BLOCK
-    assert len(left) > _BLOCK // 8
-    assert max(seen) <= _BLOCK
-    assert sum(seen[1:]) > 8 * _BLOCK
+    for g, t, size, most_rejected in ((path_graph(8), 2, 20, True),
+                                      (_band(9, 3), 3, 12, False)):
+        seen.clear()
+        rows = next(_ascending_blocks(g.n, size))
+        filt = _FastFilter(g, Distribution.stacked(g.n, 0, t))
+        left = list(filt.pending(rows))
+        assert seen[0] == rows.shape[0] == _BLOCK
+        assert max(seen) <= _BLOCK
+        if most_rejected:
+            assert len(left) > _BLOCK // 2
+        else:
+            assert len(left) > _BLOCK // 8
+            assert sum(seen[1:]) > 8 * _BLOCK
 
 
 def test_second_level_runs_on_drawn_batches_only(monkeypatch):
