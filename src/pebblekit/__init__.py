@@ -16,9 +16,9 @@ from .graph import Graph, GraphError, Metrics, automorphisms, build_graph, \
 from .harness import CampaignConfig, ExperimentReport, HarnessError, \
     REGISTRY, load_graph, run_campaign, save_graph
 from .numbers import BudgetExceededError, DEFAULT_BUDGET, WitnessResult, \
-    check_pi_t_equals, demands_of_size, find_unsolvable_witness, \
-    multi_demand_scan, num_configs, pi_D, pi_t, tree_dust_witness, \
-    two_path_lower_candidates, unrank_config, verify_target_conjecture
+    demands_of_size, find_unsolvable_witness, multi_demand_scan, \
+    num_configs, pi_D, pi_t, tree_dust_witness, two_path_lower_candidates, \
+    unrank_config, verify_target_conjecture
 from .version import VERSION
 
 __version__ = VERSION
@@ -45,7 +45,7 @@ __all__ = [
     "BudgetExceededError", "DEFAULT_BUDGET", "WitnessResult", "num_configs",
     "unrank_config", "find_unsolvable_witness", "multi_demand_scan", "pi_D",
     "pi_t", "tree_dust_witness", "two_path_lower_candidates",
-    "check_pi_t_equals", "demands_of_size", "verify_target_conjecture",
+    "demands_of_size", "verify_target_conjecture",
     # harness
     "HarnessError", "CampaignConfig", "ExperimentReport", "REGISTRY",
     "run_campaign", "load_graph", "save_graph",

@@ -308,7 +308,10 @@ def _add_common(p: argparse.ArgumentParser):
 def _add_symmetry(p: argparse.ArgumentParser):
     p.add_argument("--symmetry", action="store_true",
                    help="scan only orbit-minimal configurations under "
-                        "demand-preserving automorphisms")
+                        "demand-preserving automorphisms: only those are "
+                        "charged to the budget, but finding them takes "
+                        "10-30x the wall time of the full scan, so it pays "
+                        "only when the budget would otherwise run out")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -385,7 +388,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--demands", default=None,
                    help="JSON list of demand vectors, inline or '@file' "
                         "(default: all size-t multisets)")
-    p.add_argument("--expected-pi", type=int, default=None)
+    p.add_argument("--expected-pi", type=int, default=None,
+                   help="certify pi_t = this value (at least 1) by a witness "
+                        "one below it and one scan at it; with --demands '[]' "
+                        "that certificate alone")
     _add_common(p)
     _add_symmetry(p)
     p.set_defaults(func=_cmd_verify_target)

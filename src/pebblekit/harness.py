@@ -24,9 +24,8 @@ from .graph import _decode_graph, Graph, graph_to_json, pair_orbits, \
     vertex_connectivity
 from .numbers import _ascending_blocks, _check_jobs, _coerce_budget, \
     _min_moves_upto3, _scan_chunk, _uniform_ranks, _unrank_cols, \
-    BudgetExceededError, check_pi_t_equals, find_unsolvable_witness, \
-    num_configs, tree_dust_witness, two_path_lower_candidates, \
-    verify_target_conjecture
+    BudgetExceededError, find_unsolvable_witness, num_configs, \
+    tree_dust_witness, two_path_lower_candidates, verify_target_conjecture
 from .version import VERSION
 
 __all__ = [
@@ -37,7 +36,6 @@ __all__ = [
     "run_campaign",
     "load_graph",
     "save_graph",
-    "atomic_write",
 ]
 
 log = logging.getLogger("pebblekit")
@@ -294,8 +292,10 @@ def _run_thm_2_1(params, budget, jobs, seed):
         for t in ts:
             want = two_path_pi_t(g.n, tp.d, t)
             expected[key][str(t)] = want
-            res = check_pi_t_equals(g, t, want, budget=budget, jobs=jobs,
-                                    lower_candidates=two_path_lower_candidates(tp, t))
+            res = verify_target_conjecture(
+                g, t, [], expected_pi=want,
+                lower_candidates=two_path_lower_candidates(tp, t),
+                budget=budget, jobs=jobs)
             if res["pass"]:
                 computed[key][str(t)] = want
                 lw = res["lower_witness"]
@@ -303,7 +303,8 @@ def _run_thm_2_1(params, budget, jobs, seed):
                                   "config": _cfg_list(lw["witness"]),
                                   "source": lw["source"]})
             else:
-                computed[key][str(t)] = {"mismatch": res["reason"]}
+                computed[key][str(t)] = {
+                    "mismatch": _json_safe(res["counterexample"])}
                 passed = False
     return {"expected": expected, "provenance": "[PAPER]",
             "computed": computed, "witnesses": witnesses, "passed": passed}
@@ -334,12 +335,13 @@ def _run_fact_2_2(params, budget, jobs, seed):
         for t in ts:
             want = tree_pi(partition, t)
             dust = tree_dust_witness(tree, t)
-            res = check_pi_t_equals(g, t, want, roots=[tree.root],
-                                    lower_candidates=[(tree.root, dust)],
-                                    budget=budget, jobs=jobs)
+            res = verify_target_conjecture(
+                g, t, [], expected_pi=want, roots=[tree.root],
+                lower_candidates=[(tree.root, dust)], budget=budget, jobs=jobs)
             if not res["pass"]:
                 mismatches.append({"tree": idx, "n": g.n, "t": t,
-                                   "expected": want, "detail": res["reason"]})
+                                   "expected": want,
+                                   "detail": _json_safe(res["counterexample"])})
         witnesses.append({"tree": idx, "n": g.n,
                           "partition": list(partition)})
     return {"expected": {"trees": count, "mismatches": 0},

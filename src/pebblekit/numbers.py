@@ -17,8 +17,8 @@ instead. Blocks are column-major (n, B), one contiguous column per
 vertex, so the prescreen adds whole vertex rows at a time. The dtype is
 int16 when the size m is below 2**15 and int64 otherwise: every
 count is at most m, and delivery never creates pebbles. Ranks are int64,
-so the kernel refuses (n, m) with 2**63 or more configurations;
-unrank_config stays the arbitrary-precision scalar reference.
+so the kernel refuses (n, m) with 2**63 or more configurations, and so
+does unrank_config, its one-rank view.
 
 Prescreen. _FastFilter accepts the rows it can prove solvable from
 pebbles moved along one BFS spanning tree per demand target (exact on
@@ -80,7 +80,6 @@ __all__ = [
     "multi_demand_scan",
     "pi_D",
     "pi_t",
-    "check_pi_t_equals",
     "verify_target_conjecture",
     "demands_of_size",
     "tree_dust_witness",
@@ -158,23 +157,11 @@ def num_configs(n: int, m: int) -> int:
 
 def unrank_config(n: int, m: int, rank: int) -> Configuration:
     """Configuration at the given rank in the ascending lexicographic order
-    used by the internal scans (rank 0 is (0, ..., 0, m))."""
-    if not (0 <= rank < num_configs(n, m)):
+    used by the internal scans (rank 0 is (0, ..., 0, m)): one column of
+    _unrank_cols, so it refuses (n, m) with 2**63 or more configurations."""
+    if not 0 <= rank < _int64_total(n, m):
         raise ValueError(f"rank {rank} out of range for ({n}, {m})")
-    counts = []
-    for slot in range(n - 1):
-        parts = n - slot - 1
-        v = 0
-        while True:
-            block = comb(m - v + parts - 1, parts - 1)
-            if rank < block:
-                break
-            rank -= block
-            v += 1
-        counts.append(v)
-        m -= v
-    counts.append(m)
-    return Configuration(tuple(counts))
+    return Configuration(tuple(_unrank_cols(n, m, [rank])[:, 0].tolist()))
 
 
 def _int64_total(n: int, m: int) -> int:
@@ -187,8 +174,8 @@ def _int64_total(n: int, m: int) -> int:
 
 
 def _unrank_cols(n: int, m: int, ranks) -> np.ndarray:
-    """The configurations at the given ascending-lex ranks (unrank_config's
-    order) as one contiguous (n, B) block, column b holding ranks[b].
+    """The configurations at the given ascending-lex ranks as one
+    contiguous (n, B) block, column b holding ranks[b].
 
     Slot by slot: with m' pebbles left for the slot and p slots after it,
     the configurations whose slot count is below v number
@@ -709,8 +696,22 @@ def _scan(g: Graph, demands, size: int, *, mode: str = "unrestricted",
     failure (unless collect_all) or overruns the budget, the chunks not yet
     started are cancelled. The chunks before it found nothing, so the
     first failure, the failures and the count checked are the serial
-    scan's."""
+    scan's.
+
+    With symmetry, only the orbit minima under the demands' common
+    stabilizer are charged and settled, but every row is still enumerated
+    and _canonical_mask compares it with each of its images. Measured on a
+    2-core x86_64 machine, one cold process per run, that took 10-30 times
+    the full scan's wall time: pi_t(K(5,2), 2, roots=[0]) 0.12-0.16 s ->
+    3.2-4.0 s, pi_t(Q3, 2, roots=[0]) 0.05-0.07 s -> 0.85-0.96 s. It pays
+    only when the budget binds: pi_t(C8, 2, roots=[0]) exceeds the default
+    budget without it (after 10 s) and finishes in 21-27 s with it.
+
+    A demand vector whose length is not g.n is refused here, the one entry
+    of every scan."""
     _check_jobs(jobs)
+    if any(len(d) != g.n for d in demands):
+        raise PebblingError("demand length must equal vertex count")
     budget = _coerce_budget(budget)
     total = num_configs(g.n, size)
     # solvability is invariant under the automorphisms keeping every demand,
@@ -952,56 +953,6 @@ def _confirm_lower(g: Graph, t: int, roots, want_size: int, candidates,
     return None
 
 
-def check_pi_t_equals(g: Graph, t: int, expected: int, *, roots=None,
-                      lower_candidates=None, budget=None, jobs: int = 1,
-                      symmetry: bool = False) -> dict:
-    """Prove pi_t(g) == expected with one combined scan: no root has an
-    unsolvable configuration at size expected (upper bound), and some root
-    has one at expected - 1 (lower bound, constructed witness when
-    possible)."""
-    if t < 1:
-        raise PebblingError("t must be at least 1")
-    budget = _coerce_budget(budget)
-    root_list = _root_list(g, roots)
-    demands = [Distribution.stacked(g.n, r, t) for r in root_list]
-    scan = multi_demand_scan(g, demands, expected, jobs=jobs,
-                             symmetry=symmetry, budget=budget)
-    if scan["failure"] is not None:
-        fail = scan["failure"]
-        return {
-            "expected": expected,
-            "pass": False,
-            "reason": "unsolvable configuration at the expected size",
-            "counterexample": {"root": root_list[fail["demand_index"]],
-                               "config": fail["config"]},
-            "lower_witness": None,
-            "configs_checked": budget.spent,
-        }
-    candidates = list(lower_candidates or [])
-    candidates += _default_lower_candidates(g, t, root_list, expected - 1)
-    lower = None
-    if expected >= 1:
-        lower = _confirm_lower(g, t, root_list, expected - 1, candidates,
-                               budget, jobs, symmetry)
-        if lower is None:
-            return {
-                "expected": expected,
-                "pass": False,
-                "reason": "no unsolvable configuration one below the expected size",
-                "counterexample": None,
-                "lower_witness": None,
-                "configs_checked": budget.spent,
-            }
-    return {
-        "expected": expected,
-        "pass": True,
-        "reason": None,
-        "counterexample": None,
-        "lower_witness": lower,
-        "configs_checked": budget.spent,
-    }
-
-
 def demands_of_size(g: Graph, t: int):
     """Every demand multiset of total size t as a Distribution, in
     lexicographic vertex-multiset order."""
@@ -1021,14 +972,19 @@ def verify_target_conjecture(g: Graph, t: int = 1, demand_classes=None, *,
     """Check pi(G, D) <= pi_t(G) for every demand D of size t in the
     requested classes (all multisets by default).
 
-    With expected_pi given, one combined scan at that size over the demand
-    classes plus all stacked demands, together with a lower witness at
-    expected_pi - 1, certifies pi_t(G) = expected_pi and the conjecture in
-    a single pass. Otherwise pi_t is computed first and only the
-    non-stacked classes are rescanned.
+    With expected_pi given, an engine-confirmed unsolvable configuration of
+    size expected_pi - 1 at some root (a constructed candidate first, a scan
+    as the fallback), then one combined scan at expected_pi over the demand
+    classes plus all stacked demands, certify pi_t(G) = expected_pi and the
+    conjecture in a single pass. With no demand classes (an empty list)
+    that is the pi_t(G) = expected_pi certificate alone: the scan covers
+    the stacked demands of the requested roots. Otherwise pi_t is computed
+    first and only the non-stacked classes are rescanned.
     """
     if t < 1:
         raise PebblingError("t must be at least 1")
+    if expected_pi is not None and expected_pi < 1:
+        raise PebblingError(f"expected_pi must be at least 1, got {expected_pi}")
     _check_jobs(jobs)
     budget = _coerce_budget(budget)
     root_list = _root_list(g, roots)
@@ -1045,16 +1001,14 @@ def verify_target_conjecture(g: Graph, t: int = 1, demand_classes=None, *,
               "lower_witness": None, "demand_count": len(classes),
               "configs_checked": 0}
 
+    stacked = [Distribution.stacked(g.n, r, t) for r in root_list]
     if expected_pi is None:
         M = pi_t(g, t, roots=root_list, budget=budget, jobs=jobs,
                  symmetry=symmetry)
-        covered = set(root_list)
-        scan_demands = [d for d in classes
-                        if not (len(d.support) == 1 and d.support[0] in covered)]
-        lower = None
+        covered = {d.demands for d in stacked}
+        scan_demands = [d for d in classes if d.demands not in covered]
     else:
         M = expected_pi
-        stacked = [Distribution.stacked(g.n, r, t) for r in root_list]
         seen = {d.demands for d in classes}
         scan_demands = list(classes)
         scan_demands += [d for d in stacked if d.demands not in seen]

@@ -9,6 +9,7 @@ one exception on both counts.
 
 from collections import deque
 from itertools import chain, combinations, permutations, product
+from math import comb
 from operator import ge, mul
 
 from pebblekit import engine
@@ -69,6 +70,31 @@ def enumerate_configs(n: int, m: int):
         a[j + 1] = tail + 1
         for i in range(j + 2, n):
             a[i] = 0
+
+
+def unrank_config(n: int, m: int, rank: int) -> Configuration:
+    """The configuration at the given rank in ascending lexicographic order
+    (rank 0 is (0, ..., 0, m)), slot by slot in arbitrary precision. With
+    m' pebbles left and p slots after it, the configurations whose slot
+    count is v form a run of C(m' - v + p - 1, p - 1); the slot's count is
+    the number of whole runs the rank skips. The scalar reference for
+    numbers._unrank_cols and the scans built on it."""
+    if not (0 <= rank < comb(n + m - 1, n - 1)):
+        raise ValueError(f"rank {rank} out of range for ({n}, {m})")
+    counts = []
+    for slot in range(n - 1):
+        parts = n - slot - 1
+        v = 0
+        while True:
+            block = comb(m - v + parts - 1, parts - 1)
+            if rank < block:
+                break
+            rank -= block
+            v += 1
+        counts.append(v)
+        m -= v
+    counts.append(m)
+    return Configuration(tuple(counts))
 
 
 def brute_solvable(g, counts, demands, mode="unrestricted"):

@@ -1,10 +1,12 @@
 """Claim registry, report serialization, graph I/O, and the command line."""
 
 import csv
+import importlib
 import io
 import json
 import logging
 import os
+import pkgutil
 import random
 import subprocess
 import sys
@@ -12,6 +14,7 @@ from types import SimpleNamespace
 
 import pytest
 
+import pebblekit
 from pebblekit import (
     REGISTRY,
     VERSION,
@@ -24,10 +27,11 @@ from pebblekit import (
     num_configs,
     run_campaign,
     save_graph,
-    unrank_config,
 )
-from pebblekit import cli, numbers
+from pebblekit import cli, harness, numbers
 from pebblekit.harness import atomic_write
+
+from oracles import unrank_config
 
 REPORT_FIELDS = ["claim", "parameters", "expected", "computed", "verdict",
                  "witnesses", "configs_checked", "wall_time_s", "version",
@@ -257,6 +261,46 @@ def test_thm_3_5_reports_the_first_bad_sample(monkeypatch):
     assert report.configs_checked == 1 + 50
 
 
+def test_pi_t_claims_record_the_certificate_counterexample(monkeypatch):
+    """thm-2.1 and fact-2.2 certify through verify_target_conjecture, so a
+    wrong expected value fails with its counterexample: a configuration of
+    the expected size that fails a stacked demand when the value is too
+    low, the missing lower witness when it is too high."""
+    two_path_pi_t, tree_pi = harness.two_path_pi_t, harness.tree_pi
+    monkeypatch.setattr(harness, "two_path_pi_t",
+                        lambda n, d, t: two_path_pi_t(n, d, t) - 1)
+    report = run_campaign(CampaignConfig(claim="thm-2.1", params={"t": [1]}))
+    assert report.verdict == "fail"
+    (key, got), = report.computed.items()
+    ce = got["1"]["mismatch"]
+    assert sorted(ce) == ["config", "demand"]
+    assert sum(ce["config"]) == report.expected["value"][key]["1"]
+    assert sorted(ce["demand"]) == [0, 0, 0, 1]
+    monkeypatch.setattr(harness, "tree_pi",
+                        lambda partition, t: tree_pi(partition, t) + 1)
+    report = run_campaign(CampaignConfig(claim="fact-2.2",
+                                         params={"count": 1, "t": [1]}))
+    assert report.verdict == "fail"
+    assert [m["detail"] for m in report.computed["detail"]] == [
+        {"reason": "no unsolvable configuration at size pi_t - 1"}]
+
+
+def test_package_exports_the_union_of_the_submodule_exports():
+    """Every name in a submodule's __all__ resolves there, and the package
+    exports exactly their union plus VERSION, each the submodule's object,
+    so a removed name cannot linger in an export list."""
+    union = {"VERSION": pebblekit.VERSION}
+    for info in pkgutil.iter_modules(pebblekit.__path__):
+        mod = importlib.import_module(f"pebblekit.{info.name}")
+        for name in getattr(mod, "__all__", ()):
+            assert hasattr(mod, name), f"pebblekit.{info.name}.{name}"
+            union[name] = getattr(mod, name)
+    assert len(set(pebblekit.__all__)) == len(pebblekit.__all__)
+    assert set(pebblekit.__all__) == set(union)
+    for name, value in union.items():
+        assert getattr(pebblekit, name) is value, name
+
+
 def test_atomic_write_overwrites_in_place(tmp_path):
     path = tmp_path / "x.json"
     atomic_write(str(path), "one\n")
@@ -448,3 +492,15 @@ def test_cli_verify_and_verify_target(tmp_path):
                    "--expected-pi", "9")
     assert proc.returncode == 1
     assert json.loads(proc.stdout)["pass"] is False
+
+
+def test_cli_verify_target_refuses_demands_of_the_wrong_length(tmp_path):
+    """A demand vector shorter or longer than the vertex count is a usage
+    error (exit 2) with the engine's message, not a pass or a traceback."""
+    graph = tmp_path / "p4.json"
+    graph.write_text(json.dumps({"n": 4, "edges": [[0, 1], [1, 2], [2, 3]]}))
+    for demands in ("[[0,1]]", "[[0,1,0,0,0]]"):
+        proc = run_cli("verify-target", "--graph", str(graph), "--t", "1",
+                       "--demands", demands)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == "error: demand length must equal vertex count\n"

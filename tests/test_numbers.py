@@ -17,7 +17,6 @@ from pebblekit import (
     build_C_t2,
     build_graph,
     build_J_r,
-    check_pi_t_equals,
     demands_of_size,
     find_unsolvable_witness,
     is_solvable,
@@ -34,7 +33,6 @@ from pebblekit import (
     two_path,
     two_path_lower_candidates,
     two_path_pi_t,
-    unrank_config,
     verify_target_conjecture,
 )
 from pebblekit.numbers import (
@@ -65,6 +63,7 @@ from oracles import (
     neighbor_lists,
     random_config,
     random_connected_edges,
+    unrank_config,
 )
 
 
@@ -104,6 +103,24 @@ def test_unrank_config_is_the_ascending_order():
         unrank_config(3, 2, -1)
     with pytest.raises(ValueError):
         unrank_config(3, 2, num_configs(3, 2))
+
+
+def test_public_unrank_config_is_a_view_of_the_kernel():
+    """pebblekit.unrank_config reads one column of _unrank_cols: it equals
+    the scalar reference at every rank, refuses ranks out of range and,
+    like the kernel, sizes with 2**63 or more configurations, which the
+    reference still unranks."""
+    for n, m in ((1, 4), (3, 4), (4, 3), (7, 9)):
+        total = num_configs(n, m)
+        assert [numbers_mod.unrank_config(n, m, r) for r in range(total)] == \
+            [unrank_config(n, m, r) for r in range(total)]
+        for rank in (-1, total, 1 << 70):
+            with pytest.raises(ValueError, match="out of range"):
+                numbers_mod.unrank_config(n, m, rank)
+    assert num_configs(40, 40) >= 1 << 63
+    with pytest.raises(ValueError, match="2\\*\\*63"):
+        numbers_mod.unrank_config(40, 40, 0)
+    assert unrank_config(40, 40, 0).counts == (0,) * 39 + (40,)
 
 
 def test_unrank_cols_matches_unrank_config_at_every_rank():
@@ -847,35 +864,50 @@ def test_two_path_lower_candidates_are_unsolvable():
             assert not is_solvable(tp.graph, cfg, stacked).solvable
 
 
-def test_check_pi_t_equals_pass_and_fail_paths():
+def test_pi_t_certificate_pass_and_fail_paths():
+    """With no demand classes, verify_target_conjecture certifies
+    pi_t(G) = expected_pi over the stacked demands alone."""
     p3 = path_graph(3)
-    ok = check_pi_t_equals(p3, 1, 4)
-    assert ok["pass"] and ok["reason"] is None
+    ok = verify_target_conjecture(p3, 1, [], expected_pi=4)
+    assert ok["pass"] and ok["counterexample"] is None
+    assert ok["pi_t"] == 4 and ok["demand_count"] == 0
     lower = ok["lower_witness"]
     assert lower["witness"].size == 3
     assert not is_solvable(
         p3, lower["witness"],
         Distribution.stacked(3, lower["root"], 1)).solvable
 
-    low = check_pi_t_equals(p3, 1, 3)
+    low = verify_target_conjecture(p3, 1, [], expected_pi=3)
     assert not low["pass"]
-    assert low["reason"] == "unsolvable configuration at the expected size"
     assert low["counterexample"]["config"].size == 3
+    assert low["counterexample"]["demand"] in ([1, 0, 0], [0, 1, 0], [0, 0, 1])
 
-    high = check_pi_t_equals(p3, 1, 5)
-    assert not high["pass"]
-    assert high["reason"] == "no unsolvable configuration one below the expected size"
-    assert high["counterexample"] is None
+    high = verify_target_conjecture(p3, 1, [], expected_pi=5)
+    assert not high["pass"] and high["lower_witness"] is None
+    assert high["counterexample"] == {
+        "reason": "no unsolvable configuration at size pi_t - 1"}
 
     with pytest.raises(PebblingError):
-        check_pi_t_equals(p3, 0, 4)
+        verify_target_conjecture(p3, 0, [], expected_pi=4)
+
+
+def test_pi_t_certificate_refuses_expected_values_below_one():
+    """An expected value below 1 has no size expected - 1 to witness, so it
+    is refused before any configuration is checked."""
+    p4 = path_graph(4)
+    for expected in (0, -2):
+        for classes in ([], None):
+            with pytest.raises(PebblingError, match="expected_pi must be at least 1"):
+                verify_target_conjecture(p4, 1, classes, expected_pi=expected,
+                                         budget=0)
 
 
 def test_default_lower_candidates_skip_the_all_pairs_matrix():
     # every root of the path rooted at an end has eccentricity 5, so the
     # Kneser stacks never apply and the all-pairs matrix is never built
     p6 = path_graph(6)
-    assert check_pi_t_equals(p6, 1, 32, roots=[0])["pass"]
+    assert verify_target_conjecture(p6, 1, [], expected_pi=32,
+                                    roots=[0])["pass"]
     assert "metrics" not in p6.__dict__
 
 
@@ -900,12 +932,13 @@ def test_default_lower_candidates_match_the_all_pairs_rule(petersen):
                 assert (0, build_C_t1(g, 0, t)) in got
 
 
-def test_check_pi_t_equals_accepts_constructed_candidates():
+def test_pi_t_certificate_accepts_constructed_candidates():
     tp = two_path([2, 1])
     n, d = tp.graph.n, tp.d
     expected = two_path_pi_t(n, d, 2)
-    got = check_pi_t_equals(tp.graph, 2, expected,
-                            lower_candidates=two_path_lower_candidates(tp, 2))
+    got = verify_target_conjecture(
+        tp.graph, 2, [], expected_pi=expected,
+        lower_candidates=two_path_lower_candidates(tp, 2))
     assert got["pass"] and got["lower_witness"]["source"] == "constructed"
 
 
@@ -947,6 +980,25 @@ def test_verify_target_conjecture_with_expected_value():
 
     with pytest.raises(PebblingError):
         verify_target_conjecture(tp.graph, 2, demand_classes=[(1, 0, 0, 0)])
+
+
+def test_scans_refuse_demands_of_the_wrong_length():
+    """Every scan enters through numbers._scan, which refuses a demand
+    vector shorter or longer than the vertex count, as the engine does,
+    before it checks a configuration."""
+    p4 = path_graph(4)
+    stacked = Distribution.stacked(4, 0, 1)
+    for vec in ((0, 1, 0), (0, 1, 0, 0, 0)):
+        d = Distribution(vec)
+        for call in (lambda: find_unsolvable_witness(p4, d, 3, budget=0),
+                     lambda: multi_demand_scan(p4, [stacked, d], 3, budget=0),
+                     lambda: pi_D(p4, d, budget=0),
+                     lambda: verify_target_conjecture(p4, 1, [vec]),
+                     lambda: verify_target_conjecture(p4, 1, [vec],
+                                                      expected_pi=8)):
+            with pytest.raises(PebblingError,
+                               match="demand length must equal vertex count"):
+                call()
 
 
 def test_three_target_check_engine_calls_are_pinned(monkeypatch):
