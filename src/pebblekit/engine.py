@@ -186,6 +186,27 @@ class Solver:
       bounded calls read the memo; a bounded failure may only mean the bound
       was hit, so bounded calls never write it. The memo stops growing at
       MEMO_CAP entries.
+    - Sleep sets (Godefroid, "Partial-Order Methods for the Verification of
+      Concurrent Systems", LNCS 1032, 1996). Move m_k is independent of
+      move m_i when src(m_k) != src(m_i) and, in greedy and semi_greedy
+      mode, m_k puts no pebble on a demand vertex. Each state S on the path
+      carries a sleep set and a done set: done(S) gains each move out of S
+      once its child is settled (a memo hit, a weight cut, a state with no
+      moves, or one expanded and failed; at a state whose children sit at
+      the move bound no child is expanded, so done goes unread). A move in
+      sleep(S) is skipped before the demand check and is not counted as a
+      state; the child S+m_i gets the sleep set (sleep(S) | done(S)) &
+      indep(m_i), and the root gets none. Lemma: for every m in sleep(X),
+      X+m has no solution within X's remaining bound less one move. Step:
+      take m_k in sleep(S) | done(S) independent of m_i. Then S+m_i+m_k =
+      (S+m_k)+m_i, and m_i is legal at S+m_k: m_k takes its pebbles from
+      another vertex, and in a restricted mode it meets no unmet target, so
+      m_i still approaches one. So S+m_i+m_k is one legal move below a
+      state that fails within S's bound less one, and it fails with one
+      move less. Only failing children are skipped, so every verdict and
+      every solution is the one the search without them returns, under
+      every bound (min_cost_solution's bisection included), and every
+      state written to the memo has no solution.
     Restricted modes decide a move's legality from the state alone, so the
     memo stays sound for them too.
 
@@ -197,12 +218,16 @@ class Solver:
     field borrows. A move u -> v therefore adds the fixed delta
     (1 << k*v) - (2 << k*u) to the key. Set-up of each width precomputes,
     per arc, that delta, the weight change towards each target and whether
-    the arc touches a demand vertex. A move first checks the demand (only on
-    demand-touching arcs), then probes the memo with key + delta: a memo hit
-    costs one add and one set lookup and never touches `counts`, the path
-    or the weights, which change only when a state is expanded. A call with
-    a larger size widens k and re-encodes every memo entry in place, so the
-    memo holds the same states as before, now at the new width.
+    the arc touches a demand vertex; each arc's sleep-set bit and the mask
+    of the arcs independent of it do not depend on k and are built once, in
+    __init__, from per-source and into-demand masks. A move first checks
+    its bit against the sleep set, then the demand (only on demand-touching
+    arcs), then probes the memo with key + delta: a memo hit costs one add,
+    one set lookup and one or into the done set, and never touches
+    `counts`, the path or the weights, which change only when a state is
+    expanded. A call with a larger size widens k and re-encodes every memo
+    entry in place, so the memo holds the same states as before, now at the
+    new width.
 
     The weights are w_r scaled to integers by 2^scale, where scale is the
     largest eccentricity among the targets; set-up runs one BFS per target
@@ -231,15 +256,29 @@ class Solver:
     order of two keys is the order of their counts compared from the last
     vertex down, which does not depend on k. The DFS order is unchanged and
     the memo skips only states with no solution at any length, so every
-    call returns the solution the plain solver returns. Below MEMO_CAP it
-    also explores no more states than the plain solver on the same calls: a
-    state is written only once each child is cut, written or already held,
-    so a memo holds every descendant of its states that passes the weight
-    cut; by induction each state the plain memo holds has its least image
-    here, or fails the weight cut, which both searches pay as one state.
-    With a trivial stabilizer, or without symmetric, a probe stays one add
-    and one set lookup. get_solver builds every solver symmetric; the plain
-    solver is the reference the symmetric search is tested against.
+    call returns the solution the plain solver returns.
+
+    Below MEMO_CAP the symmetric solver also explores no more states than
+    the plain one on the same calls, and the plain one no more than the
+    search without sleep sets (tests/oracles.ReferenceSolver), whose memo
+    holds the plain one's. Closure: a memo holds every descendant of its
+    states that passes the weight cut. A state is written only once each
+    child is cut, written, already held or asleep, and an asleep child X+m
+    is a descendant of a state A+m settled earlier, A an ancestor of X with
+    m in done(A): by the lemma's step, each move from A down to X stays
+    legal after m. A child's sleep set depends only on its path, since
+    sleep(S) | done(S) is sleep(S) with every move ordered before m_i, so
+    two solvers on the same calls skip the same children. By induction
+    over the search order, each state the plain memo holds has its least
+    image in the symmetric memo, or fails the weight cut, which both
+    searches pay as one state; and each state the reference memo holds
+    that passes the weight cut is in the plain memo, since the plain search
+    settles it too or skips it below a state it has settled, so the plain
+    search counts only states the reference counts and writes only states
+    the reference writes. With a trivial
+    stabilizer, or without symmetric, a probe stays one add and one set
+    lookup. get_solver builds every solver symmetric; the plain solver is
+    the reference the symmetric search is tested against.
     """
 
     def __init__(self, g: Graph, d: Distribution, mode: str = "unrestricted",
@@ -280,6 +319,16 @@ class Solver:
             tuple(sum(1 << i for i, x in enumerate(self.targets)
                       if closer(self.dist[x][v], self.dist[x][u])) for u, v in moves)
             for moves in self.moves_from)
+        # sleep sets: one bit per arc, and per arc the mask of the arcs
+        # independent of it (from another source and, in restricted modes,
+        # into no demand vertex), from per-source and into-demand masks
+        bit = {arc: 1 << i for i, arc in enumerate(chain.from_iterable(self.moves_from))}
+        from_src = [sum(map(bit.__getitem__, moves)) for moves in self.moves_from]
+        movable = (1 << len(bit)) - 1
+        if mode != "unrestricted":
+            movable -= sum(b for (u, v), b in bit.items() if self.demand[v])
+        self.sleep_masks = tuple(tuple((bit[u, v], movable & ~from_src[u]) for u, v in moves)
+                                for moves in self.moves_from)
         # bits per vertex in a memo key, and the field offsets and per-move
         # records at that width; a configuration of size 0 keeps k at 0
         self.k = 0
@@ -307,8 +356,9 @@ class Solver:
 
         self.arcs = tuple(
             tuple((u, v, delta(u, v), tuple(w[v] - 2 * w[u] for w in W),
-                   bool(demand[u] or demand[v])) for u, v in moves)
-            for moves in self.moves_from)
+                   bool(demand[u] or demand[v]), bit, indep)
+                  for (u, v), (bit, indep) in zip(moves, masks))
+            for moves, masks in zip(self.moves_from, self.sleep_masks))
 
     def solve(self, c, max_moves: int | None = None) -> SolveOutcome:
         """Search for moves from c that meet the demand; with max_moves, only
@@ -371,16 +421,20 @@ class Solver:
                 failed.add(key)
             return SolveOutcome(False, None, 1)
         # frames[i] holds the i-th state on the current path below the one in
-        # `key`: its key, its image keys, its untried moves, its weights and
-        # its deficit; path[i] is the move taken out of it
+        # `key`: its key, its image keys, its untried moves, its weights, its
+        # deficit and its sleep and done sets; path[i] is the move taken out
+        # of it
         frames: list = []
         path: list[tuple[int, int]] = []
         # children of a state at depth `last` sit at the move bound
         last = -1 if max_moves is None else max_moves - 1
         bound = last == 0
         states = 1
+        sleep = done = 0
         while True:
-            for u, v, dk, dw, touch in it:
+            for u, v, dk, dw, touch, bit, indep in it:
+                if bit & sleep:
+                    continue
                 if touch:
                     gap = demand[u] - counts[u]
                     left = (deficit + max(0, gap + 2) - max(0, gap)
@@ -391,6 +445,7 @@ class Solver:
                             True, Solution(tuple(path), len(path) + 1 if single else None),
                             states)
                 states += 1
+                # no child at the bound is expanded, so `done` goes unread
                 if bound:
                     continue
                 # an expanded child adds the deltas again below: a tuple
@@ -398,6 +453,7 @@ class Solver:
                 # deep unsolvable searches the orbit keys are for
                 child = min(map(add, images, dk)) if images else key + dk
                 if child in failed:
+                    done |= bit
                     continue
                 cw = tuple(map(add, weights, dw))
                 if all(map(ge, cw, need)):
@@ -405,9 +461,10 @@ class Solver:
                     counts[v] += 1
                     nxt = moves_out()
                     if nxt is not None:
-                        frames.append((key, images, it, weights, deficit))
+                        frames.append((key, images, it, weights, deficit, sleep, done | bit))
                         path.append((u, v))
                         key, it, weights = child, nxt, cw
+                        sleep, done = (sleep | done) & indep, 0
                         if images:
                             images = tuple(map(add, images, dk))
                         if touch:
@@ -418,6 +475,7 @@ class Solver:
                     counts[v] -= 1
                 if write and len(failed) < cap:
                     failed.add(child)
+                done |= bit
             else:
                 # every move out of the state in `key` has failed
                 if write and len(failed) < cap:
@@ -427,7 +485,7 @@ class Solver:
                 u, v = path.pop()
                 counts[u] += 2
                 counts[v] -= 1
-                key, images, it, weights, deficit = frames.pop()
+                key, images, it, weights, deficit, sleep, done = frames.pop()
                 bound = len(path) == last
 
 

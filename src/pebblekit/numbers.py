@@ -994,6 +994,8 @@ def verify_target_conjecture(g: Graph, t: int = 1, demand_classes=None, *,
         classes = [d if isinstance(d, Distribution) else Distribution(tuple(d))
                    for d in demand_classes]
     for d in classes:
+        if len(d) != g.n:
+            raise PebblingError("demand length must equal vertex count")
         if d.size != t:
             raise PebblingError(f"demand {d.demands} has size {d.size}, expected {t}")
 

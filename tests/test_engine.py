@@ -34,7 +34,7 @@ from pebblekit import engine
 from pebblekit.engine import get_solver
 from pebblekit.numbers import _FastFilter
 
-from oracles import ReferenceSolver, brute_min_moves, brute_solvable, \
+from oracles import ReferenceSolver, all_configs, brute_min_moves, brute_solvable, \
     random_config, random_connected_edges
 
 
@@ -408,10 +408,101 @@ def test_int_keyed_search_matches_the_tuple_keyed_reference():
                 c = random_config(n, size, rng)
                 max_moves = rng.choice((None, None, 0, 1, 2, 3, 5))
                 k, memo = solver.k, len(solver.failed)
-                assert solver.solve(c, max_moves) == ref.solve(c, max_moves)
-                assert memo_tuples(solver) == ref.failed
+                got, want = solver.solve(c, max_moves), ref.solve(c, max_moves)
+                assert (got.solvable, got.solution) == (want.solvable, want.solution)
+                # the sleep sets skip children the reference counts, and so
+                # leave out of the memo states only reached through them
+                assert got.states_explored <= want.states_explored
+                assert memo_tuples(solver) <= ref.failed
                 widened += solver.k > k and memo > 0
     assert widened > 50
+
+
+def sleep_set_pool():
+    """(graph, demand) pairs: P4, C5, the 3-star, K4 and two random
+    connected graphs on 5 vertices, each with demands of one to three
+    targets. Each graph's pair demand puts its two targets on an edge, one
+    with a common neighbour where the graph has a triangle: that neighbour
+    can fill either target, and a move filling one can leave another
+    source's move with no unmet target to approach, the case the
+    restricted modes' independence rule exists for."""
+    rng = random.Random(89)
+    graphs = [path_graph(4), build_graph(5, [(i, (i + 1) % 5) for i in range(5)]),
+              build_graph(4, [(0, 1), (0, 2), (0, 3)]),
+              build_graph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])]
+    graphs += [build_graph(5, random_connected_edges(5, extra, rng)) for extra in (1, 3)]
+    for g in graphs:
+        x, y = next((e for e in g.edges
+                     if set(g.adjacency[e[0]]) & set(g.adjacency[e[1]])), g.edges[0])
+        for targets in ({0: 1}, {g.n - 1: 2}, {x: 1, y: 1}, {0: 1, 1: 1, 2: 1}):
+            yield g, Distribution(tuple(targets.get(v, 0) for v in range(g.n)))
+
+
+def test_sleep_sets_keep_every_verdict_and_solution():
+    """Solver against oracles.brute_solvable and oracles.ReferenceSolver,
+    the search without sleep sets, on every configuration of size at most 7
+    on sleep_set_pool(), in all three modes: one shared pair of solvers per
+    (graph, demand, mode), called by increasing size, so the key width
+    grows over a filled memo. The unbounded verdict is brute_solvable's,
+    and the verdict and solution under each move bound are the
+    reference's."""
+    pooled = 0
+    for g, d in sleep_set_pool():
+        pooled += 1
+        for mode in MODES:
+            solver, ref = Solver(g, d, mode), ReferenceSolver(g, d, mode)
+            for size in range(8):
+                for c in all_configs(g.n, size):
+                    for max_moves in (None, 0, 1, 2, 3):
+                        got, want = solver.solve(c, max_moves), ref.solve(c, max_moves)
+                        assert (got.solvable, got.solution) == (want.solvable, want.solution)
+                        if max_moves is None:
+                            assert got.solvable == brute_solvable(g, c, d.demands, mode)
+    assert pooled == 24
+
+
+def test_restricted_modes_keep_moves_into_a_target_awake():
+    """The 5-cycle 0-1-2-3-4 with the tail 2-5-6, demand one pebble on 0
+    and one on 5. From (0, 1, 1, 2, 0, 0, 3), 6 -> 5 is tried first and
+    fails: with 5 met, greedy moves must approach 0, and 3 -> 4 strands a
+    single pebble. 3 -> 2 approaches only 5, and then 6 -> 5, 2 -> 1,
+    1 -> 0 solves it in greedy mode. Had 6 -> 5 gone to sleep after 3 -> 2,
+    as it would if a move into a demand vertex counted as independent,
+    the search would call the state unsolvable. Every configuration of that
+    size, in all three modes, against the oracles."""
+    g = build_graph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (2, 5), (5, 6)])
+    d = Distribution((1, 0, 0, 0, 0, 1, 0))
+    out = Solver(g, d, "greedy").solve((0, 1, 1, 2, 0, 0, 3))
+    assert out.solution.moves == ((3, 2), (6, 5), (2, 1), (1, 0))
+    for mode in MODES:
+        solver, ref = Solver(g, d, mode), ReferenceSolver(g, d, mode)
+        for c in all_configs(g.n, 6):
+            got, want = solver.solve(c), ref.solve(c)
+            assert (got.solvable, got.solution) == (want.solvable, want.solution)
+            assert got.solvable == brute_solvable(g, c, d.demands, mode)
+
+
+def test_independence_masks_follow_the_definition(petersen):
+    """Each arc record's bit and independence mask against the set
+    definition: arc b is independent of arc a when b leaves another source
+    and, in the greedy and semi_greedy modes, puts no pebble on a demand
+    vertex. Set-up builds the masks once per solver: widening the key
+    width keeps the same mask objects."""
+    for g, demand in ((petersen, (1, 0, 0, 0, 0, 0, 0, 2, 0, 0)),
+                      (path_graph(5), (0, 2, 0, 1, 0))):
+        for mode in MODES:
+            solver = Solver(g, Distribution(demand), mode)
+            arcs = [arc for row in solver.arcs for arc in row]
+            assert [(u, v) for u, v, *_ in arcs] == \
+                [move for row in solver.moves_from for move in row]
+            assert sorted(arc[5] for arc in arcs) == [1 << i for i in range(len(arcs))]
+            for a in arcs:
+                assert a[6] == sum(b[5] for b in arcs if b[0] != a[0] and (
+                    mode == "unrestricted" or not demand[b[1]]))
+            solver.solve((0, 0, 0, 0, 40) + (0,) * (g.n - 5))
+            assert solver.k == 6
+            wider = [arc for row in solver.arcs for arc in row]
+            assert all(a[5] is b[5] and a[6] is b[6] for a, b in zip(arcs, wider))
 
 
 def test_memo_cap_bounds_the_memo(monkeypatch):
@@ -448,14 +539,14 @@ def test_solver_cache_drops_the_least_recently_used(monkeypatch, petersen):
 def test_lem_3_6_search_counts_are_pinned():
     """(states explored, memo entries) of lem-3.6's cheaper cases, each on a
     fresh Solver. The implementation fixes these counts, not the paper: they
-    follow from the DFS order, the weight cut and the memo rule, so a change
-    to any of those moves them, and only a change meant to do so may
-    re-record them."""
+    follow from the DFS order, the weight cut, the memo rule and the sleep
+    sets, so a change to any of those moves them, and only a change meant
+    to do so may re-record them."""
     pins = {(5, 1): ((1, 1), (46, 44)),
-            (5, 2): ((307, 282), (1096, 583)),
-            (5, 3): ((1006, 690), (4837, 2467)),
+            (5, 2): ((307, 282), (607, 523)),
+            (5, 3): ((649, 606), (2209, 1933)),
             (6, 1): ((1, 1), (943, 622)),
-            (6, 2): ((350419, 88334), (111613, 25681))}
+            (6, 2): ((350419, 88334), (61321, 25183))}
     for (m, t), want in pins.items():
         g = kneser(m, 2)
         d = Distribution.stacked(g.n, 0, t)
@@ -538,16 +629,16 @@ def test_symmetric_lem_3_6_search_counts_are_pinned():
     """(states explored, memo entries) of all twelve lem-3.6 cases on a
     fresh Solver keyed by the root's stabilizer, S_2 x S_{m-2}: 12 elements
     at m=5 and 48 at m=6. The implementation fixes these counts, not the
-    paper: they follow from the DFS order, the weight cut, the memo rule
-    and the orbit keys, so only a change meant to move them may re-record
-    them. The largest case, (6, 3) C_t1, explores 165,559 states against
-    the plain solver's 3,330,253."""
+    paper: they follow from the DFS order, the weight cut, the memo rule,
+    the sleep sets and the orbit keys, so only a change meant to move them
+    may re-record them. The largest case, (6, 3) C_t1, explores 98,365
+    states against the plain solver's 1,942,687."""
     pins = {(5, 1): ((1, 1), (16, 14)),
-            (5, 2): ((85, 68), (499, 219)),
-            (5, 3): ((493, 292), (2428, 1087)),
+            (5, 2): ((85, 68), (307, 210)),
+            (5, 3): ((328, 262), (1219, 897)),
             (6, 1): ((1, 1), (73, 45)),
-            (6, 2): ((10573, 2798), (12925, 2249)),
-            (6, 3): ((165559, 22632), (170815, 23383))}
+            (6, 2): ((10573, 2798), (7339, 2241)),
+            (6, 3): ((98365, 22555), (81037, 23095))}
     for (m, t), want in pins.items():
         g = kneser(m, 2)
         d = Distribution.stacked(g.n, 0, t)

@@ -36,6 +36,7 @@ from pebblekit import (
     verify_target_conjecture,
 )
 from pebblekit.numbers import (
+    _Budget,
     _ascending_blocks,
     _bfs_rooted_tree,
     _default_lower_candidates,
@@ -985,20 +986,26 @@ def test_verify_target_conjecture_with_expected_value():
 def test_scans_refuse_demands_of_the_wrong_length():
     """Every scan enters through numbers._scan, which refuses a demand
     vector shorter or longer than the vertex count, as the engine does,
-    before it checks a configuration."""
+    before it checks a configuration. verify_target_conjecture refuses one
+    among its demand classes before it computes pi_t, so the refusal
+    charges nothing to the budget."""
     p4 = path_graph(4)
     stacked = Distribution.stacked(4, 0, 1)
     for vec in ((0, 1, 0), (0, 1, 0, 0, 0)):
         d = Distribution(vec)
-        for call in (lambda: find_unsolvable_witness(p4, d, 3, budget=0),
-                     lambda: multi_demand_scan(p4, [stacked, d], 3, budget=0),
-                     lambda: pi_D(p4, d, budget=0),
-                     lambda: verify_target_conjecture(p4, 1, [vec]),
-                     lambda: verify_target_conjecture(p4, 1, [vec],
-                                                      expected_pi=8)):
+        budget = _Budget(10 ** 6)
+        for call in (lambda: find_unsolvable_witness(p4, d, 3, budget=budget),
+                     lambda: multi_demand_scan(p4, [stacked, d], 3, budget=budget),
+                     lambda: pi_D(p4, d, budget=budget),
+                     lambda: verify_target_conjecture(p4, 1, [vec], budget=budget),
+                     lambda: verify_target_conjecture(p4, 1, [stacked, vec],
+                                                      budget=budget),
+                     lambda: verify_target_conjecture(p4, 1, [vec], expected_pi=8,
+                                                      budget=budget)):
             with pytest.raises(PebblingError,
                                match="demand length must equal vertex count"):
                 call()
+            assert budget.spent == 0
 
 
 def test_three_target_check_engine_calls_are_pinned(monkeypatch):
