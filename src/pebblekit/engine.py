@@ -181,11 +181,14 @@ class Solver:
       suite checks this). A configuration meeting the demand has w_r at least
       sum D(x) 2^-dist(x,r), so a state below that can never be solved.
     - Memo. `failed` holds only states with no solution of any length: an
-      unbounded call adds a state once the weight rule cuts it or all of its
-      moves have failed. Such a state fails under any bound as well, so
-      bounded calls read the memo; a bounded failure may only mean the bound
-      was hit, so bounded calls never write it. The memo stops growing at
-      MEMO_CAP entries.
+      unbounded call adds a state once all of its moves have failed (or it
+      has none), and adds the state it starts from if the weight rule cuts
+      it. Such a state fails under any bound as well, so bounded calls read
+      the memo; a bounded failure may only mean the bound was hit, so
+      bounded calls never write it. A child the weight rule cuts is settled
+      before its memo key is built and is never written: every state it
+      reaches fails the same cut, so an entry would spare no work. The memo
+      stops growing at MEMO_CAP entries.
     - Sleep sets (Godefroid, "Partial-Order Methods for the Verification of
       Concurrent Systems", LNCS 1032, 1996). Move m_k is independent of
       move m_i when src(m_k) != src(m_i) and, in greedy and semi_greedy
@@ -222,12 +225,12 @@ class Solver:
     of the arcs independent of it do not depend on k and are built once, in
     __init__, from per-source and into-demand masks. A move first checks
     its bit against the sleep set, then the demand (only on demand-touching
-    arcs), then probes the memo with key + delta: a memo hit costs one add,
-    one set lookup and one or into the done set, and never touches
-    `counts`, the path or the weights, which change only when a state is
-    expanded. A call with a larger size widens k and re-encodes every memo
-    entry in place, so the memo holds the same states as before, now at the
-    new width.
+    arcs), then the child's weights against the cut (one add per target),
+    then probes the memo with key + delta: a memo hit costs one add, one
+    set lookup and one or into the done set, and never touches `counts` or
+    the path, which change only when a state is expanded. A call with a
+    larger size widens k and re-encodes every memo entry in place, so the
+    memo holds the same states as before, now at the new width.
 
     The weights are w_r scaled to integers by 2^scale, where scale is the
     largest eccentricity among the targets; set-up runs one BFS per target
@@ -448,6 +451,12 @@ class Solver:
                 # no child at the bound is expanded, so `done` goes unread
                 if bound:
                     continue
+                # a child below the weight cut is not written: every state
+                # it reaches fails the same cut
+                cw = tuple(map(add, weights, dw))
+                if not all(map(ge, cw, need)):
+                    done |= bit
+                    continue
                 # an expanded child adds the deltas again below: a tuple
                 # built here would cost every memo hit, which dominates the
                 # deep unsolvable searches the orbit keys are for
@@ -455,24 +464,22 @@ class Solver:
                 if child in failed:
                     done |= bit
                     continue
-                cw = tuple(map(add, weights, dw))
-                if all(map(ge, cw, need)):
-                    counts[u] -= 2
-                    counts[v] += 1
-                    nxt = moves_out()
-                    if nxt is not None:
-                        frames.append((key, images, it, weights, deficit, sleep, done | bit))
-                        path.append((u, v))
-                        key, it, weights = child, nxt, cw
-                        sleep, done = (sleep | done) & indep, 0
-                        if images:
-                            images = tuple(map(add, images, dk))
-                        if touch:
-                            deficit = left
-                        bound = len(path) == last
-                        break
-                    counts[u] += 2
-                    counts[v] -= 1
+                counts[u] -= 2
+                counts[v] += 1
+                nxt = moves_out()
+                if nxt is not None:
+                    frames.append((key, images, it, weights, deficit, sleep, done | bit))
+                    path.append((u, v))
+                    key, it, weights = child, nxt, cw
+                    sleep, done = (sleep | done) & indep, 0
+                    if images:
+                        images = tuple(map(add, images, dk))
+                    if touch:
+                        deficit = left
+                    bound = len(path) == last
+                    break
+                counts[u] += 2
+                counts[v] -= 1
                 if write and len(failed) < cap:
                     failed.add(child)
                 done |= bit

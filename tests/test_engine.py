@@ -542,11 +542,11 @@ def test_lem_3_6_search_counts_are_pinned():
     follow from the DFS order, the weight cut, the memo rule and the sleep
     sets, so a change to any of those moves them, and only a change meant
     to do so may re-record them."""
-    pins = {(5, 1): ((1, 1), (46, 44)),
-            (5, 2): ((307, 282), (607, 523)),
-            (5, 3): ((649, 606), (2209, 1933)),
-            (6, 1): ((1, 1), (943, 622)),
-            (6, 2): ((350419, 88334), (61321, 25183))}
+    pins = {(5, 1): ((1, 1), (46, 36)),
+            (5, 2): ((307, 189), (607, 319)),
+            (5, 3): ((649, 283), (2209, 950)),
+            (6, 1): ((1, 1), (943, 582)),
+            (6, 2): ((350419, 80481), (61321, 18277))}
     for (m, t), want in pins.items():
         g = kneser(m, 2)
         d = Distribution.stacked(g.n, 0, t)
@@ -633,12 +633,12 @@ def test_symmetric_lem_3_6_search_counts_are_pinned():
     the sleep sets and the orbit keys, so only a change meant to move them
     may re-record them. The largest case, (6, 3) C_t1, explores 98,365
     states against the plain solver's 1,942,687."""
-    pins = {(5, 1): ((1, 1), (16, 14)),
-            (5, 2): ((85, 68), (307, 210)),
-            (5, 3): ((328, 262), (1219, 897)),
-            (6, 1): ((1, 1), (73, 45)),
-            (6, 2): ((10573, 2798), (7339, 2241)),
-            (6, 3): ((98365, 22555), (81037, 23095))}
+    pins = {(5, 1): ((1, 1), (16, 12)),
+            (5, 2): ((85, 50), (307, 134)),
+            (5, 3): ((328, 132), (1219, 464)),
+            (6, 1): ((1, 1), (73, 41)),
+            (6, 2): ((10573, 2553), (7339, 1833)),
+            (6, 3): ((98365, 18211), (81037, 15271))}
     for (m, t), want in pins.items():
         g = kneser(m, 2)
         d = Distribution.stacked(g.n, 0, t)

@@ -159,6 +159,39 @@ def test_unrank_cols_tables_hold_at_wide_sizes():
                                            for k in ranks]
 
 
+def test_unrank_cols_forms_agree_on_unordered_ranks(monkeypatch):
+    """Unordered ranks with m < 64 take the kernel's entry count, every
+    other call takes searchsorted; both give the scalar reference's
+    columns, and the block of the sorted ranks is the same block with its
+    columns permuted. (7, 63) and (7, 64) sit on either side of the rule."""
+    searches = []
+    real = np.searchsorted
+
+    def spy(*args, **kwargs):
+        searches.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "searchsorted", spy)
+    rng = random.Random(577)
+    for n, m in ((15, 15), (7, 63), (7, 64), (4, 200)):
+        total = num_configs(n, m)
+        ranks = np.array([total - 1, 0] + [rng.randrange(total)
+                                           for _ in range(400)])
+        searches.clear()
+        block = _unrank_cols(n, m, ranks)
+        assert bool(searches) == (m >= 64)
+        assert block.dtype == np.int16 and block.flags.c_contiguous
+        assert [tuple(col) for col in block.T.tolist()] == \
+            [unrank_config(n, m, int(k)).counts for k in ranks]
+        order = np.argsort(ranks, kind="stable")
+        searches.clear()
+        ascending = _unrank_cols(n, m, ranks[order])
+        assert searches
+        back = np.empty_like(ascending)
+        back[:, order] = ascending
+        assert np.array_equal(back, block)
+
+
 def test_uniform_ranks_are_the_randrange_draws():
     """_uniform_ranks(rng, total, k) is [rng.randrange(total) for _ in
     range(k)] and leaves rng where that loop leaves it, call after call:
