@@ -2,17 +2,16 @@
 verification harness for the bundled claim registry."""
 
 from .engine import Configuration, Distribution, MODES, PebblingError, \
-    Solution, SolveOutcome, Solver, apply_move, find_slides, is_solvable, \
-    max_fold, min_cost_solution, replay, stats, weight
+    Solution, SolveOutcome, Solver, apply_move, is_solvable, \
+    min_cost_solution, replay, stats, weight
 from .families import FamilyError, FanSpec, RootedTree, TwoPath, \
     enumerate_fan_specs, is_spinal_root, is_two_path, kneser, \
     max_path_partition, random_tree, spinal_tree, two_path
 from .formulas import FormulaError, KneserParams, build_C_t1, build_C_t2, \
     build_J_r, kneser_p, spinal_pi, tree_pi, two_path_pi_t
 from .graph import Graph, GraphError, Metrics, automorphisms, build_graph, \
-    count_disjoint_paths, graph_from_json, graph_to_json, metrics, \
-    pair_orbits, shortest_path, simplicial_vertices, stabilizer, \
-    vertex_connectivity
+    graph_from_json, graph_to_json, metrics, pair_orbits, shortest_path, \
+    simplicial_vertices, stabilizer, vertex_connectivity
 from .harness import CampaignConfig, ExperimentReport, HarnessError, \
     REGISTRY, load_graph, run_campaign, save_graph
 from .numbers import BudgetExceededError, DEFAULT_BUDGET, WitnessResult, \
@@ -27,7 +26,7 @@ __all__ = [
     "VERSION",
     # graph
     "Graph", "GraphError", "Metrics", "build_graph", "metrics",
-    "shortest_path", "vertex_connectivity", "count_disjoint_paths",
+    "shortest_path", "vertex_connectivity",
     "simplicial_vertices", "automorphisms", "stabilizer", "pair_orbits",
     "graph_to_json", "graph_from_json",
     # families
@@ -37,7 +36,7 @@ __all__ = [
     # engine
     "MODES", "PebblingError", "Configuration", "Distribution", "Solution",
     "SolveOutcome", "Solver", "apply_move", "replay", "stats", "weight",
-    "is_solvable", "min_cost_solution", "find_slides", "max_fold",
+    "is_solvable", "min_cost_solution",
     # formulas
     "FormulaError", "KneserParams", "tree_pi", "two_path_pi_t", "spinal_pi",
     "kneser_p", "build_C_t1", "build_C_t2", "build_J_r",

@@ -174,12 +174,11 @@ def _cmd_pi(args) -> int:
     if args.demand or args.root is not None:
         d = _demand_from_args(args, g.n)
         value = pi_D(g, d, hint=args.hint, budget=args.budget, jobs=args.jobs,
-                     symmetry=args.symmetry, mode=args.mode)
+                     mode=args.mode)
         payload = {"demand": list(d.demands), "pi": value}
     else:
         t = _t_from_args(args)
-        value = pi_t(g, t, budget=args.budget, jobs=args.jobs,
-                     symmetry=args.symmetry)
+        value = pi_t(g, t, budget=args.budget, jobs=args.jobs)
         payload = {"t": t, "pi_t": value}
     if args.expect is not None:
         payload["expected"] = args.expect
@@ -195,7 +194,7 @@ def _cmd_witness(args) -> int:
     d = _demand_from_args(args, g.n)
     res = find_unsolvable_witness(g, d, args.size, mode=args.mode,
                                   collect_all=args.all, jobs=args.jobs,
-                                  symmetry=args.symmetry, budget=args.budget)
+                                  budget=args.budget)
     payload = {"size": res.size,
                "found": res.found,
                "witness": list(res.witness.counts) if res.found else None,
@@ -215,8 +214,7 @@ def _cmd_verify_target(args) -> int:
         classes = [tuple(int(x) for x in vec) for vec in raw]
     rep = verify_target_conjecture(g, args.t, classes,
                                    expected_pi=args.expected_pi,
-                                   budget=args.budget, jobs=args.jobs,
-                                   symmetry=args.symmetry)
+                                   budget=args.budget, jobs=args.jobs)
     payload = dict(rep)
     if payload.get("lower_witness"):
         lw = payload["lower_witness"]
@@ -305,15 +303,6 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--out", default=None, help="also write the result here")
 
 
-def _add_symmetry(p: argparse.ArgumentParser):
-    p.add_argument("--symmetry", action="store_true",
-                   help="scan only orbit-minimal configurations under "
-                        "demand-preserving automorphisms: only those are "
-                        "charged to the budget, but finding them takes "
-                        "10-30x the wall time of the full scan, so it pays "
-                        "only when the budget would otherwise run out")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pebblekit",
@@ -364,7 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("unrestricted", "greedy", "semi_greedy"),
                    default="unrestricted")
     _add_common(p)
-    _add_symmetry(p)
     p.set_defaults(func=_cmd_pi)
 
     p = sub.add_parser("witness", help="search one size for an unsolvable "
@@ -378,7 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("unrestricted", "greedy", "semi_greedy"),
                    default="unrestricted")
     _add_common(p)
-    _add_symmetry(p)
     p.set_defaults(func=_cmd_witness)
 
     p = sub.add_parser("verify-target",
@@ -393,7 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "one below it and one scan at it; with --demands '[]' "
                         "that certificate alone")
     _add_common(p)
-    _add_symmetry(p)
     p.set_defaults(func=_cmd_verify_target)
 
     p = sub.add_parser("verify", help="run a registered claim verification")

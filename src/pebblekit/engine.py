@@ -1,5 +1,5 @@
 """Exact pebbling engine: configurations, distributions, pebbling moves,
-solvability search with pruning, minimum-cost solutions, slides, and
+solvability search with pruning, minimum-cost solutions, and
 weight/potential statistics."""
 
 from __future__ import annotations
@@ -9,7 +9,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from math import floor
 from operator import add, ge, le, lshift, lt, mul
 
 from .graph import Graph, stabilizer
@@ -28,8 +27,6 @@ __all__ = [
     "weight",
     "is_solvable",
     "min_cost_solution",
-    "find_slides",
-    "max_fold",
 ]
 
 MODES = ("unrestricted", "greedy", "semi_greedy")
@@ -565,40 +562,3 @@ def min_cost_solution(g: Graph, c: Configuration, r: int, max_moves: int | None 
             lo = mid + 1
     cost = best.solution.cost
     return best.solution, cost <= (1 << max(solver.dist[r]))
-
-
-def find_slides(g: Graph, c: Configuration, cap: int | None = None):
-    """All maximal slides: paths v_1..v_k with c(v_1) >= 2 and at least one
-    pebble on every interior vertex, so a pebble can travel the whole path.
-    Maximal = not extendable (extending needs a pebble on the current end)
-    or at the length cap (default n). Deterministic sorted order."""
-    if cap is None:
-        cap = g.n
-    out = []
-    stack = [(u,) for u in range(g.n) if c[u] >= 2]
-    while stack:
-        path = stack.pop()
-        last = path[-1]
-        grown = False
-        if len(path) < cap and (len(path) == 1 or c[last] >= 1):
-            for w in g.adjacency[last]:
-                if w not in path:
-                    grown = True
-                    stack.append(path + (w,))
-        if not grown and len(path) >= 2:
-            out.append(path)
-    return tuple(sorted(out))
-
-
-def max_fold(g: Graph, c: Configuration, r: int) -> int:
-    """Largest t >= 0 with c solvable for the demand of t pebbles on r.
-    Binary search between c(r) and the weight upper bound floor(w_r(c))."""
-    hi = floor(weight(c, r, g))
-    lo = min(c[r], hi)
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if is_solvable(g, c, Distribution.stacked(g.n, r, mid)).solvable:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo

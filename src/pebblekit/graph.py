@@ -15,7 +15,6 @@ __all__ = [
     "build_graph",
     "metrics",
     "vertex_connectivity",
-    "count_disjoint_paths",
     "simplicial_vertices",
     "automorphisms",
     "stabilizer",
@@ -231,20 +230,6 @@ def vertex_connectivity(g: Graph) -> int:
     return best
 
 
-def count_disjoint_paths(g: Graph, x_set, y_set) -> int:
-    """Maximum number of pairwise internally disjoint X,Y-paths."""
-    xs = frozenset(int(v) for v in x_set)
-    ys = frozenset(int(v) for v in y_set)
-    if not xs or not ys:
-        raise GraphError("both vertex sets must be nonempty")
-    if xs & ys:
-        raise GraphError(f"vertex sets overlap: {sorted(xs & ys)}")
-    for v in xs | ys:
-        if not 0 <= v < g.n:
-            raise GraphError(f"vertex {v} out of range")
-    return _max_flow_unit(g, xs, ys)
-
-
 def simplicial_vertices(g: Graph) -> frozenset[int]:
     """Vertices whose neighborhood induces a clique."""
     out = []
@@ -320,12 +305,11 @@ def stabilizer(g: Graph, vectors=()) -> list[tuple[int, ...]]:
     return perms
 
 
-def pair_orbits(g: Graph, perms=None) -> list[list[tuple[int, int]]]:
+def pair_orbits(g: Graph) -> list[list[tuple[int, int]]]:
     """Orbits of unordered vertex pairs (repetition allowed, so {v, v} counts)
     under the automorphism group. Each orbit is sorted; orbits are ordered by
     their least pair."""
-    if perms is None:
-        perms = automorphisms(g)
+    perms = automorphisms(g)
     canon: dict[tuple[int, int], tuple[int, int]] = {}
     for u in range(g.n):
         for v in range(u, g.n):

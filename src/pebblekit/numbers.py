@@ -72,7 +72,7 @@ import numpy as np
 from .engine import Configuration, Distribution, PebblingError, is_solvable
 from .families import RootedTree, TwoPath, _peel_paths, max_path_partition
 from .formulas import build_C_t1, build_C_t2, tree_pi
-from .graph import Graph, build_graph, stabilizer
+from .graph import Graph, build_graph
 
 __all__ = [
     "BudgetExceededError",
@@ -625,34 +625,14 @@ def _min_moves_upto3(g: Graph, rows: np.ndarray, r: int) -> np.ndarray:
     return moves
 
 
-def _lex_le_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per-row lexicographic a <= b for equal-shaped integer arrays."""
-    neq = a != b
-    any_neq = neq.any(axis=1)
-    first = np.where(any_neq, neq.argmax(axis=1), 0)
-    idx = np.arange(a.shape[0])
-    lt = a[idx, first] < b[idx, first]
-    return np.where(any_neq, lt, True)
-
-
-def _canonical_mask(rows: np.ndarray, perms) -> np.ndarray:
-    """Keep rows that are lexicographic minima of their orbit under the
-    given column permutations."""
-    keep = np.ones(rows.shape[0], dtype=bool)
-    for p in perms:
-        keep &= _lex_le_rows(rows, rows[:, p])
-    return keep
-
-
 def _scan_chunk(g: Graph, demands, blocks, *, mode: str = "unrestricted",
-                collect_all: bool = False, perms=(),
-                budget: _Budget | None = None):
+                collect_all: bool = False, budget: _Budget | None = None):
     """The one settle loop. Settles every row of each (B, n) block that
-    blocks yields against every demand: keeps the orbit minima under perms,
-    charges the kept rows to budget, prescreens them with one _FastFilter
-    per demand (unrestricted mode only; in a restricted mode every row goes
-    to the engine), and sends each row the filter's pending yields to the
-    exact engine as a plain count tuple.
+    blocks yields against every demand: charges the rows to budget,
+    prescreens them with one _FastFilter per demand (unrestricted mode
+    only; in a restricted mode every row goes to the engine), and sends
+    each row the filter's pending yields to the exact engine as a plain
+    count tuple.
 
     A failure is a (demand_index, Configuration) pair the engine confirmed
     unsolvable. Returns (first_failure, failures, checked): the first
@@ -664,10 +644,6 @@ def _scan_chunk(g: Graph, demands, blocks, *, mode: str = "unrestricted",
     checked = 0
     failures = []
     for rows in blocks:
-        if len(perms):
-            rows = rows[_canonical_mask(rows, perms)]
-            if rows.shape[0] == 0:
-                continue
         if budget is not None:
             budget.charge(rows.shape[0])
         checked += rows.shape[0]
@@ -692,20 +668,18 @@ def _scan_worker(payload):
     """One chunk of a parallel scan, bounded by what was left of the budget
     when the scan began. An overrun comes back as the count checked, which
     the caller's charge then refuses."""
-    (g, demand_vecs, size, start, stop, mode, collect_all, perms, left) = payload
+    (g, demand_vecs, size, start, stop, mode, collect_all, left) = payload
     demands = [Distribution(v) for v in demand_vecs]
     blocks = _ascending_blocks(g.n, size, start, stop)
     try:
         return _scan_chunk(g, demands, blocks, mode=mode,
-                           collect_all=collect_all, perms=perms,
-                           budget=_Budget(left))
+                           collect_all=collect_all, budget=_Budget(left))
     except BudgetExceededError as err:
         return None, [], err.spent
 
 
 def _scan(g: Graph, demands, size: int, *, mode: str = "unrestricted",
-          collect_all: bool = False, jobs: int = 1, symmetry: bool = False,
-          budget=None):
+          collect_all: bool = False, jobs: int = 1, budget=None):
     """Full fixed-size scan, optionally split into contiguous chunks
     processed in parallel and merged in order.
 
@@ -718,31 +692,18 @@ def _scan(g: Graph, demands, size: int, *, mode: str = "unrestricted",
     first failure, the failures and the count checked are the serial
     scan's.
 
-    With symmetry, only the orbit minima under the demands' common
-    stabilizer are charged and settled, but every row is still enumerated
-    and _canonical_mask compares it with each of its images. Measured on a
-    2-core x86_64 machine, one cold process per run, that took 10-30 times
-    the full scan's wall time: pi_t(K(5,2), 2, roots=[0]) 0.12-0.16 s ->
-    3.2-4.0 s, pi_t(Q3, 2, roots=[0]) 0.05-0.07 s -> 0.85-0.96 s. It pays
-    only when the budget binds: pi_t(C8, 2, roots=[0]) exceeds the default
-    budget without it (after 10 s) and finishes in 21-27 s with it.
-
-    A demand vector whose length is not g.n is refused here, the one entry
-    of every scan."""
+    A demand vector whose length is not g.n is refused here, the entry of
+    every public scan. It is not the entry of every scan: harness's size-13
+    Petersen pass and its thm-3.5 sampler call _scan_chunk directly, on
+    demands they build from the graph itself."""
     _check_jobs(jobs)
     if any(len(d) != g.n for d in demands):
         raise PebblingError("demand length must equal vertex count")
     budget = _coerce_budget(budget)
     total = num_configs(g.n, size)
-    # solvability is invariant under the automorphisms keeping every demand,
-    # so scanning orbit minima suffices; the identity (listed first) is dropped
-    perms = ([np.array(p, dtype=np.intp)
-              for p in stabilizer(g, [d.demands for d in demands])[1:]]
-             if symmetry else ())
     if jobs <= 1 or total < 4 * _BLOCK:
         return _scan_chunk(g, demands, _ascending_blocks(g.n, size),
-                           mode=mode, collect_all=collect_all, perms=perms,
-                           budget=budget)
+                           mode=mode, collect_all=collect_all, budget=budget)
     chunk = -(-total // (4 * jobs * _BLOCK)) * _BLOCK
     vecs = [d.demands for d in demands]
     left = budget.cap - budget.spent
@@ -752,7 +713,7 @@ def _scan(g: Graph, demands, size: int, *, mode: str = "unrestricted",
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         futures = [pool.submit(_scan_worker,
                                (g, vecs, size, s, min(s + chunk, total),
-                                mode, collect_all, perms, left))
+                                mode, collect_all, left))
                    for s in range(0, total, chunk)]
         try:
             for fut in futures:
@@ -773,29 +734,26 @@ def _scan(g: Graph, demands, size: int, *, mode: str = "unrestricted",
 def find_unsolvable_witness(g: Graph, d: Distribution, size: int, *,
                             mode: str = "unrestricted",
                             collect_all: bool = False, jobs: int = 1,
-                            symmetry: bool = False,
                             budget=None) -> WitnessResult:
-    """Scan every configuration of the given size (ascending lex; optionally
-    orbit minima only when symmetry reduction is on) and report the first
-    D-unsolvable one. Every reported witness carries an exact engine
-    verdict, never just a prescreen rejection."""
+    """Scan every configuration of the given size in ascending lex order
+    and report the first D-unsolvable one. Every reported witness carries
+    an exact engine verdict, never just a prescreen rejection."""
     if size < 0:
         raise ValueError("size must be nonnegative")
     first, wits, checked = _scan(g, [d], size, mode=mode,
                                  collect_all=collect_all, jobs=jobs,
-                                 symmetry=symmetry, budget=budget)
+                                 budget=budget)
     witness = first[1] if first is not None else None
     return WitnessResult(size=size, witness=witness, configs_checked=checked,
                          witnesses=tuple(cfg for _, cfg in wits))
 
 
 def multi_demand_scan(g: Graph, demands, size: int, *, mode: str = "unrestricted",
-                      jobs: int = 1, symmetry: bool = False,
-                      budget=None) -> dict:
+                      jobs: int = 1, budget=None) -> dict:
     """One pass over all size-m configurations checking several demands at
     once. Stops at the first configuration unsolvable for any demand."""
     first, _, checked = _scan(g, list(demands), size, mode=mode, jobs=jobs,
-                              symmetry=symmetry, budget=budget)
+                              budget=budget)
     failure = None
     if first is not None:
         failure = {"demand_index": first[0], "config": first[1]}
@@ -803,8 +761,7 @@ def multi_demand_scan(g: Graph, demands, size: int, *, mode: str = "unrestricted
 
 
 def pi_D(g: Graph, d: Distribution, hint: int | None = None, *,
-         budget=None, jobs: int = 1, symmetry: bool = False,
-         mode: str = "unrestricted") -> int:
+         budget=None, jobs: int = 1, mode: str = "unrestricted") -> int:
     """Smallest m such that every size-m configuration is D-solvable.
 
     Solvability is monotone in the configuration (extra pebbles never
@@ -820,8 +777,7 @@ def pi_D(g: Graph, d: Distribution, hint: int | None = None, *,
 
     def has_witness(s: int) -> bool:
         if s not in cache:
-            res = find_unsolvable_witness(g, d, s, jobs=jobs,
-                                          symmetry=symmetry, budget=budget,
+            res = find_unsolvable_witness(g, d, s, jobs=jobs, budget=budget,
                                           mode=mode)
             cache[s] = res.found
         return cache[s]
@@ -866,15 +822,21 @@ def _tree_hint(g: Graph, r: int, t: int) -> int:
 
 
 def _root_list(g: Graph, roots) -> list:
+    """The requested roots as a list: every vertex for None, a one-item list
+    for a single root. An empty list is refused: pi_t is a maximum over the
+    roots, and a maximum over no roots has no value."""
     if roots is None:
         return list(range(g.n))
     if isinstance(roots, int):
         return [roots]
-    return list(roots)
+    out = list(roots)
+    if not out:
+        raise PebblingError("roots must name at least one vertex")
+    return out
 
 
-def pi_t(g: Graph, t: int = 1, roots=None, *, budget=None, jobs: int = 1,
-         symmetry: bool = False) -> int:
+def pi_t(g: Graph, t: int = 1, roots=None, *, budget=None,
+         jobs: int = 1) -> int:
     """t-fold pebbling number: max over the requested roots (all by
     default; pass a single root for vertex-transitive graphs) of the
     smallest m making every size-m configuration t-fold r-solvable. Each
@@ -886,7 +848,7 @@ def pi_t(g: Graph, t: int = 1, roots=None, *, budget=None, jobs: int = 1,
     for r in _root_list(g, roots):
         d = Distribution.stacked(g.n, r, t)
         best = max(best, pi_D(g, d, _tree_hint(g, r, t), budget=budget,
-                              jobs=jobs, symmetry=symmetry))
+                              jobs=jobs))
     return best
 
 
@@ -953,7 +915,7 @@ def _default_lower_candidates(g: Graph, t: int, roots, want_size: int):
 
 
 def _confirm_lower(g: Graph, t: int, roots, want_size: int, candidates,
-                   budget: _Budget, jobs: int, symmetry: bool):
+                   budget: _Budget, jobs: int):
     """Certify pi_t(g) > want_size by exhibiting one engine-confirmed
     unsolvable configuration: constructed candidates first, full scan as a
     fallback."""
@@ -967,7 +929,7 @@ def _confirm_lower(g: Graph, t: int, roots, want_size: int, candidates,
     for r in roots:
         d = Distribution.stacked(g.n, r, t)
         res = find_unsolvable_witness(g, d, want_size, jobs=jobs,
-                                      symmetry=symmetry, budget=budget)
+                                      budget=budget)
         if res.found:
             return {"root": r, "witness": res.witness, "source": "scan"}
     return None
@@ -988,7 +950,7 @@ def demands_of_size(g: Graph, t: int):
 def verify_target_conjecture(g: Graph, t: int = 1, demand_classes=None, *,
                              expected_pi: int | None = None, roots=None,
                              lower_candidates=None, budget=None,
-                             jobs: int = 1, symmetry: bool = False) -> dict:
+                             jobs: int = 1) -> dict:
     """Check pi(G, D) <= pi_t(G) for every demand D of size t in the
     requested classes (all multisets by default).
 
@@ -1025,8 +987,7 @@ def verify_target_conjecture(g: Graph, t: int = 1, demand_classes=None, *,
 
     stacked = [Distribution.stacked(g.n, r, t) for r in root_list]
     if expected_pi is None:
-        M = pi_t(g, t, roots=root_list, budget=budget, jobs=jobs,
-                 symmetry=symmetry)
+        M = pi_t(g, t, roots=root_list, budget=budget, jobs=jobs)
         covered = {d.demands for d in stacked}
         scan_demands = [d for d in classes if d.demands not in covered]
     else:
@@ -1037,7 +998,7 @@ def verify_target_conjecture(g: Graph, t: int = 1, demand_classes=None, *,
         candidates = list(lower_candidates or [])
         candidates += _default_lower_candidates(g, t, root_list, M - 1)
         lower = _confirm_lower(g, t, root_list, M - 1, candidates, budget,
-                               jobs, symmetry)
+                               jobs)
         if lower is None:
             report.update(pi_t=M, configs_checked=budget.spent)
             report["counterexample"] = {
@@ -1047,8 +1008,7 @@ def verify_target_conjecture(g: Graph, t: int = 1, demand_classes=None, *,
 
     report["pi_t"] = M
     if scan_demands:
-        scan = multi_demand_scan(g, scan_demands, M, jobs=jobs,
-                                 symmetry=symmetry, budget=budget)
+        scan = multi_demand_scan(g, scan_demands, M, jobs=jobs, budget=budget)
         if scan["failure"] is not None:
             fail = scan["failure"]
             report["counterexample"] = {

@@ -1,4 +1,4 @@
-"""Engine semantics: moves, statistics, solvability, cost, slides, folds."""
+"""Engine semantics: moves, statistics, solvability, cost."""
 
 import random
 from collections import OrderedDict
@@ -19,10 +19,8 @@ from pebblekit import (
     build_C_t2,
     build_J_r,
     build_graph,
-    find_slides,
     is_solvable,
     kneser,
-    max_fold,
     metrics,
     min_cost_solution,
     replay,
@@ -257,7 +255,7 @@ def test_solver_set_up_runs_one_bfs_per_target():
     assert "metrics" not in g.__dict__
 
 
-def test_weight_max_fold_and_prescreen_use_target_bfs_rows():
+def test_weight_and_prescreen_use_target_bfs_rows():
     # ecc(r) = 550 against diameter 1099: the values match those computed
     # through the all-pairs metrics of a separate copy of the graph
     n = 1100
@@ -269,7 +267,6 @@ def test_weight_max_fold_and_prescreen_use_target_bfs_rows():
     pair = [0] * n
     pair[r] = pair[r + 7] = 1
     w = weight(c, r, g)
-    fold = max_fold(g, c, r)
     filt = _FastFilter(g, Distribution(tuple(pair)))
     assert "metrics" not in g.__dict__
 
@@ -277,7 +274,6 @@ def test_weight_max_fold_and_prescreen_use_target_bfs_rows():
     diam = m.diameter
     scaled = sum(c[v] << (diam - m.dist[r][v]) for v in range(n))
     assert w == Fraction(scaled, 1 << diam)
-    assert fold == scaled >> diam == 5
     # each target's route demand prices the other target at distance 7
     d = m.dist[r][r + 7]
     assert filt.route[r] == filt.route[r + 7] == 1 + (1 << d) == 129
@@ -328,45 +324,6 @@ def test_min_cost_solution_move_cap():
     assert min_cost_solution(p3, c, 0, max_moves=2) is None
     sol, _ = min_cost_solution(p3, c, 0, max_moves=3)
     assert sol.cost == 4
-
-
-def test_find_slides():
-    p3 = path_graph(3)
-    assert find_slides(p3, Configuration((2, 1, 0))) == ((0, 1, 2),)
-    assert find_slides(p3, Configuration((2, 0, 0))) == ((0, 1),)
-    assert find_slides(p3, Configuration((2, 1, 0)), cap=2) == ((0, 1),)
-    assert find_slides(p3, Configuration((1, 1, 1))) == ()
-    pet = kneser(5, 2)
-    assert find_slides(pet, build_J_r(pet, 0)) == ()
-    # deterministic and sorted
-    c = Configuration((2, 1, 2))
-    assert find_slides(p3, c) == tuple(sorted(find_slides(p3, c)))
-    n = 1100
-    assert find_slides(path_graph(n), long_slide(n)) == (tuple(range(n)),)
-
-
-def test_max_fold_examples(petersen):
-    p4 = path_graph(4)
-    for t in (1, 2, 3):
-        assert max_fold(p4, Configuration((t * 8, 0, 0, 0)), 3) == t
-    assert max_fold(petersen, build_J_r(petersen, 0), 0) == 0
-    for t in (1, 2):
-        base = build_C_t1(petersen, 0, t).counts
-        for v in range(10):
-            bumped = list(base)
-            bumped[v] += 1
-            assert max_fold(petersen, Configuration(tuple(bumped)), 0) >= t
-
-
-def test_max_fold_is_the_exact_threshold():
-    for g, c, d in small_instances(37, 60, max_size=10):
-        r = next(i for i, x in enumerate(d) if x)
-        fold = max_fold(g, Configuration(c), r)
-        if fold:
-            assert is_solvable(g, Configuration(c),
-                               Distribution.stacked(g.n, r, fold)).solvable
-        assert not is_solvable(g, Configuration(c),
-                               Distribution.stacked(g.n, r, fold + 1)).solvable
 
 
 def test_cost_accounting_identity():

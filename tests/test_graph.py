@@ -11,7 +11,6 @@ from pebblekit import (
     FanSpec,
     GraphError,
     build_graph,
-    count_disjoint_paths,
     graph_from_json,
     graph_to_json,
     kneser,
@@ -22,7 +21,7 @@ from pebblekit import (
     two_path,
     vertex_connectivity,
 )
-from pebblekit.graph import automorphisms, stabilizer
+from pebblekit.graph import _max_flow_unit, automorphisms, stabilizer
 
 from oracles import (
     bfs_dist,
@@ -133,19 +132,7 @@ def test_vertex_connectivity_matches_brute_force():
         assert kappa <= min(len(g.adjacency[v]) for v in range(n))
 
 
-def test_count_disjoint_paths_examples(petersen):
-    k5 = complete_graph(5)
-    assert count_disjoint_paths(k5, {0}, {1}) == 4
-    p4 = path_graph(4)
-    assert count_disjoint_paths(p4, {0}, {3}) == 1
-    u, v = 0, 1  # non-adjacent in the 2-subset Kneser labeling
-    assert metrics(petersen).dist[u][v] == 2
-    assert count_disjoint_paths(petersen, {u}, {v}) == 3
-    with pytest.raises(GraphError):
-        count_disjoint_paths(k5, {0, 1}, {1, 2})
-
-
-def test_count_disjoint_paths_matches_menger():
+def test_max_flow_unit_matches_menger():
     rng = random.Random(14)
     for _ in range(15):
         n = rng.randrange(4, 9)
@@ -154,7 +141,7 @@ def test_count_disjoint_paths_matches_menger():
         nonadj = [(x, y) for x in range(n) for y in range(x + 1, n)
                   if (x, y) not in edge_set]
         for x, y in nonadj[:4]:
-            assert count_disjoint_paths(g, {x}, {y}) == brute_pair_cut(g, x, y)
+            assert _max_flow_unit(g, (x,), (y,)) == brute_pair_cut(g, x, y)
 
 
 def test_simplicial_vertices():

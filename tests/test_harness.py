@@ -173,20 +173,20 @@ def test_empty_value_lists_are_refused(capsys):
         run_campaign(CampaignConfig(claim="lem-3.6", params={"t_values": ()}))
 
 
-def test_symmetry_is_a_flag_of_the_scan_commands(tmp_path, capsys):
-    """--symmetry belongs to pi, witness and verify-target, the commands
-    whose scans read it. verify never read it, so there it is a usage
-    error rather than a flag that silently does nothing."""
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["verify", "lem-3.6", "--symmetry"])
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --symmetry" in capsys.readouterr().err
+def test_symmetry_is_not_a_flag(tmp_path, capsys):
+    """No command takes --symmetry: every scan covers every configuration,
+    and a scan that overruns the budget is answered by raising --budget."""
     graph = tmp_path / "p3.json"
     graph.write_text(path3_json() + "\n")
-    for argv in (["pi", "--root", "0"], ["witness", "--root", "0", "--size", "3"],
-                 ["verify-target", "--t", "1", "--expected-pi", "4"]):
-        assert cli.main([argv[0], "--graph", str(graph), *argv[1:], "--symmetry"]) == 0
-        capsys.readouterr()
+    for argv in (["pi", "--graph", str(graph), "--root", "0"],
+                 ["witness", "--graph", str(graph), "--root", "0", "--size", "3"],
+                 ["verify-target", "--graph", str(graph), "--t", "1",
+                  "--expected-pi", "4"],
+                 ["verify", "lem-3.6"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--symmetry"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --symmetry" in capsys.readouterr().err
 
 
 def test_thm_3_5_sampler_charges_whole_batches():

@@ -817,13 +817,11 @@ def test_witness_scan_matches_brute_force_enumeration():
         assert res.configs_checked == num_configs(n, size)
 
 
-def test_witness_scan_jobs_and_symmetry_agree(petersen):
+def test_witness_scan_jobs_agree(petersen):
     d = Distribution.stacked(10, 0, 1)
     serial = find_unsolvable_witness(petersen, d, 9)
     parallel = find_unsolvable_witness(petersen, d, 9, jobs=2)
-    reduced = find_unsolvable_witness(petersen, d, 9, symmetry=True)
-    assert serial.witness == parallel.witness == reduced.witness
-    assert reduced.configs_checked <= serial.configs_checked
+    assert serial.found and serial.witness == parallel.witness
 
 
 def test_multi_demand_scan_reports_first_failure():
@@ -934,6 +932,19 @@ def test_pi_t_certificate_refuses_expected_values_below_one():
             with pytest.raises(PebblingError, match="expected_pi must be at least 1"):
                 verify_target_conjecture(p4, 1, classes, expected_pi=expected,
                                          budget=0)
+
+
+def test_empty_root_lists_are_refused():
+    """pi_t is a maximum over the roots, so an empty root list has no value:
+    pi_t and both verify_target_conjecture forms refuse it before any
+    configuration is checked, rather than reporting pi_t = 0."""
+    p3 = path_graph(3)
+    with pytest.raises(PebblingError, match="roots must name at least one"):
+        pi_t(p3, 2, roots=[], budget=0)
+    for classes, expected in ((None, None), ([], 4)):
+        with pytest.raises(PebblingError, match="roots must name at least one"):
+            verify_target_conjecture(p3, 1, classes, roots=[],
+                                     expected_pi=expected, budget=0)
 
 
 def test_default_lower_candidates_skip_the_all_pairs_matrix():
@@ -1076,25 +1087,24 @@ def test_budget_is_enforced_and_reported(petersen):
 
 
 def test_parallel_scans_charge_per_chunk_and_match_serial(petersen):
-    # size 12 has 293,930 rows but only 25,982 orbit minima under the
-    # root's stabilizer: a parallel scan charges what its chunks check
+    # size 12 has 293,930 rows, all solvable: a budget of exactly that many
+    # lets the full scan finish, serial or in parallel chunks, and one less
+    # is refused either way
     d = Distribution.stacked(10, 0, 1)
-    assert num_configs(10, 12) > 100_000
-    serial = find_unsolvable_witness(petersen, d, 12, symmetry=True,
-                                     budget=100_000)
-    parallel = find_unsolvable_witness(petersen, d, 12, jobs=2, symmetry=True,
-                                       budget=100_000)
+    assert num_configs(10, 12) == 293_930
+    serial = find_unsolvable_witness(petersen, d, 12, budget=293_930)
+    parallel = find_unsolvable_witness(petersen, d, 12, jobs=2,
+                                       budget=293_930)
     assert parallel == serial
-    assert not serial.found and serial.configs_checked < 100_000
-    with pytest.raises(BudgetExceededError):
-        find_unsolvable_witness(petersen, d, 12, jobs=2, budget=100_000)
+    assert not serial.found and serial.configs_checked == 293_930
+    for jobs in (1, 2):
+        with pytest.raises(BudgetExceededError):
+            find_unsolvable_witness(petersen, d, 12, jobs=jobs, budget=293_929)
     # a witness in the first chunk: the same witness and count as serial
     d2 = Distribution.stacked(10, 0, 2)
-    for sym in (False, True):
-        serial = find_unsolvable_witness(petersen, d2, 12, symmetry=sym)
-        parallel = find_unsolvable_witness(petersen, d2, 12, jobs=2,
-                                           symmetry=sym)
-        assert serial.found and parallel == serial
+    serial = find_unsolvable_witness(petersen, d2, 12)
+    parallel = find_unsolvable_witness(petersen, d2, 12, jobs=2)
+    assert serial.found and parallel == serial
 
 
 def test_parallel_chunks_stop_at_the_budget(petersen):
