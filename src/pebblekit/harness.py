@@ -173,7 +173,9 @@ def _petersen_size13_scan() -> dict:
     block generator adds claim-B's cost classes to each block before
     yielding it: cost is moves + 1, read from _min_moves_upto3, which is
     exact for 0 to 3 moves; a row it leaves at -1 needs at least 4 moves,
-    or cannot reach the root, and is a cost<=4 failure. Also confirms that
+    or cannot reach the root, and is a cost<=4 failure. The classes read
+    the int8 moves and the rows as Python ints (int(), tolist()), so no
+    arithmetic runs on the narrow dtypes. Also confirms that
     the size-12 doubled-stack construction C22 is 2-fold unsolvable (the
     matching lower bound).
 

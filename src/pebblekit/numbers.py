@@ -6,23 +6,25 @@ is the lexicographically least one. It is the package's one enumeration
 order.
 
 Scan pipeline. One numpy kernel, _unrank_cols, maps an array of ranks to
-their configurations in the ascending order, one table lookup per vertex:
-a branch-free count of the table entries below each key when the ranks
-are not ascending and m < 64, where binary search mispredicts on
-unordered keys, and searchsorted otherwise; both give the same index,
-and the count stops paying near m = 100 (see _unrank_cols). thm-3.5's
-sampler feeds it random ranks, which _uniform_ranks reads in bulk from
-the seeded random.Random's own word stream: the same draws as randrange.
-Scans read consecutive ranks from _ascending_blocks, which calls the
-kernel twice per scan, for a table of heads (the first counts) and a
-table of tails (the rest), and builds each block by repeating heads and
-gathering tails; sizes whose tables would outgrow one block feed the
-kernel every rank instead. Blocks are column-major (n, B), one contiguous
-column per vertex, so the prescreen adds whole vertex rows at a time. The
-dtype is int16 when the size m is below 2**15 and int64 otherwise: every
-count is at most m, and delivery never creates pebbles. Ranks are int64,
-so the kernel refuses (n, m) with 2**63 or more configurations, and so
-does unrank_config, its one-rank view.
+their configurations in the ascending order, one table lookup per
+vertex: a branch-free count of the table entries below each key when the
+ranks are not ascending and m < 64, where binary search mispredicts on
+unordered keys, and searchsorted otherwise; both give the same index
+(see _unrank_cols for timings). thm-3.5's sampler feeds it random ranks,
+which _uniform_ranks reads in bulk from the seeded random.Random's own
+word stream: the same draws as randrange. Scans read consecutive ranks
+from _ascending_blocks, which calls the kernel twice per scan, for a
+table of heads (the first counts) and a table of tails (the rest), and
+builds each block by repeating heads and gathering tails; sizes whose
+tables would outgrow one block feed the kernel every rank instead.
+Blocks are column-major (n, B), one contiguous column per vertex, so the
+prescreen adds whole vertex rows at a time. The dtype is int8 when the
+size m is below 128, int16 below 2**15 and int64 otherwise: every count
+is at most m, and neither delivery nor a move ever puts more than m
+pebbles on a vertex. The kernel's rank arithmetic is int32 below 2**31
+configurations and int64 otherwise, so the kernel refuses (n, m) with
+2**63 or more configurations, and so does unrank_config, its one-rank
+view.
 
 Prescreen. _FastFilter accepts the rows it can prove solvable from
 pebbles moved along one BFS spanning tree per demand target (exact on
@@ -61,8 +63,8 @@ returned a witness or the budget is spent.
 
 from __future__ import annotations
 
+import operator
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from math import comb
@@ -162,7 +164,10 @@ def num_configs(n: int, m: int) -> int:
 def unrank_config(n: int, m: int, rank: int) -> Configuration:
     """Configuration at the given rank in the ascending lexicographic order
     used by the internal scans (rank 0 is (0, ..., 0, m)): one column of
-    _unrank_cols, so it refuses (n, m) with 2**63 or more configurations."""
+    _unrank_cols, so it refuses (n, m) with 2**63 or more configurations.
+    The rank must be an integer (an int or a numpy integer); anything else
+    raises TypeError rather than being truncated."""
+    rank = operator.index(rank)
     if not 0 <= rank < _int64_total(n, m):
         raise ValueError(f"rank {rank} out of range for ({n}, {m})")
     return Configuration(tuple(_unrank_cols(n, m, [rank])[:, 0].tolist()))
@@ -192,34 +197,49 @@ def _unrank_cols(n: int, m: int, ranks) -> np.ndarray:
     m + 1 entries with every key into a uint8 sum; every other call takes
     searchsorted. A binary search on unordered keys mispredicts about one
     branch in two, while ascending ranks walk the table in runs (Khuong and
-    Morin, JEA 2017). Measured on a 2-core x86_64 with numpy 2.4, one call
-    on 16,384 random ranks takes 4.5 ms counting against 5.8 ms at (7, 63)
-    and 5.3 against 4.6 ms at (5, 127), a crossover near m = 100, while
-    counting slows 10**6 ascending ranks at every size tried (0.12 to
-    0.29 s at (7, 60), 0.23 to 0.32 s at (15, 15)). The dtype is int16
-    when m < 2**15, else int64."""
+    Morin, JEA 2017).
+
+    The integers are as narrow as (n, m) allows, since the kernel is bound
+    by memory traffic. Rows are int8 when m < 128, int16 when m < 2**15,
+    else int64: every count is at most m. The table and the rank arithmetic
+    are int32 when total < 2**31, else int64: every table entry, rank and
+    key top - rank lies in [0, total]. The incoming ranks are range-checked
+    as int64 first. Both gathers use take, which costs about a third of
+    fancy indexing on the count's uint8 k (17 against 47 us for 16,384
+    indices into a 16-entry int32 table).
+
+    Measured on a 2-core x86_64 with numpy 2.4 at these widths, one call
+    on 16,384 random ranks takes 1.6-1.8 ms counting against 5.9-6.1 ms
+    by searchsorted at (15, 15) (4.2-4.9 ms counting with int16 rows and
+    int64 ranks), and 1.6-2.6 against 3.6-4.5 ms at (5, 127), so the count
+    now pays beyond m = 64 too. Counting still slows 10**6 ascending ranks:
+    0.10-0.12 s to 0.25-0.32 s at (7, 60), 0.18-0.20 s to 0.19-0.23 s at
+    (15, 15)."""
     total = _int64_total(n, m)
     rank = np.array(ranks, dtype=np.int64)
     if rank.size and (rank.min() < 0 or rank.max() >= total):
         raise ValueError(f"ranks out of range for ({n}, {m})")
+    wide = np.int32 if total < 1 << 31 else np.int64
+    rank = rank.astype(wide, copy=False)
     count = m < 64 and bool((rank[1:] < rank[:-1]).any())
-    out = np.empty((n, rank.size), dtype=np.int16 if m < 1 << 15 else np.int64)
-    rest = np.full(rank.size, m, dtype=np.int64)
+    row = np.int8 if m < 1 << 7 else np.int16 if m < 1 << 15 else np.int64
+    out = np.empty((n, rank.size), dtype=row)
+    rest = np.full(rank.size, m, dtype=row)
     # table[k] = C(k + p, p): p cumulative sums of ones give p = n - 1, and
     # each slot steps p down by differences, C(k+p, p) - C(k-1+p, p) =
-    # C(k+p-1, p-1); no entry exceeds C(m+n-1, n-1) = total < 2**63
-    table = np.ones(m + 1, dtype=np.int64)
+    # C(k+p-1, p-1); no entry exceeds C(m+n-1, n-1) = total
+    table = np.ones(m + 1, dtype=wide)
     for _ in range(n - 1):
-        table = table.cumsum()
+        table = table.cumsum(dtype=wide)
     for slot in range(n - 1):
-        top = table[rest]
+        top = table.take(rest)
         if count:
             k = np.add.reduce(table[:, None] < top - rank, axis=0,
                               dtype=np.uint8)
         else:
             k = np.searchsorted(table, top - rank)
         out[slot] = rest - k
-        rank -= top - table[k]
+        rank -= top - table.take(k)
         rest = k
         table[1:] -= table[:-1]
     out[n - 1] = rest
@@ -278,7 +298,8 @@ def _ascending_blocks(n: int, m: int, start: int = 0, stop: int | None = None,
     a block meets, np.repeat copies their heads, and one gather reads the
     tails. _tail_split picks p so that neither table has more than _BLOCK
     columns, and the tables live for this call only; (n, m) with no such p
-    unrank every rank."""
+    unrank every rank. Both tables have size m, so they share the row dtype
+    _unrank_cols picks for (n, m), and each block inherits it."""
     total = _int64_total(n, m)
     stop = total if stop is None else min(stop, total)
     if start < 0:
@@ -347,8 +368,10 @@ def _deliver(cols: np.ndarray, order, par, target: int) -> np.ndarray:
     vertex's distance to the root and every tree edge is a graph edge, so
     every tree move is a graph move, and the result is a lower bound on what
     the graph can deliver. Takes an (n, B) column-major block and works on a
-    copy; no count ever exceeds the configuration size, so the dtype cannot
-    overflow. Returns the target's row as an array of its own, so that a
+    copy. No count exceeds m, the configuration size: by induction up the
+    tree, a vertex ends with at most the pebbles of its subtree, its own
+    plus at most half of each child's. So the row dtype, int8 below m = 128,
+    cannot overflow. Returns the target's row as an array of its own, so that a
     cached result does not keep the whole working copy alive."""
     a = cols.copy()
     for v in order:
@@ -367,8 +390,10 @@ def _flat_children(cols: np.ndarray, live: np.ndarray, arcs, limit: int):
     block, in chunks of at most limit columns: yields (src, child), where
     column j of child is column src[j] of cols with the move of one
     directed edge uv applied (c(u) >= 2, c - 2e_u + e_v). arcs is
-    _arc_table's (2, A) array. Counts stay within the configuration size,
-    so the dtype cannot overflow.
+    _arc_table's (2, A) array. The deltas, -2 and +1, fit every row dtype,
+    and a child is a legal move's result: c(u) - 2 >= 0, and c(v) + 1 <= m - 1
+    since c(u) >= 2 of the m pebbles sit elsewhere. So counts stay in
+    [0, m] and an int8 block cannot overflow.
 
     The arcs are taken in order, and each one's live columns with c(u) >= 2
     are gathered until more than limit // 8 children are waiting; these are
@@ -531,7 +556,9 @@ class _FastFilter:
 
     def _heavy(self, cols: np.ndarray) -> np.ndarray:
         """The columns of an (n, k) block whose weight towards every target
-        a is at least w_a(D), summed one vertex row at a time."""
+        a is at least w_a(D), summed one vertex row at a time. The sums are
+        float64 (a count row times a Python float), so no integer
+        arithmetic happens on the rows."""
         ok = np.ones(cols.shape[1], dtype=bool)
         for w, need in self.weight:
             tot = np.zeros(cols.shape[1])
@@ -553,6 +580,9 @@ class _FastFilter:
                 cache[r] = col
             return col
 
+        # demands and routes may be 128 or more against int8 rows (or past
+        # int16 against int16 rows): numpy compares an array with an
+        # out-of-range Python int exactly, never wrapping it
         ts = self.targets
         if len(ts) == 1:
             r = ts[0]
@@ -569,7 +599,9 @@ class _FastFilter:
             tmp = cols[:, todo]
             order, par = self.trees[a]
             # no count exceeds cap, so a target demanding more flushes nothing
-            # and fails the test below
+            # and fails the test below; with keep <= cap, tmp[v] - keep lies
+            # in [-cap, cap], and each flush, like _deliver's, leaves at most
+            # m on a vertex
             cap = np.iinfo(tmp.dtype).max
             for v in order:
                 keep = min(self.demands[v], cap)
@@ -602,7 +634,9 @@ def _min_moves_upto3(g: Graph, rows: np.ndarray, r: int) -> np.ndarray:
         that then needs at most 2; a child needing k <= 2 gives c a
         (k + 1)-move sequence, and c needs at least 3.
     Each test is applied over the previous ones, so a row gets the least
-    class whose condition it meets.
+    class whose condition it meets. The tests only compare counts with 1
+    and 2, and the children are _flat_children's, so any row dtype (int8
+    included) is safe; the int8 result holds -1 to 3.
     """
 
     def upto2(rows: np.ndarray) -> np.ndarray:
@@ -710,6 +744,10 @@ def _scan(g: Graph, demands, size: int, *, mode: str = "unrestricted",
     first = None
     failures = []
     checked = 0
+    # imported here: only a parallel scan needs the process pool, and the
+    # import would otherwise add to every `import pebblekit`
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         futures = [pool.submit(_scan_worker,
                                (g, vecs, size, s, min(s + chunk, total),

@@ -130,7 +130,7 @@ def test_unrank_cols_matches_unrank_config_at_every_rank():
             total = num_configs(n, m)
             block = _unrank_cols(n, m, np.arange(total))
             assert block.shape == (n, total) and block.flags.c_contiguous
-            assert block.dtype == np.int16
+            assert block.dtype == np.int8
             want = [unrank_config(n, m, r).counts for r in range(total)]
             assert [tuple(col) for col in block.T.tolist()] == want
     # random ranks in any order, as the thm-3.5 sampler draws them
@@ -143,6 +143,64 @@ def test_unrank_cols_matches_unrank_config_at_every_rank():
         _unrank_cols(3, 2, [num_configs(3, 2)])
     with pytest.raises(ValueError):
         _unrank_cols(3, 2, [-1])
+
+
+def test_unrank_config_refuses_non_integer_ranks():
+    """A rank must be an integer: a float, even a whole one, is refused
+    instead of being truncated to the rank below it, while numpy integers
+    are read as the ranks they hold."""
+    for rank in (2.5, 2.0, np.float64(2.0), "2", None):
+        with pytest.raises(TypeError):
+            numbers_mod.unrank_config(3, 5, rank)
+    want = unrank_config(3, 5, 2)
+    for rank in (2, np.int64(2), np.int32(2), np.uint8(2)):
+        assert numbers_mod.unrank_config(3, 5, rank) == want
+
+
+def test_unrank_cols_at_the_width_boundaries(monkeypatch):
+    """Rows are int8 below m = 128 and int16 from there; the rank
+    arithmetic is int32 below 2**31 configurations and int64 from there.
+    On either side of both bounds the kernel, the block scan and
+    unrank_config agree with the scalar reference on ascending runs
+    (first, middle, last ranks) and on random ranks in any order.
+    (17, 17) has 1,166,803,110 configurations, (17, 18) 2,203,961,430,
+    which int32 rank arithmetic would overflow."""
+    keys = []
+    real = np.searchsorted
+
+    def spy(table, key, *args, **kwargs):
+        keys.append((table.dtype, np.asarray(key).dtype))
+        return real(table, key, *args, **kwargs)
+
+    monkeypatch.setattr(np, "searchsorted", spy)
+    rng = random.Random(1907)
+    for n, m, row, wide in ((4, 127, np.int8, np.int32),
+                            (4, 128, np.int16, np.int32),
+                            (17, 17, np.int8, np.int32),
+                            (17, 18, np.int8, np.int64)):
+        total = num_configs(n, m)
+        assert (total < 1 << 31) == (wide == np.int32)
+        mid = total // 2
+        runs = [(0, 200), (mid - 100, mid + 100), (total - 200, total)]
+        for a, b in runs:
+            want = [unrank_config(n, m, k).counts for k in range(a, b)]
+            keys.clear()
+            block = _unrank_cols(n, m, np.arange(a, b))
+            assert block.dtype == row
+            assert keys and all(k == (wide, wide) for k in keys)
+            assert [tuple(c) for c in block.T.tolist()] == want
+            rows = np.concatenate(list(_ascending_blocks(n, m, a, b, 64)))
+            assert rows.dtype == row
+            assert [tuple(r) for r in rows.tolist()] == want
+        ranks = [total - 1, 0] + [rng.randrange(total) for _ in range(300)]
+        block = _unrank_cols(n, m, ranks)
+        assert block.dtype == row
+        assert [tuple(c) for c in block.T.tolist()] == \
+            [unrank_config(n, m, k).counts for k in ranks]
+        for k in (0, 1, total - 2, total - 1):
+            assert numbers_mod.unrank_config(n, m, k) == unrank_config(n, m, k)
+        with pytest.raises(ValueError, match="out of range"):
+            _unrank_cols(n, m, [total])
 
 
 def test_unrank_cols_tables_hold_at_wide_sizes():
@@ -180,7 +238,8 @@ def test_unrank_cols_forms_agree_on_unordered_ranks(monkeypatch):
         searches.clear()
         block = _unrank_cols(n, m, ranks)
         assert bool(searches) == (m >= 64)
-        assert block.dtype == np.int16 and block.flags.c_contiguous
+        assert block.dtype == (np.int8 if m < 128 else np.int16)
+        assert block.flags.c_contiguous
         assert [tuple(col) for col in block.T.tolist()] == \
             [unrank_config(n, m, int(k)).counts for k in ranks]
         order = np.argsort(ranks, kind="stable")
@@ -352,10 +411,20 @@ def test_sizes_past_int16_use_int64_rows():
     # of _deliver's whole (n, B) working copy
     assert got.base is None
     # a demand past int16's range on int16 rows is refused, not overflowed
-    small = next(_ascending_blocks(3, 6))
-    assert small.dtype == np.int16
+    mid = next(_ascending_blocks(3, 200))
+    assert mid.dtype == np.int16
     for vec in ((1 << 15, 1, 0), (1, 1 << 15, 0), (1, 1 << 16, 1)):
+        assert not _FastFilter(p3, Distribution(vec)).accept(mid).any()
+    # and so is a demand of 128 or more on int8 rows
+    small = next(_ascending_blocks(3, 127))
+    assert small.dtype == np.int8
+    for vec in ((128, 0, 0), (128, 1, 0), (1, 128, 0), (0, 1, 200),
+                (1, 1 << 8, 1), (1, 1 << 15, 0)):
         assert not _FastFilter(p3, Distribution(vec)).accept(small).any()
+    # while the same filter still accepts the rows that meet demand 127
+    full = np.array([[127, 0, 0], [0, 0, 127]], dtype=np.int8)
+    assert _FastFilter(p3, Distribution((127, 0, 0))).accept(full).tolist() \
+        == [True, False]
 
 
 def test_rank_spaces_past_int64_are_refused():
