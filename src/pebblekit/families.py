@@ -73,11 +73,6 @@ class FanSpec:
         return json.dumps({"k": list(self.k), "overlap": list(self.overlap)},
                           separators=(",", ":"))
 
-    @classmethod
-    def from_json(cls, text: str) -> "FanSpec":
-        obj = json.loads(text)
-        return cls(tuple(obj["k"]), tuple(obj.get("overlap", ())))
-
 
 @dataclass(frozen=True)
 class TwoPath:
@@ -91,18 +86,6 @@ class TwoPath:
     @property
     def d(self) -> int:
         return len(self.spine) - 1
-
-    @property
-    def fan_members(self) -> tuple[frozenset[int], ...]:
-        """Full vertex set of each fan F_i: the path Q_i plus its center."""
-        out = []
-        for i, interior in enumerate(self.interiors, start=1):
-            out.append(frozenset((self.spine[i - 1], self.spine[i], self.spine[i + 1]) + interior))
-        return tuple(out)
-
-    def fans_containing(self, v: int) -> tuple[int, ...]:
-        """1-based indices of fans whose fan-vertex set contains v."""
-        return tuple(i for i, interior in enumerate(self.interiors, start=1) if v in interior)
 
 
 @dataclass(frozen=True)
@@ -276,18 +259,19 @@ def is_two_path(g: Graph):
 
 
 def _all_spine_routes(g: Graph, x0: int, xd: int, through: int):
-    """All shortest x0,xd-paths passing through a given vertex, in
-    lexicographic order. The vertex can only sit at its distance from x0."""
+    """Yield the shortest x0,xd-paths passing through a given vertex, in
+    lexicographic order, one at a time: their number grows exponentially
+    with the diameter, and a caller that stops at the first usable one
+    builds no other. The vertex can only sit at its distance from x0."""
     m = g.metrics
     d = m.dist[x0][xd]
     pos = m.dist[x0][through]
-    out = []
 
     def extend(path):
         p = len(path) - 1
         last = path[-1]
         if last == xd:
-            out.append(tuple(path))
+            yield tuple(path)
             return
         for w in sorted(g.adjacency[last]):
             if m.dist[w][xd] != d - p - 1:
@@ -295,12 +279,11 @@ def _all_spine_routes(g: Graph, x0: int, xd: int, through: int):
             if p + 1 == pos and w != through:
                 continue
             path.append(w)
-            extend(path)
+            yield from extend(path)
             path.pop()
 
-    if m.dist[x0][through] + m.dist[through][xd] == d:
-        extend([x0])
-    return out
+    if pos + m.dist[through][xd] == d:
+        yield from extend([x0])
 
 
 def _fan_decompositions(g: Graph, spine: tuple[int, ...]):

@@ -96,9 +96,6 @@ class Graph:
     def edge_set(self) -> frozenset[tuple[int, int]]:
         return frozenset(self.edges)
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adjacency[v]
-
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 
@@ -123,9 +120,6 @@ class Graph:
         dist = [self.distances(s) for s in range(self.n)]
         ecc = tuple(max(row) for row in dist)
         return Metrics(dist=tuple(dist), ecc=ecc, diameter=max(ecc))
-
-    def label_of(self, v: int) -> str:
-        return self.labels[v] if self.labels is not None else str(v)
 
 
 def build_graph(n: int, edges, labels=None) -> Graph:

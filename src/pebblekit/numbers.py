@@ -36,10 +36,8 @@ D-solvable, then c is D-solvable; applied twice, so is a row with a
 two-move descendant that the masks accept. No move raises a row's weight
 w_a(c) = sum_x c(x) 2^-dist(a, x) towards a target a, so a row with
 w_a(c) < w_a(D) at some target is unsolvable, and neither level looks at
-it or at its children. accept runs the masks and the first level;
-pending runs the second on doubling batches of the rows accept rejects,
-as the settle loop draws them, so a scan that stops at its first witness
-pays for it only up to that row's batch. _flat_children builds the
+it or at its children. accept, the prescreen's one entry point, runs
+the masks and both levels on the whole block. _flat_children builds the
 one-move children of a block flat, at most _CHUNK columns at a time, from
 the (2, A) table of directed edges; both levels use it, and so does
 _min_moves_upto3 to settle the exact 3-move class. Every row left goes to
@@ -95,7 +93,6 @@ __all__ = [
 DEFAULT_BUDGET = 10 ** 8
 _BLOCK = 1 << 16
 _CHUNK = _BLOCK >> 2  # lookahead children per _masks call
-_FIRST = 64  # rows in the second level's first batch
 
 
 class BudgetExceededError(RuntimeError):
@@ -472,12 +469,10 @@ class _FastFilter:
       - lookahead: some one-move child c - 2e_u + e_v, with c(u) >= 2 and
         uv an edge, is accepted by the rules above. If c reaches c' in one
         legal move and c' is D-solvable, so is c.
-      - second level (pending): on the rows accept leaves, some one-move
+      - second level: on the rows the lookahead leaves, some one-move
         child of a one-move child is accepted by the rules above. By the
         same lemma twice, c -> c' -> c'' with c'' D-solvable makes c
         D-solvable. Children below the weight bound build no grandchildren.
-        It runs lazily, on doubling batches of accept's rejects, as the
-        settle loop draws the rows left to the engine.
     The children and grandchildren come in chunks of at most _CHUNK
     columns, so no _masks call sees more than one block's rows, and a row's
     chunks stop once one of them accepts it.
@@ -490,7 +485,6 @@ class _FastFilter:
     """
 
     def __init__(self, g: Graph, d: Distribution):
-        self.g = g
         self.d = d
         self.targets = d.support
         self.demands = d.demands
@@ -505,53 +499,31 @@ class _FastFilter:
             self.weight.append((w, sum(w[x] * d[x] for x in self.targets)))
 
     def accept(self, rows: np.ndarray, cache: dict | None = None) -> np.ndarray:
-        """Accept a (B, n) block's rows by the direct masks, then by the
-        one-move lookahead on the rows they reject that meet the weight
-        bound. The optional cache shares delivered columns for the same
-        block across filters whose demands hit the same target; the
-        children are other rows and never use it."""
+        """The whole prescreen on a (B, n) block: True on the rows that the
+        direct masks accept, or that reach a row they accept in one move or
+        in two; no row or child below the weight bound is expanded. live is
+        both levels' work list, the rejected rows that meet the bound. The
+        optional cache shares delivered columns for the same block across
+        filters whose demands hit the same target; the children are other
+        rows and never use it."""
         solv = self._masks(rows, cache)
-        todo = ~solv
-        left = np.flatnonzero(todo)
+        live = ~solv
+        left = np.flatnonzero(live)
         if left.size == 0:
             return solv
-        todo[left] = self._heavy(rows.T[:, left])
-        for src, child in _flat_children(rows.T, todo, self.arcs, _CHUNK):
+        live[left] = self._heavy(rows.T[:, left])
+        for src, child in _flat_children(rows.T, live, self.arcs, _CHUNK):
             hit = src[self._masks(child.T)]
             solv[hit] = True
-            todo[hit] = False
-        return solv
-
-    def pending(self, rows: np.ndarray, cache: dict | None = None):
-        """Yield, in ascending order, the indices of the rows of a (B, n)
-        block that neither accept nor the second level accepts: the rows
-        left to the exact engine. The second level runs as the indices are
-        drawn, on batches of accept's rejects that start at _FIRST rows and
-        double, so a caller that stops at its first failure pays it only
-        for the rows up to that failure's batch."""
-        left = np.flatnonzero(~self.accept(rows, cache))
-        s, k = 0, _FIRST
-        while s < left.size:
-            part = left[s:s + k]
-            yield from part[~self._two_moves(rows, part)].tolist()
-            s, k = s + k, 2 * k
-
-    def _two_moves(self, rows: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        """The second level on the rows idx lists, all of which accept
-        rejects: True where some one-move child of a one-move child passes
-        the direct masks. Rows and children below the weight bound build no
-        children."""
-        heavy = np.flatnonzero(self._heavy(rows.T[:, idx]))
-        live = np.ones(heavy.size, dtype=bool)
-        for src, kids in _flat_children(rows.T[:, idx[heavy]], live,
-                                        self.arcs, _CHUNK):
+            live[hit] = False
+        for src, kids in _flat_children(rows.T, live, self.arcs, _CHUNK):
             kid_live = self._heavy(kids)
             for sub, grand in _flat_children(kids, kid_live, self.arcs,
                                              _CHUNK):
-                live[src[sub[self._masks(grand.T)]]] = False
+                hit = src[sub[self._masks(grand.T)]]
+                solv[hit] = True
+                live[hit] = False
                 kid_live &= live[src]
-        solv = np.zeros(idx.size, dtype=bool)
-        solv[heavy[~live]] = True
         return solv
 
     def _heavy(self, cols: np.ndarray) -> np.ndarray:
@@ -665,8 +637,8 @@ def _scan_chunk(g: Graph, demands, blocks, *, mode: str = "unrestricted",
     blocks yields against every demand: charges the rows to budget,
     prescreens them with one _FastFilter per demand (unrestricted mode
     only; in a restricted mode every row goes to the engine), and sends
-    each row the filter's pending yields to the exact engine as a plain
-    count tuple.
+    each row the filter's accept rejects to the exact engine as a plain
+    count tuple, in ascending order.
 
     A failure is a (demand_index, Configuration) pair the engine confirmed
     unsolvable. Returns (first_failure, failures, checked): the first
@@ -684,10 +656,10 @@ def _scan_chunk(g: Graph, demands, blocks, *, mode: str = "unrestricted",
         cache: dict = {}
         for di, d in enumerate(demands):
             if use_filters:
-                pending = filters[di].pending(rows, cache)
+                left = np.flatnonzero(~filters[di].accept(rows, cache)).tolist()
             else:
-                pending = range(rows.shape[0])
-            for i in pending:
+                left = range(rows.shape[0])
+            for i in left:
                 counts = tuple(rows[i].tolist())
                 if is_solvable(g, counts, d, mode).solvable:
                     continue

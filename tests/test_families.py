@@ -23,6 +23,7 @@ from pebblekit import (
     tree_pi,
     two_path,
 )
+from pebblekit import families
 from pebblekit.families import RootedTree, enumerate_fan_specs
 
 from oracles import brute_is_two_path, brute_path_partitions, majorizes, \
@@ -241,6 +242,35 @@ def test_spinal_roots_of_a_three_fan_two_path():
     assert spinal == list(wide.spine)  # no fan vertex re-routes this spine
     single = two_path(FanSpec((1,), ()))
     assert all(is_spinal_root(single, r) for r in range(4))
+
+
+def test_spinal_root_builds_only_the_spine_routes_it_tries(monkeypatch):
+    """On the 2-path of 23 unit fans (d = 24), 20,737 shortest spines pass
+    through the fan vertex of fan 13, and their number grows about 7x per
+    four fans. is_spinal_root and spinal_tree stop at the first spine with
+    a fan decomposition, so they may build only the routes they try."""
+    routes = families._all_spine_routes
+    built = []
+
+    def counted(out):
+        for route in out:
+            built[-1] += 1
+            yield route
+
+    def spy(*args):
+        out = routes(*args)
+        # a list is built whole before its first route is tried
+        built.append(len(out) if isinstance(out, list) else 0)
+        return out if isinstance(out, list) else counted(out)
+
+    monkeypatch.setattr(families, "_all_spine_routes", spy)
+    d = 24
+    tp = two_path(FanSpec((1,) * (d - 1)))
+    r = tp.interiors[d // 2][0]
+    assert r not in tp.spine
+    assert is_spinal_root(tp, r)
+    assert len(spinal_tree(tp, r).graph.edges) == tp.graph.n - 1
+    assert len(built) == 2 and max(built) <= 3, built
 
 
 def test_spinal_tree_rejects_missing_root():

@@ -12,6 +12,7 @@ import subprocess
 import sys
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import pebblekit
@@ -246,9 +247,9 @@ def test_thm_3_5_reports_the_first_bad_sample(monkeypatch):
     """With a prescreen that rejects every row and an engine that finds
     every row unsolvable, the sampler stops at the first row drawn for the
     seed and reports it."""
-    monkeypatch.setattr(numbers._FastFilter, "pending",
+    monkeypatch.setattr(numbers._FastFilter, "accept",
                         lambda self, rows, cache=None:
-                        iter(range(rows.shape[0])))
+                        np.zeros(rows.shape[0], dtype=bool))
     monkeypatch.setattr(numbers, "is_solvable",
                         lambda *args: SimpleNamespace(solvable=False))
     seed = 11

@@ -456,43 +456,35 @@ def _demand_pool(n, rng):
 def _within_moves(filt, rows, arcs, moves):
     """Per row of a (B, n) block, for k = 0..moves: whether at most k legal
     moves reach a configuration that filt's direct masks accept, as a list
-    of masks indexed by k. Tries every directed edge (u, v) of every row
-    that no single move settles, one arc at a time, with no use of the
-    filter's own lookahead or weight bound."""
+    of masks indexed by k. Level k tries every directed edge (u, v) of
+    every row that k - 1 moves do not settle, all arcs' children in one
+    block, with no use of the filter's own lookahead or weight bound."""
     levels = [filt._masks(rows)]
-    levels += [levels[0].copy() for _ in range(moves)]
-    if moves:
+    for k in range(1, moves + 1):
+        srcs, kids = [], []
         for u, v in arcs:
-            todo = np.flatnonzero(~levels[1] & (rows[:, u] >= 2))
-            if todo.size:
-                child = rows[todo]
-                child[:, u] -= 2
-                child[:, v] += 1
-                sub = _within_moves(filt, child, arcs, moves - 1)
-                for k in range(1, moves + 1):
-                    levels[k][todo[sub[k - 1]]] = True
+            idx = np.flatnonzero(~levels[-1] & (rows[:, u] >= 2))
+            child = rows[idx]
+            child[:, u] -= 2
+            child[:, v] += 1
+            srcs.append(idx)
+            kids.append(child)
+        sub = _within_moves(filt, np.concatenate(kids), arcs, k - 1)[k - 1]
+        levels.append(levels[-1].copy())
+        levels[k][np.concatenate(srcs)[sub]] = True
     return levels
 
 
-def _prescreen(filt, rows, cache=None):
-    """The whole prescreen as the settle loop sees it: True on the rows
-    that pending does not leave to the engine."""
-    mask = np.ones(rows.shape[0], dtype=bool)
-    mask[list(filt.pending(rows, cache))] = False
-    return mask
-
-
 def test_prescreen_accepts_only_solvable_rows():
-    """Every row the prescreen (accept, then pending's second level)
-    accepts on column-major blocks must be solvable: by the memoized
-    brute-force recursion for every accepted row, and by the brute-force
-    closure as well for the rows that only the lookahead accepts, counting
-    apart those that no one-move child of the direct masks covers, so only
-    the second level accepts them. accept is exactly the one-move closure
-    of the direct masks, so the weight bound drops no row a move would
-    settle, and every row below the weight bound is unsolvable. On
-    three-target demands the route and sink rules must accept rows whose
-    targets do not already hold their demands."""
+    """Every row the prescreen accepts on column-major blocks must be
+    solvable: by the memoized brute-force recursion for every accepted row,
+    and by the brute-force closure as well for the rows that only the
+    lookahead accepts, counting apart those that no one-move child of the
+    direct masks covers, so only the second level accepts them. accept is
+    exactly the two-move closure of the direct masks, so the weight bound
+    drops no row two moves would settle, and every row below the weight
+    bound is unsolvable. On three-target demands the route and sink rules
+    must accept rows whose targets do not already hold their demands."""
     rng = random.Random(916)
     accepted = lookahead_only = second_only = moved3 = light = 0
     for trial in range(150):
@@ -507,8 +499,8 @@ def test_prescreen_accepts_only_solvable_rows():
         verdicts = {d.demands: {} for d in demands}
         size = rng.randrange(2, 9)
         every = np.concatenate(list(_ascending_blocks(n, size)))
-        one_move = {filt.d.demands: _within_moves(filt, every, arcs, 1)[1]
-                    for filt in filters}
+        closure = {filt.d.demands: _within_moves(filt, every, arcs, 2)
+                   for filt in filters}
         cache: dict = {}
         start = 0
         for rows in _ascending_blocks(n, size, block=rng.randrange(5, 50)):
@@ -516,14 +508,9 @@ def test_prescreen_accepts_only_solvable_rows():
             stop = start + rows.shape[0]
             for filt in filters:
                 d = filt.d.demands
-                shallow = filt.accept(rows, cache)
-                mask = _prescreen(filt, rows, cache)
-                direct = filt._masks(rows, cache)
-                one = one_move[d][start:stop]
-                assert not (direct & ~mask).any()
-                assert not (one & ~mask).any()
-                assert np.array_equal(shallow, one)
-                assert not (shallow & ~mask).any()
+                direct, one, two = (k[start:stop] for k in closure[d])
+                mask = filt.accept(rows, cache)
+                assert np.array_equal(mask, two)
                 for row in rows[mask].tolist():
                     accepted += 1
                     assert brute_solvable_memo(adj, row, d, verdicts[d]), \
@@ -625,9 +612,9 @@ def test_size13_petersen_prescreen_strength(petersen):
     prescreen's implementation, not by the claims. The test works out each
     level itself, arc by arc, and pins it: the direct masks alone leave
     3,329, 2,712 and 66,806, one move ahead 6, 336 and 2,328, and two
-    moves ahead 0, 0 and 336. accept must equal the one-move level and
-    pending the two-move rejects, row for row. So a lookahead level that is
-    silently off shows here while every correctness test still passes."""
+    moves ahead 0, 0 and 336. accept must equal the two-move level, row
+    for row. So a lookahead level that is silently off shows here while
+    every correctness test still passes."""
     g = petersen
     arcs = [(u, v) for u in range(10) for v in g.adjacency[u]]
     demands = [Distribution(tuple(v))
@@ -642,9 +629,7 @@ def test_size13_petersen_prescreen_strength(petersen):
             levels = _within_moves(filt, rows, arcs, 2)
             for moves, ok in enumerate(levels):
                 rejected[moves, di] += int(np.count_nonzero(~ok))
-            assert np.array_equal(filt.accept(rows, cache), levels[1])
-            assert list(filt.pending(rows, cache)) == \
-                np.flatnonzero(~levels[2]).tolist()
+            assert np.array_equal(filt.accept(rows, cache), levels[2])
         unsettled += int(np.count_nonzero(_min_moves_upto3(g, rows, 0) < 0))
     assert rows_seen == num_configs(10, 13) == 497_420
     assert rejected.tolist() == [[3_329, 2_712, 66_806], [6, 336, 2_328],
@@ -700,7 +685,7 @@ def _band(n, width):
 
 
 def test_lookahead_chunks_stay_within_a_block(monkeypatch):
-    """No _masks call inside accept or pending sees more than _BLOCK rows:
+    """No _masks call inside accept sees more than _BLOCK rows:
     on the first size-20 block of the 8-vertex path at t = 2, where the
     prescreen rejects most rows, and on a block whose lookahead builds
     many more children and grandchildren than a block holds (9 vertices,
@@ -718,7 +703,7 @@ def test_lookahead_chunks_stay_within_a_block(monkeypatch):
         seen.clear()
         rows = next(_ascending_blocks(g.n, size))
         filt = _FastFilter(g, Distribution.stacked(g.n, 0, t))
-        left = list(filt.pending(rows))
+        left = np.flatnonzero(~filt.accept(rows))
         assert seen[0] == rows.shape[0] == _BLOCK
         assert max(seen) <= _BLOCK
         if most_rejected:
@@ -726,37 +711,6 @@ def test_lookahead_chunks_stay_within_a_block(monkeypatch):
         else:
             assert len(left) > _BLOCK // 8
             assert sum(seen[1:]) > 8 * _BLOCK
-
-
-def test_second_level_runs_on_drawn_batches_only(monkeypatch):
-    """pending runs the second level on accept's rejects in ascending
-    batches of _FIRST, 2 _FIRST, 4 _FIRST, ... rows, each when the rows
-    before it are drawn: the first index drawn costs one batch, and a
-    witness scan that stops on the block's first row runs one batch."""
-    batches = []
-    two_moves = _FastFilter._two_moves
-
-    def spied(self, rows, idx):
-        batches.append(idx.tolist())
-        return two_moves(self, rows, idx)
-
-    monkeypatch.setattr(_FastFilter, "_two_moves", spied)
-    g = _band(9, 3)
-    d = Distribution.stacked(9, 0, 3)
-    filt = _FastFilter(g, d)
-    rows = next(_ascending_blocks(9, 12))
-    rejects = np.flatnonzero(~filt.accept(rows)).tolist()
-    it = filt.pending(rows)
-    next(it)
-    assert batches == [rejects[:numbers_mod._FIRST]]
-    list(it)
-    assert [len(b) for b in batches[:3]] == [numbers_mod._FIRST << k
-                                             for k in range(3)]
-    assert sum(batches, []) == rejects
-    batches.clear()
-    first, _, checked = _scan_chunk(g, [d], [rows])
-    assert first == (0, Configuration(tuple(rows[0].tolist())))
-    assert len(batches) == 1 and checked == rows.shape[0]
 
 
 def test_scan_chunk_settles_blocks_as_brute_force(monkeypatch):
