@@ -262,28 +262,30 @@ def _all_spine_routes(g: Graph, x0: int, xd: int, through: int):
     """Yield the shortest x0,xd-paths passing through a given vertex, in
     lexicographic order, one at a time: their number grows exponentially
     with the diameter, and a caller that stops at the first usable one
-    builds no other. The vertex can only sit at its distance from x0."""
+    builds no other. The vertex can only sit at its distance from x0. The
+    depth-first search keeps one iterator of next steps per path vertex on
+    an explicit stack, so a long spine never meets the recursion limit."""
     m = g.metrics
     d = m.dist[x0][xd]
     pos = m.dist[x0][through]
-
-    def extend(path):
-        p = len(path) - 1
-        last = path[-1]
-        if last == xd:
-            yield tuple(path)
-            return
-        for w in sorted(g.adjacency[last]):
-            if m.dist[w][xd] != d - p - 1:
-                continue
-            if p + 1 == pos and w != through:
-                continue
+    if pos + m.dist[through][xd] != d:
+        return
+    path = []
+    steps = [iter((x0,))]
+    while steps:
+        w = next(steps[-1], None)
+        if w is None:
+            steps.pop()
+            if path:
+                path.pop()
+        elif w == xd:
+            yield (*path, w)
+        else:
             path.append(w)
-            yield from extend(path)
-            path.pop()
-
-    if pos + m.dist[through][xd] == d:
-        yield from extend([x0])
+            p = len(path)  # the index of the next vertex
+            steps.append(iter([x for x in sorted(g.adjacency[w])
+                               if m.dist[x][xd] == d - p
+                               and (p != pos or x == through)]))
 
 
 def _fan_decompositions(g: Graph, spine: tuple[int, ...]):
@@ -291,39 +293,63 @@ def _fan_decompositions(g: Graph, spine: tuple[int, ...]):
     center spine[i] find an ordered fan path from spine[i-1] to spine[i+1]
     through neighbors of the center, so that consecutive fans share at most
     one fan vertex and the fans cover every non-spine vertex. Yields the
-    interior tuples of the first representation found, else nothing."""
+    interior tuples of each representation in the order the search finds
+    them, else nothing; callers take the first.
+
+    Both searches are depth-first on explicit stacks, one level per center
+    and one per fan path vertex, so a long spine or a wide fan never meets
+    the recursion limit; each tries its choices in ascending order."""
     d = len(spine) - 1
     spine_set = set(spine)
     others = frozenset(range(g.n)) - spine_set
     adj = [set(a) for a in g.adjacency]
 
-    def rec(i, covered, prev_interior):
-        if i == d:
-            if covered == others:
-                yield []
-            return
-        center = spine[i]
-        a, b = spine[i - 1], spine[i + 1]
-        pool = adj[center] - spine_set
-
-        def paths(cur):
-            last = cur[-1]
-            if b in adj[last]:
-                yield tuple(cur)
-            for w in sorted(pool - set(cur)):
-                if w in adj[last]:
-                    cur.append(w)
-                    yield from paths(cur)
+    def fan_paths(i):
+        # every path from a neighbour of spine[i-1] to one of spine[i+1]
+        # through the center's non-spine neighbours, each yielded before
+        # its extensions
+        b = spine[i + 1]
+        pool = adj[spine[i]] - spine_set
+        cur = []
+        steps = [iter(sorted(pool & adj[spine[i - 1]]))]
+        while steps:
+            w = next(steps[-1], None)
+            if w is None:
+                steps.pop()
+                if cur:
                     cur.pop()
+                continue
+            cur.append(w)
+            if b in adj[w]:
+                yield tuple(cur)
+            steps.append(iter(sorted(pool - set(cur) & adj[w])))
 
-        for first in sorted(pool & adj[a]):
-            for interior in paths([first]):
-                if prev_interior is not None and len(set(interior) & set(prev_interior)) > 1:
-                    continue
-                for rest in rec(i + 1, covered | set(interior), interior):
-                    yield [interior] + rest
-
-    yield from rec(1, frozenset(), None)
+    if d == 1:
+        if not others:
+            yield []
+        return
+    chosen = []  # the interiors of centers 1..len(chosen)
+    covered = [frozenset()]
+    levels = [fan_paths(1)]
+    while levels:
+        interior = next(levels[-1], None)
+        if interior is None:
+            levels.pop()
+            if chosen:
+                chosen.pop()
+                covered.pop()
+            continue
+        if chosen and len(set(interior) & set(chosen[-1])) > 1:
+            continue
+        chosen.append(interior)
+        covered.append(covered[-1] | set(interior))
+        if len(chosen) + 1 < d:
+            levels.append(fan_paths(len(chosen) + 1))
+            continue
+        if covered[-1] == others:
+            yield list(chosen)
+        chosen.pop()
+        covered.pop()
 
 
 def _spinal_representation(tp: TwoPath, r: int):

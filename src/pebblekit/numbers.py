@@ -8,8 +8,9 @@ order.
 Scan pipeline. One numpy kernel, _unrank_cols, maps an array of ranks to
 their configurations in the ascending order, one table lookup per
 vertex: a branch-free count of the table entries below each key when the
-ranks are not ascending and m < 64, where binary search mispredicts on
-unordered keys, and searchsorted otherwise; both give the same index
+ranks are not ascending and m is small (below 255 with int32 ranks, 64
+with int64 ones), where binary search mispredicts on unordered keys, and
+searchsorted otherwise; both give the same index
 (see _unrank_cols for timings). thm-3.5's sampler feeds it random ranks,
 which _uniform_ranks reads in bulk from the seeded random.Random's own
 word stream: the same draws as randrange. Scans read consecutive ranks
@@ -29,7 +30,10 @@ view.
 Prescreen. _FastFilter accepts the rows it can prove solvable from
 pebbles moved along one BFS spanning tree per demand target (exact on
 trees): for each target, a route rule and a sink rule, the same two for
-every demand shape. It then looks one move ahead on the rows it rejects,
+every demand shape. A demand on two or more targets also gets a forest
+rule, which gives each vertex to its nearest target and flushes every
+part to its own target (_forests). It then looks one move ahead on the
+rows it rejects,
 and two moves ahead on the rows that still fail. Lemma: if c reaches c'
 in one legal move (c(u) >= 2, uv an edge, c' = c - 2e_u + e_v) and c' is
 D-solvable, then c is D-solvable; applied twice, so is a row with a
@@ -190,8 +194,9 @@ def _unrank_cols(n: int, m: int, ranks) -> np.ndarray:
     which on the increasing table of C(k+p, p) is both searchsorted (side
     "left") and the number of entries below the key, so either form gives
     the same block. Ranks that are not ascending (the thm-3.5 sampler's)
-    with m < 64 take the count, one branch-free comparison of each of the
-    m + 1 entries with every key into a uint8 sum; every other call takes
+    take the count when m < 255 with int32 ranks, or m < 64 with int64
+    ranks: one branch-free comparison of each of the m + 1 entries with
+    every key into a uint8 sum, which holds k <= m. Every other call takes
     searchsorted. A binary search on unordered keys mispredicts about one
     branch in two, while ascending ranks walk the table in runs (Khuong and
     Morin, JEA 2017).
@@ -207,18 +212,22 @@ def _unrank_cols(n: int, m: int, ranks) -> np.ndarray:
 
     Measured on a 2-core x86_64 with numpy 2.4 at these widths, one call
     on 16,384 random ranks takes 1.6-1.8 ms counting against 5.9-6.1 ms
-    by searchsorted at (15, 15) (4.2-4.9 ms counting with int16 rows and
-    int64 ranks), and 1.6-2.6 against 3.6-4.5 ms at (5, 127), so the count
-    now pays beyond m = 64 too. Counting still slows 10**6 ascending ranks:
-    0.10-0.12 s to 0.25-0.32 s at (7, 60), 0.18-0.20 s to 0.19-0.23 s at
-    (15, 15)."""
+    by searchsorted at (15, 15). With int32 ranks the count pays up to
+    the uint8 limit: 2.7 against 4.3-4.5 ms at (5, 127), 3.9-4.2 against
+    4.6-4.8 ms at (5, 200), and 4.8-5.1 against 5.0-5.1 ms at (5, 254).
+    With int64 ranks it pays at (8, 63), 2.5 against 6.4-6.9 ms, but not
+    at (8, 127), 8.5 against 7.4-8.0 ms, or (6, 254), 10.8-12.4 against
+    6.5-6.6 ms. Counting still slows 10**6 ascending ranks: 0.10-0.12 s
+    to 0.25-0.32 s at (7, 60), 0.18-0.20 s to 0.19-0.23 s at (15, 15)."""
     total = _int64_total(n, m)
     rank = np.array(ranks, dtype=np.int64)
     if rank.size and (rank.min() < 0 or rank.max() >= total):
         raise ValueError(f"ranks out of range for ({n}, {m})")
     wide = np.int32 if total < 1 << 31 else np.int64
     rank = rank.astype(wide, copy=False)
-    count = m < 64 and bool((rank[1:] < rank[:-1]).any())
+    # the uint8 count holds every k <= m < 255
+    count = m < (255 if wide is np.int32 else 64) and \
+        bool((rank[1:] < rank[:-1]).any())
     row = np.int8 if m < 1 << 7 else np.int16 if m < 1 << 15 else np.int64
     out = np.empty((n, rank.size), dtype=row)
     rest = np.full(rank.size, m, dtype=row)
@@ -329,33 +338,13 @@ def _ascending_blocks(n: int, m: int, start: int = 0, stop: int | None = None,
         yield out.T
 
 
-def _bfs_parents(g: Graph, r: int) -> list:
-    par = [-1] * g.n
-    seen = [False] * g.n
-    seen[r] = True
-    frontier = [r]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in g.adjacency[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    par[v] = u
-                    nxt.append(v)
-        frontier = nxt
-    return par
-
-
 def _delivery_tree(g: Graph, r: int):
     """The (processing order, parent array) of the BFS spanning tree that
     the vectorized delivery prescreen routes along: deepest vertices first.
     BFS trees preserve distances, so any amount deliverable to r inside one
-    is deliverable in g. Uses r's BFS row only, never the all-pairs
-    metrics."""
-    dist = g.distances(r)
-    order = sorted((v for v in range(g.n) if v != r),
-                   key=lambda v: (-dist[v], v))
-    return tuple(order), tuple(_bfs_parents(g, r))
+    is deliverable in g. It is the one-part forest of _part_forest, so it
+    runs one BFS from r and never reads the all-pairs metrics."""
+    return _part_forest(g, [r] * g.n, (r,))
 
 
 def _deliver(cols: np.ndarray, order, par, target: int) -> np.ndarray:
@@ -374,6 +363,53 @@ def _deliver(cols: np.ndarray, order, par, target: int) -> np.ndarray:
     for v in order:
         a[par[v]] += a[v] >> 1
     return a[target].copy()
+
+
+def _part_forest(g: Graph, part, targets):
+    """The (processing order, parent array) of the forest that flushes each
+    target's part along the BFS tree of the subgraph the part induces,
+    rooted at the target; part[v] is the target vertex v belongs to. A
+    vertex this BFS does not reach has no parent and keeps its pebbles.
+    The order runs deepest first within each part, and the parts share no
+    vertex, so one pass over it flushes every tree."""
+    par = [-1] * g.n
+    depth = {}
+    for a in targets:
+        depth[a] = 0
+        frontier = [a]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for v in g.adjacency[u]:
+                    if part[v] == a and v not in depth:
+                        depth[v] = depth[u] + 1
+                        par[v] = u
+                        nxt.append(v)
+            frontier = nxt
+    order = sorted((v for v in depth if par[v] >= 0),
+                   key=lambda v: (-depth[v], v))
+    return tuple(order), tuple(par)
+
+
+def _forests(g: Graph, targets) -> list:
+    """The delivery forests of a demand on two or more targets, one per
+    target i, identical ones dropped: forest i gives every vertex to its
+    nearest target, ties going to i and then to the least target, and
+    flushes each part along _part_forest's trees. Each target is its own
+    nearest, so it roots its own part. The ties follow one order of the
+    targets, so the vertex after x on a shortest path from x to its
+    target t has t among its nearest targets and no nearer target that
+    x lacks, and joins t too: every part is connected, and each tree
+    spans its part."""
+    dist = {a: g.distances(a) for a in targets}
+    out = []
+    for i in targets:
+        part = [min(targets, key=lambda a: (dist[a][v], a != i, a))
+                for v in range(g.n)]
+        forest = _part_forest(g, part, targets)
+        if forest not in out:
+            out.append(forest)
+    return out
 
 
 def _arc_table(g: Graph) -> np.ndarray:
@@ -448,7 +484,8 @@ class _FastFilter:
     target a routes along one BFS spanning tree (_delivery_tree), whose
     moves are all graph moves, and _deliver gives what that tree carries to
     a. Two rules run once per target a, every target's route before the
-    first sink, then a lookahead; each is sound for any demand:
+    first sink, then the forests and a lookahead; each is sound for any
+    demand:
       - route: a's tree delivers at least sum_x D(x) 2^dist(a,x) to a
         (route[a]). A pile of D(x) 2^k pebbles on a walks the k edges of a
         shortest path to x and arrives as D(x), leaving every vertex it
@@ -458,6 +495,20 @@ class _FastFilter:
         target then holds its demand. Each flush is floor(e/2) moves from a
         vertex holding e spare pebbles to its tree parent, made after its
         subtree has flushed, so the flushes are legal moves in order.
+      - forest (two or more targets): on the rows route and sink leave,
+        one forest per target i from _forests, every vertex in the part of
+        its nearest target (ties to i first, then to the least target),
+        each part a BFS tree of the subgraph it induces, rooted at its
+        target. A row is accepted when every target's tree delivers at
+        least its demand. Lemma (the tree strategy of Hurlbert's weight
+        function lemma, J. Combin. Optim. 2017, for several targets): for
+        any partition of V into parts P_a holding one target each, and any
+        tree T_a of G[P_a] rooted at a, flushing T_a deepest first makes
+        legal moves along graph edges between vertices of P_a and leaves
+        its delivery on a. The parts are disjoint, so no flush touches
+        another's pebbles, and the flushes run one after another as one
+        move sequence that meets D. So the rule is sound for any partition
+        and any trees; the nearest-target one is a choice.
       - weight: no row lighter than D at some target a goes on to the
         lookahead. Writing w_a(c) = sum_x c(x) 2^-dist(a,x), a move from u
         to v removes 2^(1-dist(a,u)) and adds 2^-dist(a,v), no more since
@@ -476,8 +527,11 @@ class _FastFilter:
     The children and grandchildren come in chunks of at most _CHUNK
     columns, so no _masks call sees more than one block's rows, and a row's
     chunks stop once one of them accepts it.
-    With one target both rules are the stack mask, delivered(r) >= D(r);
-    with two, route is deliver-and-route and sink covers the cut rule (the
+    With one target both rules are the stack mask, delivered(r) >= D(r),
+    and so is the forest rule: its one part is the whole graph, whose BFS
+    tree rooted at r is _delivery_tree(g, r), so a one-target filter keeps
+    the stack mask and builds no forest. With two targets, route is
+    deliver-and-route and sink covers the cut rule (the
     other target keeps everything), the pay rule (it keeps only its demand
     of its own pebbles and the rest flows on) and the in-place test (every
     target already holds its demand, so flushing only adds to it). So
@@ -489,6 +543,8 @@ class _FastFilter:
         self.targets = d.support
         self.demands = d.demands
         self.trees = {a: _delivery_tree(g, a) for a in self.targets}
+        self.forests = _forests(g, self.targets) if len(self.targets) > 1 \
+            else []
         self.arcs = _arc_table(g)
         self.route = {}
         self.weight = []
@@ -564,12 +620,13 @@ class _FastFilter:
         solv = np.full(rows.shape[0], not ts)
         for a in ts:
             solv |= delivered(a) >= self.route[a]
-        for a in ts:
+        # the sink trees, then the forests: a forest holds every target at a
+        # root, so none of the vertices it flushes keeps a demand back
+        for order, par in [self.trees[a] for a in ts] + self.forests:
             todo = np.flatnonzero(~solv)
             if todo.size == 0:
                 break
             tmp = cols[:, todo]
-            order, par = self.trees[a]
             # no count exceeds cap, so a target demanding more flushes nothing
             # and fails the test below; with keep <= cap, tmp[v] - keep lies
             # in [-cap, cap], and each flush, like _deliver's, leaves at most
@@ -816,7 +873,7 @@ def pi_D(g: Graph, d: Distribution, hint: int | None = None, *,
 
 
 def _bfs_rooted_tree(g: Graph, r: int) -> RootedTree:
-    par = _bfs_parents(g, r)
+    par = _delivery_tree(g, r)[1]
     edges = [(v, par[v]) for v in range(g.n) if par[v] >= 0]
     return RootedTree(build_graph(g.n, edges), r)
 

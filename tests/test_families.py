@@ -273,6 +273,20 @@ def test_spinal_root_builds_only_the_spine_routes_it_tries(monkeypatch):
     assert len(built) == 2 and max(built) <= 3, built
 
 
+def test_spinal_root_of_a_long_two_path_needs_no_recursion():
+    """The spine searches keep their state on explicit stacks. On the
+    2-path of 1,099 unit fans (d = 1,100), the fan vertex of fan 551 lies
+    on a re-routed spine of 1,101 vertices, whose decomposition has 1,099
+    centers, and is_spinal_root and spinal_tree find them without meeting
+    the recursion limit."""
+    d = 1100
+    tp = two_path(FanSpec((1,) * (d - 1), (False,) * (d - 2)))
+    r = tp.interiors[d // 2][0]
+    assert r not in tp.spine
+    assert is_spinal_root(tp, r)
+    assert len(spinal_tree(tp, r).graph.edges) == tp.graph.n - 1
+
+
 def test_spinal_tree_rejects_missing_root():
     tp = two_path(FanSpec((1,), ()))
     with pytest.raises(FamilyError):

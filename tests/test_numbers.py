@@ -46,6 +46,7 @@ from pebblekit.numbers import (
     _FastFilter,
     _flat_children,
     _min_moves_upto3,
+    _part_forest,
     _scan_chunk,
     _tail_split,
     _uniform_ranks,
@@ -218,10 +219,12 @@ def test_unrank_cols_tables_hold_at_wide_sizes():
 
 
 def test_unrank_cols_forms_agree_on_unordered_ranks(monkeypatch):
-    """Unordered ranks with m < 64 take the kernel's entry count, every
-    other call takes searchsorted; both give the scalar reference's
-    columns, and the block of the sorted ranks is the same block with its
-    columns permuted. (7, 63) and (7, 64) sit on either side of the rule."""
+    """Unordered ranks take the kernel's entry count when m < 255 with
+    int32 ranks or m < 64 with int64 ranks, and every other call takes
+    searchsorted; both give the scalar reference's columns, and the block
+    of the sorted ranks is the same block with its columns permuted.
+    (4, 254) and (4, 255) sit on either side of the int32 rule, (9, 63)
+    and (9, 64) on either side of the int64 one."""
     searches = []
     real = np.searchsorted
 
@@ -231,13 +234,14 @@ def test_unrank_cols_forms_agree_on_unordered_ranks(monkeypatch):
 
     monkeypatch.setattr(np, "searchsorted", spy)
     rng = random.Random(577)
-    for n, m in ((15, 15), (7, 63), (7, 64), (4, 200)):
+    for n, m in ((15, 15), (7, 63), (7, 64), (4, 200), (4, 254), (4, 255),
+                 (9, 63), (9, 64)):
         total = num_configs(n, m)
         ranks = np.array([total - 1, 0] + [rng.randrange(total)
                                            for _ in range(400)])
         searches.clear()
         block = _unrank_cols(n, m, ranks)
-        assert bool(searches) == (m >= 64)
+        assert bool(searches) == (m >= (255 if total < 2 ** 31 else 64))
         assert block.dtype == (np.int8 if m < 128 else np.int16)
         assert block.flags.c_contiguous
         assert [tuple(col) for col in block.T.tolist()] == \
@@ -571,6 +575,82 @@ def test_sink_rule_covers_pay_and_cut():
     assert paid > 1_000
 
 
+def _forest_flush(cols, forest, d):
+    """Per column of an (n, B) block: whether flushing the forest deepest
+    first leaves every target of d holding its demand."""
+    order, par = forest
+    a = cols.astype(np.int64)
+    for v in order:
+        a[par[v]] += a[v] >> 1
+    return np.all([a[x] >= d[x] for x in d.support], axis=0)
+
+
+def test_forest_rule_accepts_only_solvable_rows():
+    """Each delivery forest of a two- or three-target demand, alone,
+    accepts only D-solvable rows: on random connected graphs with n <= 7
+    and demands of 1 or 2 on each target, every row it accepts is solvable
+    by brute force. Each forest is a forest of graph edges whose trees are
+    rooted at the targets and span their parts, and the direct masks are
+    route and sink together with every forest. The lemma holds for any
+    partition, so random partitions, whose parts are often disconnected and
+    leave vertices out of every tree, must be sound as well. The rows that
+    only a forest accepts must be common."""
+    rng = random.Random(921)
+    forest_only = torn = checked = 0
+    for trial in range(150):
+        n = rng.randrange(3, 8)
+        g = build_graph(n, random_connected_edges(n, rng.randrange(0, 4), rng))
+        adj = neighbor_lists(n, g.edges)
+        vec = [0] * n
+        for v in rng.sample(range(n), rng.choice((2, 3))):
+            vec[v] = rng.randrange(1, 3)
+        d = Distribution(tuple(vec))
+        ts = d.support
+        filt = _FastFilter(g, d)
+        assert 1 <= len(filt.forests) <= len(ts)
+        for order, par in filt.forests:
+            assert {v for v in range(n) if par[v] < 0} == set(ts)
+            assert set(order) == set(range(n)) - set(ts)
+            assert all(g.has_edge(v, par[v]) for v in order)
+        base = _FastFilter(g, d)
+        base.forests = []
+        size = rng.randrange(2, 10)
+        rows = np.concatenate(list(_ascending_blocks(n, size)))
+        part = [rng.choice(ts) for _ in range(n)]
+        for a in ts:
+            part[a] = a
+        torn_forest = _part_forest(g, part, ts)
+        torn += len(torn_forest[0]) < n - len(ts)
+        direct = base._masks(rows)
+        verdicts: dict = {}
+        for forest in filt.forests + [torn_forest]:
+            mask = _forest_flush(rows.T, forest, d)
+            for row in rows[mask].tolist():
+                checked += 1
+                assert brute_solvable_memo(adj, row, d.demands, verdicts), \
+                    (g.edges, row, d.demands, forest)
+            if forest is not torn_forest:
+                forest_only += int(np.count_nonzero(mask & ~direct))
+                direct |= mask
+        assert np.array_equal(filt._masks(rows), direct)
+    assert checked > 40_000
+    assert forest_only > 500
+    assert torn > 50
+
+
+def test_forest_rule_settles_a_petersen_pair_row(petersen):
+    """On the distance-2 pair {0, 1} of K(5,2), the row with 3 pebbles on
+    6 and 8 and 7 on 9 fails route and sink, and the forest accepts it."""
+    d = Distribution((1, 1, 0, 0, 0, 0, 0, 0, 0, 0))
+    rows = np.array([[0, 0, 0, 0, 0, 0, 3, 0, 3, 7]], dtype=np.int8)
+    filt = _FastFilter(petersen, d)
+    base = _FastFilter(petersen, d)
+    base.forests = []
+    assert not base._masks(rows)[0]
+    assert filt._masks(rows)[0]
+    assert brute_solvable(petersen, tuple(rows[0].tolist()), d.demands)
+
+
 def _check_min_moves_upto3(g, rows, r):
     """Classifier against brute force: the brute count where it is at most
     3, and -1 exactly where it is at least 4 or no move sequence reaches r."""
@@ -607,14 +687,18 @@ def test_min_moves_upto3_on_size13_petersen_rows(petersen):
 
 def test_size13_petersen_prescreen_strength(petersen):
     """The three demand filters of the size-13 Petersen pass leave exactly
-    0, 0 and 336 of the 497,420 rows to the exact engine, and every row
+    0, 0 and 51 of the 497,420 rows to the exact engine, and every row
     needs at most 3 moves to the root. These counts are fixed by the
     prescreen's implementation, not by the claims. The test works out each
     level itself, arc by arc, and pins it: the direct masks alone leave
-    3,329, 2,712 and 66,806, one move ahead 6, 336 and 2,328, and two
-    moves ahead 0, 0 and 336. accept must equal the two-move level, row
-    for row. So a lookahead level that is silently off shows here while
-    every correctness test still passes."""
+    3,329, 2,712 and 8,366, one move ahead 6, 336 and 548, and two moves
+    ahead 0, 0 and 51. accept must equal the two-move level, row for row.
+    So a lookahead level that is silently off shows here while every
+    correctness test still passes. The forest rule moved the third
+    demand's counts, the distance-2 pair, from 66,806, 2,328 and 336: its
+    two targets split the graph, and each flushes only its own part. The
+    2-fold stack has one target and no forest, and on the distance-1 pair
+    the forest accepts no row that route and sink reject."""
     g = petersen
     arcs = [(u, v) for u in range(10) for v in g.adjacency[u]]
     demands = [Distribution(tuple(v))
@@ -632,8 +716,8 @@ def test_size13_petersen_prescreen_strength(petersen):
             assert np.array_equal(filt.accept(rows, cache), levels[2])
         unsettled += int(np.count_nonzero(_min_moves_upto3(g, rows, 0) < 0))
     assert rows_seen == num_configs(10, 13) == 497_420
-    assert rejected.tolist() == [[3_329, 2_712, 66_806], [6, 336, 2_328],
-                                 [0, 0, 336]]
+    assert rejected.tolist() == [[3_329, 2_712, 8_366], [6, 336, 548],
+                                 [0, 0, 51]]
     assert unsettled == 0
 
 
@@ -1077,10 +1161,11 @@ def test_scans_refuse_demands_of_the_wrong_length():
 
 def test_three_target_check_engine_calls_are_pinned(monkeypatch):
     """Every size-3 demand on the 2-path with one 2-vertex fan (n = 5,
-    d = 2) at pi_3 = 13. The route and sink rules and both lookahead
-    levels run for three-target demands too, so the check makes 13 engine
-    calls: 12 rows the prescreen rejects, all solvable, and the one
-    constructed lower witness. With the one-move lookahead alone it made
+    d = 2) at pi_3 = 13. The route, sink and forest rules and both
+    lookahead levels run for three-target demands too, so the check makes
+    9 engine calls: 8 rows the prescreen rejects, all solvable, and the
+    one constructed lower witness. The forest rule took it from 13, where
+    route and sink left 12 rows; with the one-move lookahead alone it made
     71, and with only the in-place test on three-target demands 3,521. The
     count is fixed by the prescreen, not by the claim."""
     verdicts = []
@@ -1096,7 +1181,7 @@ def test_three_target_check_engine_calls_are_pinned(monkeypatch):
                                       expected_pi=two_path_pi_t(5, 2, 3))
     assert report["pass"] and report["pi_t"] == 13
     assert report["demand_count"] == comb(7, 3)
-    assert len(verdicts) == 13
+    assert len(verdicts) == 9
     assert verdicts.count(False) == 1
 
 
