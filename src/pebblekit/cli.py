@@ -173,8 +173,7 @@ def _cmd_pi(args) -> int:
     g = _load_graph_arg(args.graph)
     if args.demand or args.root is not None:
         d = _demand_from_args(args, g.n)
-        value = pi_D(g, d, hint=args.hint, budget=args.budget, jobs=args.jobs,
-                     mode=args.mode)
+        value = pi_D(g, d, budget=args.budget, jobs=args.jobs, mode=args.mode)
         payload = {"demand": list(d.demands), "pi": value}
     else:
         t = _t_from_args(args)
@@ -346,8 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--demand", default=None)
     p.add_argument("--root", type=int, default=None)
     p.add_argument("--t", type=int, default=None)
-    p.add_argument("--hint", type=int, default=None,
-                   help="starting guess for the size search")
     p.add_argument("--expect", type=int, default=None,
                    help="exit nonzero unless the result equals this")
     p.add_argument("--mode", choices=("unrestricted", "greedy", "semi_greedy"),

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, product
 
-from .graph import Graph, GraphError, shortest_path, simplicial_vertices
+from .graph import Graph, shortest_path, simplicial_vertices
 
 __all__ = [
     "FamilyError",
@@ -18,7 +18,6 @@ __all__ = [
     "RootedTree",
     "kneser",
     "two_path",
-    "is_two_path",
     "is_spinal_root",
     "spinal_tree",
     "max_path_partition",
@@ -207,55 +206,6 @@ def enumerate_fan_specs(max_n: int, d_values=None):
                 except FamilyError:
                     continue
                 yield spec
-
-
-def is_two_path(g: Graph):
-    """Decide the recursive 2-path definition: the graph is K_2 or K_3, or it
-    has exactly two simplicial vertices and deleting one whose neighborhood
-    is an edge leaves a 2-path. Returns (verdict, spine-or-None), the spine
-    being a shortest path between the two simplicial vertices.
-
-    The deletions run in a loop that keeps the induced neighbourhoods and
-    the simplicial set up to date; a deletion can only make the deleted
-    vertex's neighbours simplicial. When both simplicial vertices s1, s2
-    qualify, which one goes first does not change the verdict. Every 2-path
-    is a 2-tree: 2-connected, K_4-free, so its simplicial vertices are its
-    degree-2 vertices, and no two of them are adjacent once n >= 4 (their
-    common neighbour would be a cut vertex). So if deleting s1 leaves a
-    2-path, s2 still qualifies there and (by induction) the graph minus
-    s1, s2 is a 2-path. Deleting s2 first leaves a 2-tree whose simplicial
-    vertices lie in {s1} and s2's two adjacent neighbours, of which at most
-    one is simplicial, and a 2-tree on >= 4 vertices has two; so s1 then
-    qualifies and the same graph remains."""
-    n = g.n
-    if n < 2:
-        return False, None
-    nbrs = [set(a) for a in g.adjacency]
-
-    def simplicial(v: int) -> bool:
-        return all(g.has_edge(a, b) for a, b in combinations(nbrs[v], 2))
-
-    simp = {v for v in range(n) if simplicial(v)}
-    ends = sorted(simp)[:2]
-    alive = set(range(n))
-    while len(alive) > 3:
-        if len(simp) != 2:
-            return False, None
-        v = next((v for v in sorted(simp)
-                  if len(nbrs[v]) == 2 and g.has_edge(*nbrs[v])), None)
-        if v is None:
-            return False, None
-        alive.remove(v)
-        simp.remove(v)
-        for w in nbrs[v]:
-            nbrs[w].remove(v)
-            if simplicial(w):
-                simp.add(w)
-    # what is left is an edge or a triangle exactly when every vertex in
-    # it sees all the others
-    if any(len(nbrs[v]) != len(alive) - 1 for v in alive):
-        return False, None
-    return True, shortest_path(g, ends[0], ends[1])
 
 
 def _all_spine_routes(g: Graph, x0: int, xd: int, through: int):

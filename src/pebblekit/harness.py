@@ -20,8 +20,7 @@ from .families import FanSpec, enumerate_fan_specs, is_spinal_root, kneser, \
     max_path_partition, random_tree, spinal_tree, two_path
 from .formulas import KneserParams, build_C_t1, build_C_t2, build_J_r, \
     kneser_p, spinal_pi, tree_pi, two_path_pi_t
-from .graph import _decode_graph, Graph, graph_to_json, pair_orbits, \
-    vertex_connectivity
+from .graph import _decode_graph, Graph, pair_orbits, vertex_connectivity
 from .numbers import _ascending_blocks, _check_jobs, _coerce_budget, \
     _min_moves_upto3, _scan_chunk, _uniform_ranks, _unrank_cols, \
     BudgetExceededError, find_unsolvable_witness, num_configs, \
@@ -35,7 +34,6 @@ __all__ = [
     "REGISTRY",
     "run_campaign",
     "load_graph",
-    "save_graph",
 ]
 
 log = logging.getLogger("pebblekit")
@@ -113,10 +111,6 @@ def atomic_write(path: str, text: str):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def save_graph(g: Graph, path: str):
-    atomic_write(path, graph_to_json(g) + "\n")
 
 
 def load_graph(path: str) -> Graph:
@@ -211,7 +205,7 @@ def _petersen_size13_scan() -> dict:
             cost_classes(rows)
             yield rows
 
-    _, failed, checked = _scan_chunk(g, demands, blocks(), collect_all=True)
+    _, failed, checked = _scan_chunk(g, demands, blocks(), stops=0)
     failures = [{"demand": list(demands[di].demands), "config": _cfg_list(c)}
                 for di, c in failed] + cost_failures
 
@@ -451,7 +445,7 @@ def _run_thm_3_5(params, budget, jobs, seed):
                 yield _unrank_cols(g.n, expected,
                                    _uniform_ranks(rng, total, k)).T
 
-        first, _, _ = _scan_chunk(g, [d], draws(), budget=budget)
+        first, _, _ = _scan_chunk(g, [d], draws(), stops=1, budget=budget)
         bad = _cfg_list(first[1]) if first is not None else None
         witnesses = [{"size14_witness": _cfg_list(c11),
                       "unsolvable": lower_ok, "samples": samples}]

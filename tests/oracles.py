@@ -193,10 +193,15 @@ def brute_min_moves(g, counts, r):
 
 
 def brute_pi(g, demands):
-    """Smallest m such that every size-m configuration meets the demand."""
+    """Smallest m such that every size-m configuration meets the demand.
+    One brute_solvable_memo memo serves every size, so each reachable
+    configuration is settled once."""
+    adj = neighbor_lists(g.n, g.edges)
+    memo = {}
     m = sum(demands)
     while True:
-        if all(brute_solvable(g, c, demands) for c in all_configs(g.n, m)):
+        if all(brute_solvable_memo(adj, c, demands, memo)
+               for c in all_configs(g.n, m)):
             return m
         m += 1
 

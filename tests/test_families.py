@@ -4,15 +4,12 @@ import random
 from math import comb
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
 
 from pebblekit import (
     FamilyError,
     FanSpec,
-    GraphError,
     build_graph,
     is_spinal_root,
-    is_two_path,
     kneser,
     max_path_partition,
     metrics,
@@ -27,7 +24,7 @@ from pebblekit import families
 from pebblekit.families import RootedTree, enumerate_fan_specs
 
 from oracles import brute_is_two_path, brute_path_partitions, majorizes, \
-    neighbor_lists, random_connected_edges
+    neighbor_lists
 
 
 def test_kneser_examples(petersen):
@@ -124,16 +121,6 @@ def test_two_path_rejects_degenerate_specs():
         FanSpec((1, 1), (True, True))  # overlap flag count mismatch
 
 
-def test_is_two_path_examples():
-    k3 = build_graph(3, [(0, 1), (1, 2), (0, 2)])
-    verdict, spine = is_two_path(k3)
-    assert verdict and spine is not None
-    c5 = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
-    assert is_two_path(c5) == (False, None)
-    k4 = build_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
-    assert is_two_path(k4) == (False, None)
-
-
 def test_is_two_path_accepts_every_generated_spec():
     rng = random.Random(5)
     larger = [FanSpec(k, tuple(rng.random() < 0.5 for _ in k[1:]))
@@ -144,59 +131,10 @@ def test_is_two_path_accepts_every_generated_spec():
             tp = two_path(spec)
         except FamilyError:
             continue
-        verdict, spine = is_two_path(tp.graph)
-        assert verdict
+        assert brute_is_two_path(tp.graph)
         ends = simplicial_vertices(tp.graph)
-        assert {spine[0], spine[-1]} == ends
-        assert len(spine) - 1 == metrics(tp.graph).diameter
-
-
-def triangle_strip(n):
-    """The 2-path with edges (i, i+1) and (i, i+2)."""
-    return build_graph(n, [(i, i + 1) for i in range(n - 1)]
-                       + [(i, i + 2) for i in range(n - 2)])
-
-
-def test_is_two_path_rejects_a_long_broken_strip():
-    # without the edge (1, 3), vertex 1 is simplicial too: three of them
-    n = 1100
-    broken = build_graph(n, [e for e in triangle_strip(n).edges if e != (1, 3)])
-    assert is_two_path(broken) == (False, None)
-
-
-@settings(max_examples=20, deadline=None)
-@given(st.integers(1000, 2000))
-@example(1100)
-def test_is_two_path_accepts_long_strips(n):
-    verdict, spine = is_two_path(triangle_strip(n))
-    assert verdict
-    assert {spine[0], spine[-1]} == {0, n - 1}
-    assert len(spine) - 1 == n // 2
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.integers(2, 9), st.integers(0, 8), st.randoms(use_true_random=False))
-def test_is_two_path_matches_the_recursive_definition(n, extra, rng):
-    # random 2-trees, some with one edge added or removed, plus random graphs
-    if rng.random() < 0.7 and n >= 3:
-        edges = {(0, 1), (0, 2), (1, 2)}
-        for v in range(3, n):
-            a, b = rng.choice(sorted(edges))
-            edges |= {(a, v), (b, v)}
-        pick = rng.random()
-        if pick < 0.3:
-            edges.discard(rng.choice(sorted(edges)))
-        elif pick < 0.6:
-            edges.add(tuple(sorted(rng.sample(range(n), 2))))
-    else:
-        edges = set(random_connected_edges(n, extra, rng))
-    try:
-        g = build_graph(n, sorted(edges))
-    except GraphError:
-        return
-    verdict, spine = is_two_path(g)
-    assert verdict == brute_is_two_path(g)
-    assert (spine is None) == (not verdict)
+        assert {tp.spine[0], tp.spine[-1]} == ends
+        assert len(tp.spine) - 1 == metrics(tp.graph).diameter
 
 
 def test_enumerate_fan_specs_counts():

@@ -27,7 +27,6 @@ from pebblekit import (
     load_graph,
     num_configs,
     run_campaign,
-    save_graph,
 )
 from pebblekit import cli, harness, numbers
 from pebblekit.harness import atomic_write
@@ -176,18 +175,23 @@ def test_empty_value_lists_are_refused(capsys):
 
 def test_symmetry_is_not_a_flag(tmp_path, capsys):
     """No command takes --symmetry: every scan covers every configuration,
-    and a scan that overruns the budget is answered by raising --budget."""
+    and a scan that overruns the budget is answered by raising --budget.
+    pi takes no --hint either: its size search has no starting guess."""
     graph = tmp_path / "p3.json"
     graph.write_text(path3_json() + "\n")
-    for argv in (["pi", "--graph", str(graph), "--root", "0"],
-                 ["witness", "--graph", str(graph), "--root", "0", "--size", "3"],
-                 ["verify-target", "--graph", str(graph), "--t", "1",
-                  "--expected-pi", "4"],
-                 ["verify", "lem-3.6"]):
+    pi = ["pi", "--graph", str(graph), "--root", "0"]
+    for argv, flag in ((pi, ["--symmetry"]),
+                       (["witness", "--graph", str(graph), "--root", "0",
+                         "--size", "3"], ["--symmetry"]),
+                       (["verify-target", "--graph", str(graph), "--t", "1",
+                         "--expected-pi", "4"], ["--symmetry"]),
+                       (["verify", "lem-3.6"], ["--symmetry"]),
+                       (pi, ["--hint", "4"])):
         with pytest.raises(SystemExit) as exc:
-            cli.main([*argv, "--symmetry"])
+            cli.main([*argv, *flag])
         assert exc.value.code == 2
-        assert "unrecognized arguments: --symmetry" in capsys.readouterr().err
+        assert f"unrecognized arguments: {' '.join(flag)}" in \
+            capsys.readouterr().err
 
 
 def test_thm_3_5_sampler_charges_whole_batches():
@@ -312,7 +316,7 @@ def test_atomic_write_overwrites_in_place(tmp_path):
 
 def test_save_and_load_graph_round_trip(tmp_path, petersen):
     path = tmp_path / "petersen.json"
-    save_graph(petersen, str(path))
+    path.write_text(graph_to_json(petersen) + "\n")
     assert load_graph(str(path)) == petersen
 
 

@@ -23,7 +23,6 @@ from pebblekit import (
     kneser,
     max_path_partition,
     metrics,
-    multi_demand_scan,
     num_configs,
     pi_D,
     pi_t,
@@ -47,6 +46,7 @@ from pebblekit.numbers import (
     _flat_children,
     _min_moves_upto3,
     _part_forest,
+    _scan,
     _scan_chunk,
     _tail_split,
     _uniform_ranks,
@@ -800,13 +800,15 @@ def test_lookahead_chunks_stay_within_a_block(monkeypatch):
 def test_scan_chunk_settles_blocks_as_brute_force(monkeypatch):
     """_scan_chunk, the one settle loop, against oracles.brute_solvable on
     random connected graphs with n <= 6, stacked, two-target and
-    three-target demands together, in 7-row blocks. With collect_all its
+    three-target demands together, in 7-row blocks. With stops=0 its kept
     failures are exactly the brute-rejected (demand index, configuration)
     pairs in block, then demand, then row order, and it draws every block
-    once. Without it, the first failure is the same pair, and both the
-    blocks drawn and the count checked stop at that pair's block, for all
-    the demands and for each one alone. In the restricted trials every row
-    of every demand goes to the engine."""
+    once. With every demand a stop demand, the stop failure is the first
+    such pair, and both the blocks drawn and the count checked stop at
+    that pair's block, for all the demands and for each one alone. With
+    the first demand alone stopping, it stops at that demand's first pair
+    and keeps the other demands' pairs from the blocks before it. In the
+    restricted trials every row of every demand goes to the engine."""
     engine_calls = []
 
     def counted(*args):
@@ -815,7 +817,7 @@ def test_scan_chunk_settles_blocks_as_brute_force(monkeypatch):
 
     monkeypatch.setattr(numbers_mod, "is_solvable", counted)
     rng = random.Random(917)
-    failing_trials = late_stops = 0
+    failing_trials = late_stops = mixed_stops = 0
     for trial in range(60):
         n = rng.randrange(2, 7)
         g = build_graph(n, random_connected_edges(n, rng.randrange(0, 3), rng))
@@ -847,8 +849,9 @@ def test_scan_chunk_settles_blocks_as_brute_force(monkeypatch):
                 yield rows
 
         engine_calls.clear()
-        first, fails, checked = _scan_chunk(g, demands, drawn(), mode=mode,
-                                            collect_all=True)
+        first, fails, checked = _scan_chunk(g, demands, drawn(), stops=0,
+                                            mode=mode)
+        assert first is None
         assert [(di, c.counts) for di, c in fails] == \
             [(di, row) for _, di, row in want]
         assert len(seen) == len(blocks)
@@ -864,7 +867,8 @@ def test_scan_chunk_settles_blocks_as_brute_force(monkeypatch):
         for pick in picks:
             seen.clear()
             first, fails, checked = _scan_chunk(
-                g, [demands[di] for di in pick], drawn(), mode=mode)
+                g, [demands[di] for di in pick], drawn(), stops=len(pick),
+                mode=mode)
             assert fails == []
             hits = [(bi, list(pick).index(di), row)
                     for bi, di, row in want if di in pick]
@@ -877,7 +881,23 @@ def test_scan_chunk_settles_blocks_as_brute_force(monkeypatch):
             else:
                 assert first is None and checked == num_configs(n, size)
                 assert len(seen) == len(blocks)
-    assert failing_trials >= 10 and late_stops >= 10
+
+        # the leading demands stop the scan, the rest are kept
+        stops = 1
+        seen.clear()
+        first, fails, checked = _scan_chunk(g, demands, drawn(), stops=stops,
+                                            mode=mode)
+        hits = [(bi, di, row) for bi, di, row in want if di < stops]
+        end = hits[0][0] if hits else len(blocks)
+        assert [(di, c.counts) for di, c in fails] == \
+            [(di, row) for bi, di, row in want if di >= stops and bi < end]
+        if hits:
+            assert (first[0], first[1].counts) == hits[0][1:]
+            assert len(seen) == end + 1
+            mixed_stops += any(bi < end and di >= stops for bi, di, _ in want)
+        else:
+            assert first is None and len(seen) == len(blocks)
+    assert failing_trials >= 10 and late_stops >= 10 and mixed_stops >= 5
 
 
 def test_find_unsolvable_witness_path_example():
@@ -934,12 +954,17 @@ def test_witness_scan_jobs_agree(petersen):
 def test_multi_demand_scan_reports_first_failure():
     p3 = path_graph(3)
     demands = [Distribution.stacked(3, 0, 1), Distribution.stacked(3, 2, 1)]
-    scan = multi_demand_scan(p3, demands, 3)
-    assert scan["failure"]["demand_index"] == 0
-    assert scan["failure"]["config"].counts == (0, 0, 3)
-    clean = multi_demand_scan(p3, demands, 4)
-    assert clean["failure"] is None
-    assert clean["configs_checked"] == num_configs(3, 4)
+    stop, kept, _ = _scan(p3, demands, 3, stops=2)
+    assert stop[0] == 0 and stop[1].counts == (0, 0, 3) and kept == []
+    # with no stop demand every failure is kept, in demand order within
+    # the one block
+    stop, kept, checked = _scan(p3, demands, 3, stops=0)
+    assert stop is None and checked == num_configs(3, 3)
+    assert [(di, c.counts) for di, c in kept] == [(0, (0, 0, 3)),
+                                                  (1, (3, 0, 0))]
+    stop, kept, checked = _scan(p3, demands, 4, stops=2)
+    assert stop is None and kept == []
+    assert checked == num_configs(3, 4)
 
 
 def test_pi_D_examples(petersen):
@@ -947,12 +972,14 @@ def test_pi_D_examples(petersen):
     assert pi_D(p3, Distribution.stacked(3, 0, 1)) == 4
     k4 = build_graph(4, [(a, b) for a in range(4) for b in range(a + 1, 4)])
     assert pi_D(k4, Distribution.stacked(4, 0, 1)) == 4
-    assert pi_D(petersen, Distribution.stacked(10, 0, 1), hint=10) == 10
+    assert pi_D(petersen, Distribution.stacked(10, 0, 1)) == 10
     with pytest.raises(PebblingError):
         pi_D(p3, Distribution((0, 0, 0)))
 
 
 def test_pi_D_matches_brute_force():
+    """pi_D at one root, and pi_t over every root for t in {1, 2}, against
+    the largest brute_pi over the roots."""
     rng = random.Random(910)
     for trial in range(8):
         n = rng.randrange(3, 6)
@@ -961,6 +988,10 @@ def test_pi_D_matches_brute_force():
         demands = [0] * n
         demands[r] = 1
         assert pi_D(g, Distribution(tuple(demands))) == brute_pi(g, tuple(demands))
+        for t in (1, 2):
+            want = max(brute_pi(g, Distribution.stacked(n, v, t).demands)
+                       for v in range(n))
+            assert pi_t(g, t) == want
 
 
 def test_pi_t_examples():
@@ -968,6 +999,33 @@ def test_pi_t_examples():
     assert pi_t(p3, 2) == 8
     tp = two_path([1])
     assert pi_t(tp.graph, 2) == two_path_pi_t(4, 2, 2) == 8
+
+
+def test_pi_t_scans_only_the_answer_in_full():
+    """On C8 at t = 2 the BFS-tree bound is 39 and the answer 32. The size
+    search stops each size below 32 at its first witness and scans 32 in
+    full, about 1.7 * 10^7 configurations in all."""
+    c8 = build_graph(8, [(i, (i + 1) % 8) for i in range(8)])
+    assert pi_t(c8, 2, roots=[0], budget=30_000_000) == 32
+
+
+def test_target_check_without_expected_value_scans_once():
+    """Without expected_pi, the demand classes ride along pi_t's size
+    search as kept demands instead of being rescanned at pi_t."""
+    c6 = build_graph(6, [(i, (i + 1) % 6) for i in range(6)])
+    report = verify_target_conjecture(c6, 3)
+    assert report["pass"] and report["pi_t"] == 24
+    assert report["configs_checked"] < 10 ** 6
+
+
+def test_target_check_without_expected_value_reports_the_first_failure():
+    """At root 1 of the path 0-1-2, pi_t = 3, and the demand on vertex 0
+    fails at (0, 0, 3): the first class failure kept at the first size
+    where the stacked demand has none."""
+    report = verify_target_conjecture(path_graph(3), 1, roots=[1])
+    assert report["pi_t"] == 3 and not report["pass"]
+    assert report["counterexample"] == {"demand": [1, 0, 0],
+                                        "config": Configuration((0, 0, 3))}
 
 
 def test_pi_t_growth_in_t():
@@ -1146,7 +1204,7 @@ def test_scans_refuse_demands_of_the_wrong_length():
         d = Distribution(vec)
         budget = _Budget(10 ** 6)
         for call in (lambda: find_unsolvable_witness(p4, d, 3, budget=budget),
-                     lambda: multi_demand_scan(p4, [stacked, d], 3, budget=budget),
+                     lambda: _scan(p4, [stacked, d], 3, stops=2, budget=budget),
                      lambda: pi_D(p4, d, budget=budget),
                      lambda: verify_target_conjecture(p4, 1, [vec], budget=budget),
                      lambda: verify_target_conjecture(p4, 1, [stacked, vec],
