@@ -70,9 +70,12 @@ over the stop demands. A size below the answer stops at its first
 failure, so only the answer is scanned in full. A kept demand that fails
 at that size has a larger pebbling number than every stop demand, which
 is how verify_target_conjecture finds its counterexample in the same
-pass. pi_t starts one above the largest constructed candidate
-(_default_lower_candidates) that the engine refuses, since it proves the
-same bound for the smaller sizes.
+pass; once one kept demand has failed, the kept demands are no longer
+settled, since only that first failure is reported. The climb starts one
+above the largest constructed candidate that the engine refuses for a
+stop demand (_climb_start: the demand's one-vertex pile, and the default
+candidates for a demand on one vertex), since a refused candidate proves
+the same bound for every smaller size.
 
 Budgets. Every scanned configuration is charged to the budget. A parallel
 scan splits the ranks into contiguous chunks, each bounded by the budget
@@ -156,6 +159,11 @@ def _coerce_budget(budget) -> _Budget:
 def _check_jobs(jobs: int):
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
+
+
+def _check_lengths(g: Graph, demands):
+    if any(len(d) != g.n for d in demands):
+        raise PebblingError("demand length must equal vertex count")
 
 
 @dataclass(frozen=True)
@@ -720,7 +728,8 @@ def _scan_chunk(g: Graph, demands, blocks, *, stops: int,
     the failure that ended the scan or None; the kept failures before it,
     in block, then demand, then row order; and the number of rows checked.
     stops=0 collects every failure, and stops=len(demands) stops at the
-    first."""
+    first. With 0 < stops < len(demands) only the first kept failure is
+    wanted, so the other demands are no longer settled once one fails."""
     use_filters = mode == "unrestricted"
     filters = [_FastFilter(g, d) for d in demands] if use_filters else None
     checked = 0
@@ -731,6 +740,8 @@ def _scan_chunk(g: Graph, demands, blocks, *, stops: int,
         checked += rows.shape[0]
         cache: dict = {}
         for di, d in enumerate(demands):
+            if failures and 0 < stops <= di:
+                break
             if use_filters:
                 left = np.flatnonzero(~filters[di].accept(rows, cache)).tolist()
             else:
@@ -743,6 +754,8 @@ def _scan_chunk(g: Graph, demands, blocks, *, stops: int,
                 if di < stops:
                     return failure, failures, checked
                 failures.append(failure)
+                if stops:
+                    break
     return None, failures, checked
 
 
@@ -773,15 +786,15 @@ def _scan(g: Graph, demands, size: int, *, stops: int,
     failure or overruns the budget, the chunks not yet started are
     cancelled. The chunks before it had no stop failure, so the stop
     failure, the kept failures and the count checked are the serial
-    scan's.
+    scan's: with stops > 0 each chunk keeps its first kept failure and
+    only the first chunk's that has one is merged.
 
     A demand vector whose length is not g.n is refused here, the entry of
     every public scan. It is not the entry of every scan: harness's size-13
     Petersen pass and its thm-3.5 sampler call _scan_chunk directly, on
     demands they build from the graph itself."""
     _check_jobs(jobs)
-    if any(len(d) != g.n for d in demands):
-        raise PebblingError("demand length must equal vertex count")
+    _check_lengths(g, demands)
     budget = _coerce_budget(budget)
     total = num_configs(g.n, size)
     if jobs <= 1 or total < 4 * _BLOCK:
@@ -807,7 +820,8 @@ def _scan(g: Graph, demands, size: int, *, stops: int,
                 stop, cfails, cchecked = fut.result()
                 budget.charge(cchecked)
                 checked += cchecked
-                failures.extend(cfails)
+                if not (stops and failures):
+                    failures.extend(cfails)
                 if stop is not None:
                     break
         finally:
@@ -833,18 +847,20 @@ def find_unsolvable_witness(g: Graph, d: Distribution, size: int, *,
                          witnesses=wits)
 
 
-def _climb(g: Graph, demands, stops: int, size: int, *, budget: _Budget,
+def _climb(g: Graph, demands, stops: int, *, budget: _Budget,
            jobs: int = 1, mode: str = "unrestricted"):
     """The size search (see the module docstring): one _scan per size over
-    the demands, the first stops of them stop demands, from the given size
-    upward until a size has no stop failure. Returns that size and the
-    kept failures of the other demands there, in block, demand, row
-    order."""
+    the demands, the first stops of them stop demands, from _climb_start's
+    size upward until a size has no stop failure. Returns that size and
+    the first kept failure of the other demands there, or None."""
+    _check_jobs(jobs)
+    _check_lengths(g, demands)
+    size = _climb_start(g, demands[:stops], budget)
     while True:
         stop, failures, _ = _scan(g, demands, size, stops=stops, mode=mode,
                                   jobs=jobs, budget=budget)
         if stop is None:
-            return size, failures
+            return size, (failures[0] if failures else None)
         size += 1
 
 
@@ -852,15 +868,15 @@ def pi_D(g: Graph, d: Distribution, *, budget=None, jobs: int = 1,
          mode: str = "unrestricted") -> int:
     """Smallest m such that every size-m configuration is D-solvable.
 
-    The size search over [d] alone, from |D| upward: no smaller
-    configuration holds |D| pebbles. Each size below the answer stops at
-    its lexicographically least witness, and only the answer is scanned
-    in full.
+    The size search over [d] alone, from one above the largest lower
+    candidate the engine refuses (_climb_start), or |D|. Each size below
+    the answer stops at its lexicographically least witness, and only the
+    answer is scanned in full.
     """
     if d.size < 1:
         raise PebblingError("demand must have size at least 1")
-    return _climb(g, [d], 1, d.size, budget=_coerce_budget(budget),
-                  jobs=jobs, mode=mode)[0]
+    return _climb(g, [d], 1, budget=_coerce_budget(budget), jobs=jobs,
+                  mode=mode)[0]
 
 
 def _bfs_rooted_tree(g: Graph, r: int) -> RootedTree:
@@ -892,16 +908,13 @@ def pi_t(g: Graph, t: int = 1, roots=None, *, budget=None,
     One size search covers the stacked demand of every requested root at
     once, so each size below the answer stops at the first configuration
     some root fails, and the answer is scanned in full once for all of
-    them. It starts at _climb_start's size.
+    them. It starts one above the largest default lower candidate the
+    engine refuses (_climb_start), or t.
     """
     if t < 1:
         raise PebblingError("t must be at least 1")
-    _check_jobs(jobs)
-    budget = _coerce_budget(budget)
-    root_list = _root_list(g, roots)
-    stacked = [Distribution.stacked(g.n, r, t) for r in root_list]
-    start = _climb_start(g, t, root_list, budget)
-    return _climb(g, stacked, len(stacked), start, budget=budget,
+    stacked = [Distribution.stacked(g.n, r, t) for r in _root_list(g, roots)]
+    return _climb(g, stacked, len(stacked), budget=_coerce_budget(budget),
                   jobs=jobs)[0]
 
 
@@ -949,54 +962,72 @@ def two_path_lower_candidates(tp: TwoPath, t: int = 1):
     return out
 
 
-def _default_lower_candidates(g: Graph, t: int, roots,
-                              want_size: int | None = None):
+def _default_lower_candidates(g: Graph, t: int, roots):
     """The BFS-tree dust witness at each root, plus the Kneser stacks C_t1
-    and C_t2 at each root of eccentricity 2 in a graph of diameter 2: those
-    of size want_size, or all of them when it is None. On one vertex the
-    one candidate is the configuration of size want_size, and there is none
-    without it. Each root's eccentricity comes from its own BFS row; the
-    all-pairs diameter is read only for a root of eccentricity 2."""
+    and C_t2 at each root of eccentricity 2 in a graph of diameter 2. Each
+    root's eccentricity comes from its own BFS row; the all-pairs diameter
+    is read only for a root of eccentricity 2."""
     cands = []
     for r in roots:
-        if g.n == 1:
-            if want_size is not None and want_size >= 0:
-                cands.append((r, Configuration((want_size,))))
-            continue
         cands.append((r, tree_dust_witness(_bfs_rooted_tree(g, r), t)))
         if max(g.distances(r)) == 2 and g.metrics.diameter == 2:
             cands.append((r, build_C_t1(g, r, t)))
             cands.append((r, build_C_t2(g, r, t)))
-    return [(r, c) for r, c in cands
-            if want_size is None or c.size == want_size]
+    return cands
 
 
-def _climb_start(g: Graph, t: int, roots, budget: _Budget) -> int:
-    """The size the pi_t search starts at: one above the largest default
-    lower candidate the engine refuses, or t, below which no configuration
-    holds t pebbles. A refused candidate of size s proves every size up to
-    s has a failing root (the down-set lemma). The candidates are tried
-    largest first, one charge each, up to the first one refused."""
-    for r, cfg in sorted(_default_lower_candidates(g, t, roots),
-                         key=lambda rc: -rc[1].size):
+def _refused(g: Graph, candidates, budget: _Budget):
+    """The (demand, configuration) candidates the engine refuses, lazily
+    and in the given order; every candidate tried is charged once."""
+    for d, cfg in candidates:
         budget.charge(1)
-        if not is_solvable(g, cfg, Distribution.stacked(g.n, r, t)).solvable:
-            return max(t, cfg.size + 1)
-    return t
+        if not is_solvable(g, cfg, d).solvable:
+            yield d, cfg
+
+
+def _pile(g: Graph, d: Distribution) -> Configuration:
+    """The largest one-vertex configuration that fails d. A pebble moved to
+    u from a pile at v used 2^dist(v, u) pebbles of it, so a pile at v
+    meets d exactly when it holds sum_u d(u) 2^dist(v, u) pebbles or more;
+    this one holds one fewer, at the vertex where that sum is largest."""
+    need = [sum(k << dist[u] for u, k in enumerate(d.demands))
+            for dist in g.metrics.dist]
+    v = need.index(max(need))
+    counts = [0] * g.n
+    counts[v] = need[v] - 1
+    return Configuration(tuple(counts))
+
+
+def _climb_start(g: Graph, demands, budget: _Budget) -> int:
+    """The size a search over the stop demands starts at: one above the
+    largest lower candidate the engine refuses, or the largest |D|, below
+    which no configuration meets that demand. The candidates are each
+    demand's pile and, for a demand on one vertex, its default ones. A
+    refused candidate of size s proves every size up to s has a stop
+    failure (the down-set lemma); refused without restriction means refused
+    in every mode, since a restricted mode only drops moves."""
+    cands = []
+    for d in demands:
+        cands.append((d, _pile(g, d)))
+        if len(d.support) == 1:
+            cands += [(d, cfg) for _, cfg in
+                      _default_lower_candidates(g, d.size, d.support)]
+    floor = max(d.size for d in demands)
+    for _, cfg in _refused(g, sorted(cands, key=lambda dc: -dc[1].size),
+                           budget):
+        return max(floor, cfg.size + 1)
+    return floor
 
 
 def _confirm_lower(g: Graph, t: int, roots, want_size: int, candidates,
                    budget: _Budget, jobs: int):
     """Certify pi_t(g) > want_size by exhibiting one engine-confirmed
-    unsolvable configuration: constructed candidates first, full scan as a
-    fallback."""
-    for r, cfg in candidates:
-        if cfg.size != want_size:
-            continue
-        budget.charge(1)
-        d = Distribution.stacked(g.n, r, t)
-        if not is_solvable(g, cfg, d).solvable:
-            return {"root": r, "witness": cfg, "source": "constructed"}
+    unsolvable configuration: the candidates of that size first, in order,
+    and a full scan as a fallback."""
+    sized = ((Distribution.stacked(g.n, r, t), cfg) for r, cfg in candidates
+             if cfg.size == want_size)
+    for d, cfg in _refused(g, sized, budget):
+        return {"root": d.support[0], "witness": cfg, "source": "constructed"}
     for r in roots:
         d = Distribution.stacked(g.n, r, t)
         res = find_unsolvable_witness(g, d, want_size, jobs=jobs,
@@ -1062,16 +1093,13 @@ def verify_target_conjecture(g: Graph, t: int = 1, demand_classes=None, *,
     if expected_pi is None:
         covered = {d.demands for d in stacked}
         demands = stacked + [d for d in classes if d.demands not in covered]
-        start = _climb_start(g, t, root_list, budget)
-        M, kept = _climb(g, demands, len(stacked), start, budget=budget,
-                         jobs=jobs)
-        fail = kept[0] if kept else None
+        M, fail = _climb(g, demands, len(stacked), budget=budget, jobs=jobs)
     else:
         M = expected_pi
         seen = {d.demands for d in classes}
         demands = classes + [d for d in stacked if d.demands not in seen]
         candidates = list(lower_candidates or [])
-        candidates += _default_lower_candidates(g, t, root_list, M - 1)
+        candidates += _default_lower_candidates(g, t, root_list)
         lower = _confirm_lower(g, t, root_list, M - 1, candidates, budget,
                                jobs)
         if lower is None:

@@ -46,6 +46,7 @@ from pebblekit.numbers import (
     _flat_children,
     _min_moves_upto3,
     _part_forest,
+    _pile,
     _scan,
     _scan_chunk,
     _tail_split,
@@ -807,8 +808,9 @@ def test_scan_chunk_settles_blocks_as_brute_force(monkeypatch):
     such pair, and both the blocks drawn and the count checked stop at
     that pair's block, for all the demands and for each one alone. With
     the first demand alone stopping, it stops at that demand's first pair
-    and keeps the other demands' pairs from the blocks before it. In the
-    restricted trials every row of every demand goes to the engine."""
+    and keeps the first of the other demands' pairs from the blocks before
+    it. In the restricted trials every row of every demand goes to the
+    engine."""
     engine_calls = []
 
     def counted(*args):
@@ -889,8 +891,8 @@ def test_scan_chunk_settles_blocks_as_brute_force(monkeypatch):
                                             mode=mode)
         hits = [(bi, di, row) for bi, di, row in want if di < stops]
         end = hits[0][0] if hits else len(blocks)
-        assert [(di, c.counts) for di, c in fails] == \
-            [(di, row) for bi, di, row in want if di >= stops and bi < end]
+        kept = [(di, row) for bi, di, row in want if di >= stops and bi < end]
+        assert [(di, c.counts) for di, c in fails] == kept[:1]
         if hits:
             assert (first[0], first[1].counts) == hits[0][1:]
             assert len(seen) == end + 1
@@ -978,8 +980,9 @@ def test_pi_D_examples(petersen):
 
 
 def test_pi_D_matches_brute_force():
-    """pi_D at one root, and pi_t over every root for t in {1, 2}, against
-    the largest brute_pi over the roots."""
+    """pi_D at one root and at a two-target demand, and pi_t over every
+    root for t in {1, 2}, against brute_pi (the largest over the roots for
+    pi_t)."""
     rng = random.Random(910)
     for trial in range(8):
         n = rng.randrange(3, 6)
@@ -987,6 +990,8 @@ def test_pi_D_matches_brute_force():
         r = rng.randrange(n)
         demands = [0] * n
         demands[r] = 1
+        assert pi_D(g, Distribution(tuple(demands))) == brute_pi(g, tuple(demands))
+        demands[(r + 1 + rng.randrange(n - 1)) % n] = 1
         assert pi_D(g, Distribution(tuple(demands))) == brute_pi(g, tuple(demands))
         for t in (1, 2):
             want = max(brute_pi(g, Distribution.stacked(n, v, t).demands)
@@ -1003,8 +1008,8 @@ def test_pi_t_examples():
 
 def test_pi_t_scans_only_the_answer_in_full():
     """On C8 at t = 2 the BFS-tree bound is 39 and the answer 32. The size
-    search stops each size below 32 at its first witness and scans 32 in
-    full, about 1.7 * 10^7 configurations in all."""
+    search starts above the refused 31-pebble pile opposite the root and
+    scans 32 in full, about 1.5 * 10^7 configurations in all."""
     c8 = build_graph(8, [(i, (i + 1) % 8) for i in range(8)])
     assert pi_t(c8, 2, roots=[0], budget=30_000_000) == 32
 
@@ -1026,6 +1031,62 @@ def test_target_check_without_expected_value_reports_the_first_failure():
     assert report["pi_t"] == 3 and not report["pass"]
     assert report["counterexample"] == {"demand": [1, 0, 0],
                                         "config": Configuration((0, 0, 3))}
+
+
+def test_target_check_confirms_one_class_failure_at_pi_t(monkeypatch):
+    """Once a class fails in a scan of the size search, the classes are no
+    longer settled. At root 2 of P5, pi_t = 7, and the class on vertex 0
+    fails on 19 size-7 rows, yet the engine refuses a class at size 7 once:
+    the reported counterexample."""
+    refused = []
+
+    def counted(g, cfg, d, mode="unrestricted"):
+        out = is_solvable(g, cfg, d, mode)
+        if not out.solvable:
+            refused.append((sum(getattr(cfg, "counts", cfg)), d.demands))
+        return out
+
+    p5 = path_graph(5)
+    d0 = Distribution.stacked(5, 0, 1)
+    assert len(find_unsolvable_witness(p5, d0, 7, collect_all=True)
+               .witnesses) == 19
+    monkeypatch.setattr(numbers_mod, "is_solvable", counted)
+    report = verify_target_conjecture(p5, 1, roots=[2])
+    assert report["pi_t"] == 7 and not report["pass"]
+    assert report["counterexample"]["demand"] == [1, 0, 0, 0, 0]
+    at_pi_t = [dem for size, dem in refused
+               if size == 7 and dem != (0, 0, 1, 0, 0)]
+    assert at_pi_t == [(1, 0, 0, 0, 0)]
+
+
+def test_pi_D_scans_only_the_answer_in_full():
+    """The size search starts one above the largest refused candidate: the
+    tree's dust witness for a demand on one vertex, the one-vertex pile for
+    the others. On P5 both are tight for these demands, whose witnesses
+    come last in ascending order, so the answer's scan is nearly the whole
+    charge."""
+    p5 = path_graph(5)
+    for vec, want in (((0, 0, 0, 0, 3), 48), ((0, 0, 0, 1, 2), 40)):
+        budget = _Budget(num_configs(5, want) + 10)
+        assert pi_D(p5, Distribution(vec), budget=budget) == want
+
+
+def test_pile_is_one_pebble_short():
+    """A pile at one vertex meets a demand exactly from sum_u d(u)
+    2^dist(v, u) pebbles on: _pile fails the demand, and one more pebble on
+    its vertex meets it."""
+    rng = random.Random(913)
+    for trial in range(20):
+        n = rng.randrange(2, 7)
+        g = build_graph(n, random_connected_edges(n, rng.randrange(0, 3), rng))
+        d = Distribution(tuple(rng.randrange(3) for _ in range(n - 1))
+                         + (1,))
+        pile = _pile(g, d)
+        assert not is_solvable(g, pile, d).solvable
+        v = next(v for v, x in enumerate(pile.counts) if x)
+        more = list(pile.counts)
+        more[v] += 1
+        assert is_solvable(g, tuple(more), d).solvable
 
 
 def test_pi_t_growth_in_t():
@@ -1122,24 +1183,21 @@ def test_default_lower_candidates_skip_the_all_pairs_matrix():
 
 
 def test_default_lower_candidates_match_the_all_pairs_rule(petersen):
-    def all_pairs_rule(g, t, roots, want_size):
+    def all_pairs_rule(g, t, roots):
         cands = []
         diam = g.metrics.diameter
         for r in roots:
             cands.append((r, tree_dust_witness(_bfs_rooted_tree(g, r), t)))
             if diam == 2 and g.metrics.ecc[r] == 2:
                 cands += [(r, build_C_t1(g, r, t)), (r, build_C_t2(g, r, t))]
-        return [(r, c) for r, c in cands if c.size == want_size]
+        return cands
 
     for g in (petersen, kneser(6, 2), path_graph(5)):
         for t in (1, 2, 3):
-            got = []
-            for size in range(25):
-                cands = _default_lower_candidates(g, t, range(g.n), size)
-                assert cands == all_pairs_rule(g, t, range(g.n), size)
-                got += cands
+            cands = _default_lower_candidates(g, t, range(g.n))
+            assert cands == all_pairs_rule(g, t, range(g.n))
             if g.n > 5:
-                assert (0, build_C_t1(g, 0, t)) in got
+                assert (0, build_C_t1(g, 0, t)) in cands
 
 
 def test_pi_t_certificate_accepts_constructed_candidates():
