@@ -33,20 +33,20 @@ trees): for each target, a route rule and a sink rule, the same two for
 every demand shape. A demand on two or more targets also gets a forest
 rule, which gives each vertex to its nearest target and flushes every
 part to its own target (_forests). It then looks one move ahead on the
-rows it rejects,
-and two moves ahead on the rows that still fail. Lemma: if c reaches c'
-in one legal move (c(u) >= 2, uv an edge, c' = c - 2e_u + e_v) and c' is
-D-solvable, then c is D-solvable; applied twice, so is a row with a
-two-move descendant that the masks accept. No move raises a row's weight
-w_a(c) = sum_x c(x) 2^-dist(a, x) towards a target a, so a row with
-w_a(c) < w_a(D) at some target is unsolvable, and neither level looks at
-it or at its children. accept, the prescreen's one entry point, runs
-the masks and both levels on the whole block. _flat_children builds the
-one-move children of a block flat, at most _CHUNK columns at a time, from
-the (2, A) table of directed edges; both levels use it, and so does
-_min_moves_upto3 to settle the exact 3-move class. Every row left goes to
-the exact engine as a plain count tuple, and every witness carries the
-engine's verdict.
+rows it rejects, and two moves ahead on the rows that still fail. Lemma:
+if c reaches c' in one legal move (c(u) >= 2, uv an edge,
+c' = c - 2e_u + e_v) and c' is D-solvable, then c is D-solvable; applied
+twice, so is a row with a two-move descendant that the masks accept. No
+move raises a row's weight w_a(c) = sum_x c(x) 2^-dist(a, x) towards a
+target a, so a row with w_a(c) < w_a(D) at some target is unsolvable, and
+neither level looks at it or at its children. accept, the prescreen's one
+entry point, runs the masks on the whole block, then copies the rows they
+reject into one compact block and runs the weight bound and both levels
+on that copy. _flat_children builds the one-move children of a block
+flat, at most _CHUNK columns at a time, from _arc_table's directed edges
+and move matrix; both levels use it, and so does _min_moves_upto3 to
+settle the exact 3-move class. Every row left goes to the exact engine as
+a plain count tuple, and every witness carries the engine's verdict.
 
 Settle loop. _scan_chunk is the one loop that prescreens a block and sends
 the rows the prescreen rejects to the engine. It takes any iterable of
@@ -89,7 +89,7 @@ from __future__ import annotations
 import operator
 import os
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from itertools import chain, combinations_with_replacement
 from math import comb
 
 import numpy as np
@@ -437,10 +437,18 @@ def _forests(g: Graph, targets) -> list:
     return out
 
 
-def _arc_table(g: Graph) -> np.ndarray:
-    """Every directed edge uv of g as a (2, A) array of tails and heads."""
+def _arc_table(g: Graph):
+    """Every directed edge uv of g, tails ascending, as (tails, delta): the
+    length-A array of tails and the (n, A) int8 move matrix whose column a
+    is arc a's move, -2 at its tail and +1 at its head. Adding a column of
+    delta to an int8, int16 or int64 column applies that move in the
+    column's own dtype."""
     arcs = [(u, v) for u in range(g.n) for v in g.adjacency[u]]
-    return np.array(arcs, dtype=np.intp).reshape(-1, 2).T
+    us, vs = np.array(arcs, dtype=np.intp).reshape(-1, 2).T
+    delta = np.zeros((g.n, us.size), dtype=np.int8)
+    delta[us, np.arange(us.size)] = -2
+    delta[vs, np.arange(us.size)] = 1
+    return us, delta
 
 
 def _flat_children(cols: np.ndarray, live: np.ndarray, arcs, limit: int):
@@ -448,10 +456,11 @@ def _flat_children(cols: np.ndarray, live: np.ndarray, arcs, limit: int):
     block, in chunks of at most limit columns: yields (src, child), where
     column j of child is column src[j] of cols with the move of one
     directed edge uv applied (c(u) >= 2, c - 2e_u + e_v). arcs is
-    _arc_table's (2, A) array. The deltas, -2 and +1, fit every row dtype,
-    and a child is a legal move's result: c(u) - 2 >= 0, and c(v) + 1 <= m - 1
-    since c(u) >= 2 of the m pebbles sit elsewhere. So counts stay in
-    [0, m] and an int8 block cannot overflow.
+    _arc_table's (tails, delta); a _FastFilter builds it once, in its
+    constructor. The deltas, -2 and +1, fit every row dtype, and a child is
+    a legal move's result: c(u) - 2 >= 0, and c(v) + 1 <= m - 1 since
+    c(u) >= 2 of the m pebbles sit elsewhere. So counts stay in [0, m] and
+    an int8 block cannot overflow.
 
     The arcs are taken in order, and each one's live columns with c(u) >= 2
     are gathered until more than limit // 8 children are waiting; these are
@@ -465,10 +474,7 @@ def _flat_children(cols: np.ndarray, live: np.ndarray, arcs, limit: int):
     todo = np.flatnonzero(live)
     if todo.size == 0:
         return
-    us, vs = arcs
-    delta = np.zeros((cols.shape[0], us.size), dtype=cols.dtype)
-    delta[us, np.arange(us.size)] -= 2
-    delta[vs, np.arange(us.size)] += 1
+    us, delta = arcs
 
     def chunks(srcs, ids):
         src = np.concatenate(srcs)
@@ -508,9 +514,13 @@ class _FastFilter:
     provably D-solvable; the exact engine decides the rest. Each demand
     target a routes along one BFS spanning tree (_delivery_tree), whose
     moves are all graph moves, and _deliver gives what that tree carries to
-    a. Two rules run once per target a, every target's route before the
-    first sink, then the forests and a lookahead; each is sound for any
-    demand:
+    a. The rules are each sound for any demand, and a row is accepted when
+    any of them accepts it, so their order changes only the cost: every
+    target's route first, whose delivered columns a block's filters share,
+    then the forests, which accept most of what the routes leave on a
+    distance-2 pair, then one sink per target, each flushing only the rows
+    still rejected. The weight bound and the lookahead run last, on one
+    compact copy of the rows the masks reject:
       - route: a's tree delivers at least sum_x D(x) 2^dist(a,x) to a
         (route[a]). A pile of D(x) 2^k pebbles on a walks the k edges of a
         shortest path to x and arrives as D(x), leaving every vertex it
@@ -520,8 +530,8 @@ class _FastFilter:
         target then holds its demand. Each flush is floor(e/2) moves from a
         vertex holding e spare pebbles to its tree parent, made after its
         subtree has flushed, so the flushes are legal moves in order.
-      - forest (two or more targets): on the rows route and sink leave,
-        one forest per target i from _forests, every vertex in the part of
+      - forest (two or more targets): on the rows the routes leave, one
+        forest per target i from _forests, every vertex in the part of
         its nearest target (ties to i first, then to the least target),
         each part a BFS tree of the subgraph it induces, rooted at its
         target. A row is accepted when every target's tree delivers at
@@ -582,27 +592,31 @@ class _FastFilter:
     def accept(self, rows: np.ndarray, cache: dict | None = None) -> np.ndarray:
         """The whole prescreen on a (B, n) block: True on the rows that the
         direct masks accept, or that reach a row they accept in one move or
-        in two; no row or child below the weight bound is expanded. live is
-        both levels' work list, the rejected rows that meet the bound. The
-        optional cache shares delivered columns for the same block across
-        filters whose demands hit the same target; the children are other
-        rows and never use it."""
+        in two; no row or child below the weight bound is expanded. The
+        rows the masks reject are copied once into the compact (n, L) block
+        rest, column j holding row left[j], and the weight bound and both
+        levels run on it, so they pay for those L rows, not for the block.
+        live is both levels' work list over rest, the columns that meet the
+        bound and are not yet settled; each hit is written back through
+        left. The optional cache shares delivered columns for the same
+        block across filters whose demands hit the same target; the
+        children are other rows and never use it."""
         solv = self._masks(rows, cache)
-        live = ~solv
-        left = np.flatnonzero(live)
+        left = np.flatnonzero(~solv)
         if left.size == 0:
             return solv
-        live[left] = self._heavy(rows.T[:, left])
-        for src, child in _flat_children(rows.T, live, self.arcs, _CHUNK):
+        rest = rows.T.take(left, axis=1)
+        live = self._heavy(rest)
+        for src, child in _flat_children(rest, live, self.arcs, _CHUNK):
             hit = src[self._masks(child.T)]
-            solv[hit] = True
+            solv[left[hit]] = True
             live[hit] = False
-        for src, kids in _flat_children(rows.T, live, self.arcs, _CHUNK):
+        for src, kids in _flat_children(rest, live, self.arcs, _CHUNK):
             kid_live = self._heavy(kids)
             for sub, grand in _flat_children(kids, kid_live, self.arcs,
                                              _CHUNK):
                 hit = src[sub[self._masks(grand.T)]]
-                solv[hit] = True
+                solv[left[hit]] = True
                 live[hit] = False
                 kid_live &= live[src]
         return solv
@@ -641,30 +655,35 @@ class _FastFilter:
             r = ts[0]
             return delivered(r) >= self.demands[r]
         # every row meets an empty demand; the route tests run first, so
-        # each sink flushes only the rows no route accepts
+        # each flush below takes only the rows no earlier rule accepts: todo
+        # is found once over the block and then shrinks with each rule
         solv = np.full(rows.shape[0], not ts)
         for a in ts:
             solv |= delivered(a) >= self.route[a]
-        # the sink trees, then the forests: a forest holds every target at a
-        # root, so none of the vertices it flushes keeps a demand back
-        for order, par in [self.trees[a] for a in ts] + self.forests:
-            todo = np.flatnonzero(~solv)
+        todo = np.flatnonzero(~solv)
+        # the forests, which accept most of the rows the routes leave, then
+        # the sink trees; a forest holds every target at a root, so none of
+        # the vertices it flushes keeps a demand back. No count exceeds cap,
+        # so a target demanding more flushes nothing and fails the test
+        # below; with keep <= cap, tmp[v] - keep lies in [-cap, cap], and
+        # each flush, like _deliver's, leaves at most m on a vertex
+        cap = np.iinfo(rows.dtype).max
+        for order, par in self.forests + [self.trees[a] for a in ts]:
             if todo.size == 0:
                 break
-            tmp = cols[:, todo]
-            # no count exceeds cap, so a target demanding more flushes nothing
-            # and fails the test below; with keep <= cap, tmp[v] - keep lies
-            # in [-cap, cap], and each flush, like _deliver's, leaves at most
-            # m on a vertex
-            cap = np.iinfo(tmp.dtype).max
+            tmp = cols.take(todo, axis=1)
             for v in order:
                 keep = min(self.demands[v], cap)
                 if keep:
                     tmp[par[v]] += np.maximum(tmp[v] - keep, 0) >> 1
                 else:
                     tmp[par[v]] += tmp[v] >> 1
-            hit = np.all([tmp[x] >= self.demands[x] for x in ts], axis=0)
-            solv[todo[hit]] = True
+            hit = tmp[ts[0]] >= self.demands[ts[0]]
+            for x in ts[1:]:
+                hit &= tmp[x] >= self.demands[x]
+            todo = todo[~hit]
+        solv.fill(True)
+        solv[todo] = False
         return solv
 
 
@@ -690,24 +709,27 @@ def _min_moves_upto3(g: Graph, rows: np.ndarray, r: int) -> np.ndarray:
     Each test is applied over the previous ones, so a row gets the least
     class whose condition it meets. The tests only compare counts with 1
     and 2, and the children are _flat_children's, so any row dtype (int8
-    included) is safe; the int8 result holds -1 to 3.
+    included) is safe; the int8 result holds -1 to 3. The tests read the
+    block column-major, (n, B), one vertex row per count, and gather a
+    vertex's neighbours as whole rows.
     """
 
-    def upto2(rows: np.ndarray) -> np.ndarray:
-        rich = rows >= 2
-        moves = np.full(rows.shape[0], -1, dtype=np.int8)
-        two = np.zeros(rows.shape[0], dtype=bool)
+    def upto2(cols: np.ndarray) -> np.ndarray:
+        rich = cols >= 2
+        moves = np.full(cols.shape[1], -1, dtype=np.int8)
+        two = np.zeros(cols.shape[1], dtype=bool)
         for u in g.adjacency[r]:
-            two |= (rows[:, u] == 1) & rich[:, list(g.adjacency[u])].any(axis=1)
+            two |= (cols[u] == 1) & \
+                rich.take(g.adjacency[u], axis=0).any(axis=0)
         moves[two] = 2
-        moves[rich[:, list(g.adjacency[r])].any(axis=1)] = 1
-        moves[rows[:, r] >= 1] = 0
+        moves[rich.take(g.adjacency[r], axis=0).any(axis=0)] = 1
+        moves[cols[r] >= 1] = 0
         return moves
 
-    moves = upto2(rows)
+    moves = upto2(rows.T)
     todo = moves < 0
     for src, child in _flat_children(rows.T, todo, _arc_table(g), _CHUNK):
-        hit = src[upto2(child.T) >= 0]
+        hit = src[upto2(child) >= 0]
         moves[hit] = 3
         todo[hit] = False
     return moves
@@ -964,16 +986,15 @@ def two_path_lower_candidates(tp: TwoPath, t: int = 1):
 
 def _default_lower_candidates(g: Graph, t: int, roots):
     """The BFS-tree dust witness at each root, plus the Kneser stacks C_t1
-    and C_t2 at each root of eccentricity 2 in a graph of diameter 2. Each
-    root's eccentricity comes from its own BFS row; the all-pairs diameter
-    is read only for a root of eccentricity 2."""
-    cands = []
+    and C_t2 at each root of eccentricity 2 in a graph of diameter 2, as a
+    generator: each candidate is built only when the caller asks for it.
+    Each root's eccentricity comes from its own BFS row; the all-pairs
+    diameter is read only for a root of eccentricity 2."""
     for r in roots:
-        cands.append((r, tree_dust_witness(_bfs_rooted_tree(g, r), t)))
+        yield r, tree_dust_witness(_bfs_rooted_tree(g, r), t)
         if max(g.distances(r)) == 2 and g.metrics.diameter == 2:
-            cands.append((r, build_C_t1(g, r, t)))
-            cands.append((r, build_C_t2(g, r, t)))
-    return cands
+            yield r, build_C_t1(g, r, t)
+            yield r, build_C_t2(g, r, t)
 
 
 def _refused(g: Graph, candidates, budget: _Budget):
@@ -1023,7 +1044,8 @@ def _confirm_lower(g: Graph, t: int, roots, want_size: int, candidates,
                    budget: _Budget, jobs: int):
     """Certify pi_t(g) > want_size by exhibiting one engine-confirmed
     unsolvable configuration: the candidates of that size first, in order,
-    and a full scan as a fallback."""
+    and a full scan as a fallback. candidates may be a generator; it is
+    read only up to the first candidate the engine refuses."""
     sized = ((Distribution.stacked(g.n, r, t), cfg) for r, cfg in candidates
              if cfg.size == want_size)
     for d, cfg in _refused(g, sized, budget):
@@ -1098,8 +1120,10 @@ def verify_target_conjecture(g: Graph, t: int = 1, demand_classes=None, *,
         M = expected_pi
         seen = {d.demands for d in classes}
         demands = classes + [d for d in stacked if d.demands not in seen]
-        candidates = list(lower_candidates or [])
-        candidates += _default_lower_candidates(g, t, root_list)
+        # the defaults come after the caller's candidates and are built
+        # only if every one of those is of the wrong size or solvable
+        candidates = chain(lower_candidates or [],
+                           _default_lower_candidates(g, t, root_list))
         lower = _confirm_lower(g, t, root_list, M - 1, candidates, budget,
                                jobs)
         if lower is None:

@@ -652,6 +652,90 @@ def test_forest_rule_settles_a_petersen_pair_row(petersen):
     assert brute_solvable(petersen, tuple(rows[0].tolist()), d.demands)
 
 
+def _sink_flush(cols, tree, d):
+    """Per column of an (n, B) block: whether flushing the tree deepest
+    first, every vertex keeping its demand and passing on only the excess,
+    leaves every target of d holding its demand."""
+    order, par = tree
+    a = cols.astype(np.int64)
+    for v in order:
+        a[par[v]] += np.maximum(a[v] - d[v], 0) >> 1
+    return np.all([a[x] >= d[x] for x in d.support], axis=0)
+
+
+def test_pair_masks_are_the_union_of_their_rules():
+    """On two- and three-target demands, _masks accepts exactly the rows
+    that some rule accepts when it runs alone on the whole block: some
+    target's route, some target's sink tree, or some forest. So the order
+    in which _masks runs them, each on the rows the earlier ones leave,
+    changes only its cost. Each kind of rule accepts rows that neither
+    other kind does."""
+    rng = random.Random(923)
+    only = {"route": 0, "sink": 0, "forest": 0}
+    for trial in range(120):
+        n = rng.randrange(3, 8)
+        g = build_graph(n, random_connected_edges(n, rng.randrange(0, 4), rng))
+        vec = [0] * n
+        for v in rng.sample(range(n), rng.choice((2, 3))):
+            vec[v] = rng.randrange(1, 3)
+        d = Distribution(tuple(vec))
+        filt = _FastFilter(g, d)
+        rows = np.concatenate(list(_ascending_blocks(n, rng.randrange(2, 10))))
+        cols = rows.T
+        rules = {
+            "route": np.any([_deliver(cols, *filt.trees[a], a) >= filt.route[a]
+                             for a in d.support], axis=0),
+            "sink": np.any([_sink_flush(cols, filt.trees[a], d)
+                            for a in d.support], axis=0),
+            "forest": np.any([_forest_flush(cols, f, d) for f in filt.forests],
+                             axis=0),
+        }
+        union = np.any(list(rules.values()), axis=0)
+        assert np.array_equal(filt._masks(rows), union), (g.edges, vec)
+        for name, mask in rules.items():
+            rest = np.any([m for k, m in rules.items() if k != name], axis=0)
+            only[name] += int(np.count_nonzero(mask & ~rest))
+    assert min(only.values()) > 0, only
+
+
+def test_lookahead_runs_on_the_rejected_columns_only(monkeypatch, petersen):
+    """Inside accept, the weight bound and the first _flat_children call
+    see exactly the columns the direct masks reject, copied into one
+    compact (n, L) block, and neither they nor any later call of either
+    sees an array as wide as the block: on the first size-20 block of the
+    8-vertex path at t = 2, and on a size-13 Petersen block for the
+    distance-2 pair {0, 1}."""
+    heavy, flat = _FastFilter._heavy, numbers_mod._flat_children
+    seen = []
+
+    def spied_heavy(self, cols):
+        seen.append(("heavy", cols.copy(), None))
+        return heavy(self, cols)
+
+    def spied_flat(cols, live, arcs, limit):
+        seen.append(("flat", cols.copy(), live.copy()))
+        return flat(cols, live, arcs, limit)
+
+    monkeypatch.setattr(_FastFilter, "_heavy", spied_heavy)
+    monkeypatch.setattr(numbers_mod, "_flat_children", spied_flat)
+    pair = Distribution((1, 1) + (0,) * 8)
+    for g, d, size, skip in ((path_graph(8), Distribution.stacked(8, 0, 2),
+                              20, 0),
+                             (petersen, pair, 13, 1)):
+        rows = list(_ascending_blocks(g.n, size))[skip]
+        filt = _FastFilter(g, d)
+        rejected = rows.T[:, ~filt._masks(rows)]
+        assert 0 < rejected.shape[1] < rows.shape[0] == _BLOCK
+        seen.clear()
+        filt.accept(rows)
+        (kind0, cols0, _), (kind1, cols1, live1) = seen[:2]
+        assert kind0 == "heavy" and np.array_equal(cols0, rejected)
+        assert kind1 == "flat" and np.array_equal(cols1, rejected)
+        assert np.array_equal(live1, heavy(filt, rejected))
+        assert all(cols.shape[1] < _BLOCK for _, cols, _ in seen)
+        assert len(seen) > 2
+
+
 def _check_min_moves_upto3(g, rows, r):
     """Classifier against brute force: the brute count where it is at most
     3, and -1 exactly where it is at least 4 or no move sequence reaches r."""
@@ -1194,13 +1278,21 @@ def test_default_lower_candidates_match_the_all_pairs_rule(petersen):
 
     for g in (petersen, kneser(6, 2), path_graph(5)):
         for t in (1, 2, 3):
-            cands = _default_lower_candidates(g, t, range(g.n))
+            cands = list(_default_lower_candidates(g, t, range(g.n)))
             assert cands == all_pairs_rule(g, t, range(g.n))
             if g.n > 5:
                 assert (0, build_C_t1(g, 0, t)) in cands
 
 
-def test_pi_t_certificate_accepts_constructed_candidates():
+def test_pi_t_certificate_accepts_constructed_candidates(monkeypatch):
+    """The caller's first candidate is refused, so the default candidates,
+    which come after it, are never built."""
+
+    def unbuilt(g, t, roots):
+        raise AssertionError("default lower candidates were built")
+        yield
+
+    monkeypatch.setattr(numbers_mod, "_default_lower_candidates", unbuilt)
     tp = two_path([2, 1])
     n, d = tp.graph.n, tp.d
     expected = two_path_pi_t(n, d, 2)
