@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from operator import add, ge, le, lshift, lt, mul
+from operator import add, le, lshift, lt, mul
 
 from .graph import Graph, stabilizer
 
@@ -177,23 +177,33 @@ class Solver:
       weighs at most the two taken from u; the `weight_monotonicity` property
       suite checks this). A configuration meeting the demand has w_r at least
       sum D(x) 2^-dist(x,r), so a state below that can never be solved.
-    - Memo. `failed` holds only states with no solution of any length: an
-      unbounded call adds a state once all of its moves have failed (or it
-      has none), and adds the state it starts from if the weight rule cuts
-      it. Such a state fails under any bound as well, so bounded calls read
-      the memo; a bounded failure may only mean the bound was hit, so
-      bounded calls never write it. A child the weight rule cuts is settled
-      before its memo key is built and is never written: every state it
-      reaches fails the same cut, so an entry would spare no work. The memo
-      stops growing at MEMO_CAP entries.
+    - Dead ends. A state with no vertex holding two pebbles has no move, so
+      if it misses the demand it can never be solved. A child is checked
+      for this in O(1): it is a dead end exactly when its parent's only
+      vertex holding two or more pebbles is the move's source u, u holds 2
+      or 3, and the head v held none (v held at most 1, as every vertex
+      but u did, and gets one more).
+    - Memo. `failed` holds exactly the states a search expanded and saw
+      fail: an unbounded call adds a state once all of its moves have
+      failed. Such a state has no solution of any length, so it fails under
+      any bound as well, and bounded calls read the memo; a bounded failure
+      may only mean the bound was hit, so bounded calls never write it. A
+      child below the weight cut, or a dead end, is settled before its memo
+      key is built and is never written: every state a cut child reaches
+      fails the same cut, and a dead end reaches none, so an entry would
+      spare no work. The state a call starts from, once its demand is
+      found unmet, is settled the same way, in 1 state and before any key
+      is built, when it is below the weight cut or a dead end, or when
+      max_moves == 0 allows no move: such a call reads no memo and writes
+      none. The memo stops growing at MEMO_CAP entries.
     - Sleep sets (Godefroid, "Partial-Order Methods for the Verification of
       Concurrent Systems", LNCS 1032, 1996). Move m_k is independent of
       move m_i when src(m_k) != src(m_i) and, in greedy and semi_greedy
       mode, m_k puts no pebble on a demand vertex. Each state S on the path
       carries a sleep set and a done set: done(S) gains each move out of S
-      once its child is settled (a memo hit, a weight cut, a state with no
-      moves, or one expanded and failed; at a state whose children sit at
-      the move bound no child is expanded, so done goes unread). A move in
+      once its child is settled (a memo hit, a weight cut, a dead end, or
+      one expanded and failed; at a state whose children sit at the move
+      bound no child is expanded, so done goes unread). A move in
       sleep(S) is skipped before the demand check and is not counted as a
       state; the child S+m_i gets the sleep set (sleep(S) | done(S)) &
       indep(m_i), and the root gets none. Lemma: for every m in sleep(X),
@@ -216,39 +226,53 @@ class Solver:
     in a search exceeds the size it started from and no field overflows;
     and a move takes two pebbles from a vertex holding at least two, so no
     field borrows. A move u -> v therefore adds the fixed delta
-    (1 << k*v) - (2 << k*u) to the key. Set-up of each width precomputes,
-    per arc, that delta, the weight change towards each target and whether
-    the arc touches a demand vertex; each arc's sleep-set bit and the mask
-    of the arcs independent of it do not depend on k and are built once, in
-    __init__, from per-source and into-demand masks. A move first checks
-    its bit against the sleep set, then the demand (only on demand-touching
-    arcs), then the child's weights against the cut (one add per target),
-    then probes the memo with key + delta: a memo hit costs one add, one
-    set lookup and one or into the done set, and never touches `counts` or
-    the path, which change only when a state is expanded. A call with a
-    larger size widens k and re-encodes every memo entry in place, so the
-    memo holds the same states as before, now at the new width.
+    (1 << k*v) - (2 << k*u) to the key. Each arc's record (`arcs`) holds
+    that delta, the arc's packed weight change and whether the arc touches
+    a demand vertex, built at each width, and the arc's sleep-set bit and
+    the mask of the arcs independent of it, which do not depend on k and
+    are built once, in __init__, from per-source and into-demand masks. A
+    move first checks its bit against the sleep set, then the demand (only
+    on demand-touching arcs), then the child's weights against the cut
+    (one add and one mask test) and the dead-end rule, then probes the memo
+    with key + delta: a memo hit costs one add, one set lookup and one or
+    into the done set, and never touches `counts` or the path, which change
+    only when a state is expanded. A call with a larger size widens k and
+    re-encodes every memo entry in place, so the memo holds the same states
+    as before, now at the new width.
 
     The weights are w_r scaled to integers by 2^scale, where scale is the
     largest eccentricity among the targets; set-up runs one BFS per target
     and never builds the all-pairs distance matrix. Any common scale of at
     least that eccentricity would do: a common power-of-two factor on every
     weight and every need leaves each comparison, the neighbour order, the
-    solutions and the state counts unchanged.
+    solutions and the state counts unchanged. A state's weights are packed
+    into one int: target i's lane is the L = max(k, b) + scale + 2 bits at
+    [i*L, i*L + L), b the bit length of |D|, and holds w_i - need_i +
+    2^(L-1). Lane bound: a reachable state has at most 2^k - 1 pebbles, so
+    0 <= w_i < 2^(k + scale), and 0 <= need_i < 2^(b + scale); every lane
+    stays inside (2^(L-1) - 2^(L-2), 2^(L-1) + 2^(L-2)), so it is a
+    nonnegative value below 2^L, the packed int is the lanes written in
+    base 2^L, and adding a move's packed change gives the child's lanes
+    with no lane borrowing from the next. The top bit of a lane is set
+    exactly when w_i >= need_i, so with G the mask of those top bits a
+    state passes the weight cut iff weight & G == G.
 
-    With symmetric=True, the solver computes once the demand's stabilizer
-    with `graph.stabilizer`: the automorphisms s of g with D(s(v)) = D(v)
-    for every v, identity included. When that group is nontrivial the memo
-    holds one key per orbit: the least of the image keys of a state c under
-    the group, where the image under s is c∘s, the configuration with count
-    c(s(v)) on v. Symmetry lemma: c is D-solvable iff c∘s is. A move u -> v
-    from c corresponds to the move s^-1(u) -> s^-1(v) from c∘s, which is
-    legal because s is an automorphism, and c' >= D iff c'∘s >= D∘s = D.
-    The greedy and semi-greedy rules carry over too: s^-1 maps the unmet
-    targets of c onto those of c∘s, with the same demands and distances. So
-    a state whose least image is in the memo fails, and the search skips it.
-    An image key is linear in the counts: vertex u's count sits at field
-    s^-1(u) of c∘s's key, so a move u -> v adds the per-arc delta
+    With symmetric=True, the solver computes the demand's stabilizer with
+    `graph.stabilizer`: the automorphisms s of g with D(s(v)) = D(v) for
+    every v, identity included. It does so when `inverses` is first read,
+    and a search reads it only when it first expands a state, so a solver
+    whose calls all settle their root never computes the group. When that
+    group is nontrivial the memo holds one key per orbit: the least of the
+    image keys of a state c under the group, where the image under s is
+    c∘s, the configuration with count c(s(v)) on v. Symmetry lemma: c is
+    D-solvable iff c∘s is. A move u -> v from c corresponds to the move
+    s^-1(u) -> s^-1(v) from c∘s, which is legal because s is an
+    automorphism, and c' >= D iff c'∘s >= D∘s = D. The greedy and
+    semi-greedy rules carry over too: s^-1 maps the unmet targets of c onto
+    those of c∘s, with the same demands and distances. So a state whose
+    least image is in the memo fails, and the search skips it. An image
+    key is linear in the counts: vertex u's count sits at field s^-1(u) of
+    c∘s's key, so a move u -> v adds the per-arc delta
     (1 << k*s^-1(v)) - (2 << k*s^-1(u)) to it. An expanded state keeps its
     image keys in its frame, and a child's memo key is one
     min(map(add, keys, deltas)), with no permutation pass. Widening keeps
@@ -262,23 +286,24 @@ class Solver:
     the plain one on the same calls, and the plain one no more than the
     search without sleep sets (tests/oracles.ReferenceSolver), whose memo
     holds the plain one's. Closure: a memo holds every descendant of its
-    states that passes the weight cut. A state is written only once each
-    child is cut, written, already held or asleep, and an asleep child X+m
-    is a descendant of a state A+m settled earlier, A an ancestor of X with
-    m in done(A): by the lemma's step, each move from A down to X stays
-    legal after m. A child's sleep set depends only on its path, since
-    sleep(S) | done(S) is sleep(S) with every move ordered before m_i, so
-    two solvers on the same calls skip the same children. By induction
-    over the search order, each state the plain memo holds has its least
-    image in the symmetric memo, or fails the weight cut, which both
-    searches pay as one state; and each state the reference memo holds
-    that passes the weight cut is in the plain memo, since the plain search
-    settles it too or skips it below a state it has settled, so the plain
-    search counts only states the reference counts and writes only states
-    the reference writes. With a trivial
-    stabilizer, or without symmetric, a probe stays one add and one set
-    lookup. get_solver builds every solver symmetric; the plain solver is
-    the reference the symmetric search is tested against.
+    states that passes the weight cut and is no dead end. A state is
+    written only once each child is cut, a dead end, written, already held
+    or asleep, and an asleep child X+m is a descendant of a state A+m
+    settled earlier, A an ancestor of X with m in done(A): by the lemma's
+    step, each move from A down to X stays legal after m. A child's sleep
+    set depends only on its path, since sleep(S) | done(S) is sleep(S) with
+    every move ordered before m_i, so two solvers on the same calls skip
+    the same children. By induction over the search order, each state the
+    plain memo holds has its least image in the symmetric memo; a cut
+    child or a dead end costs both searches one state, and a dead end's
+    images are dead ends. Each state the reference memo holds that passes
+    the weight cut and is no dead end is in the plain memo, since the plain
+    search settles it too or skips it below a state it has settled, so the
+    plain search counts only states the reference counts and writes only
+    states the reference writes. With a trivial stabilizer, or without
+    symmetric, a probe stays one add and one set lookup. get_solver builds
+    every solver symmetric; the plain solver is the reference the
+    symmetric search is tested against.
     """
 
     def __init__(self, g: Graph, d: Distribution, mode: str = "unrestricted",
@@ -287,23 +312,16 @@ class Solver:
             raise PebblingError(f"unknown mode {mode!r}; expected one of {MODES}")
         if len(d) != g.n:
             raise PebblingError("demand length must equal vertex count")
-        # inverses[i][u] is the field of u's count in the i-th image key;
-        # None keys the memo by the state itself
-        self.inverses = None
-        if symmetric:
-            group = stabilizer(g, [d.demands])
-            if len(group) > 1:
-                self.inverses = tuple(tuple(sorted(range(g.n), key=s.__getitem__))
-                                      for s in group)
         self.g = g
         self.demand = d.demands
         self.mode = mode
+        self.symmetric = symmetric
         self.n = g.n
         self.targets = d.support
         # only the targets' BFS rows: dist[x] for each target x
         self.dist = {r: g.distances(r) for r in self.targets}
-        scale = max((max(self.dist[r]) for r in self.targets), default=0)
-        self.W = tuple(tuple(1 << (scale - self.dist[r][v]) for v in range(self.n))
+        self.scale = max((max(self.dist[r]) for r in self.targets), default=0)
+        self.W = tuple(tuple(1 << (self.scale - self.dist[r][v]) for v in range(self.n))
                        for r in self.targets)
         self.need = tuple(sum(self.demand[x] * w[x] for x in self.targets)
                           for w in self.W)
@@ -329,36 +347,73 @@ class Solver:
             movable -= sum(b for (u, v), b in bit.items() if self.demand[v])
         self.sleep_masks = tuple(tuple((bit[u, v], movable & ~from_src[u]) for u, v in moves)
                                 for moves in self.moves_from)
-        # bits per vertex in a memo key, and the field offsets and per-move
-        # records at that width; a configuration of size 0 keeps k at 0
+        # bits per vertex in a memo key, and the weight lanes at that width;
+        # a configuration of size 0 keeps k at 0
         self.k = 0
         self.failed: set[int] = set()
         self._widen(0)
 
+    @cached_property
+    def inverses(self) -> tuple[tuple[int, ...], ...] | None:
+        """inverses[i][u] is the field of u's count in the i-th image key;
+        None keys the memo by the state itself (symmetric=False, or a
+        stabilizer holding the identity alone). Computed when first read."""
+        if not self.symmetric:
+            return None
+        group = stabilizer(self.g, [self.demand])
+        if len(group) < 2:
+            return None
+        return tuple(tuple(sorted(range(self.n), key=s.__getitem__)) for s in group)
+
     def _widen(self, k: int):
-        """Re-encode the memo keys and the per-move key deltas (one per
-        group element with a nontrivial stabilizer) at k bits a vertex."""
+        """Re-encode the memo keys at k bits a vertex and pack the weights
+        into lanes wide enough for k; the key tables are rebuilt when next
+        read."""
         old, mask, n = self.k, (1 << self.k) - 1, self.n
         keys = list(self.failed)
         self.failed.clear()
         self.failed.update(sum(((key >> old * v) & mask) << k * v for v in range(n))
                            for key in keys)
         self.k = k
-        demand, W, inverses = self.demand, self.W, self.inverses
-        # the bit offset of each vertex's field in each image key
-        self.shifts = tuple(tuple(k * f for f in p)
-                            for p in inverses or (range(n),))
+        lane = max(k, sum(self.demand).bit_length()) + self.scale + 2
+        # the packed weight of one pebble on each vertex, the bias that
+        # starts lane i at 2^(lane-1) - need_i, and the lanes' top bits
+        self.packed = tuple(sum(w[v] << i * lane for i, w in enumerate(self.W))
+                            for v in range(n))
+        self.bias = sum(((1 << lane - 1) - need) << i * lane
+                        for i, need in enumerate(self.need))
+        self.full = sum(1 << i * lane + lane - 1 for i in range(len(self.W)))
+        self._keyed = None
 
-        def delta(u, v):
-            if inverses is None:
-                return (1 << k * v) - (2 << k * u)
-            return tuple((1 << k * p[v]) - (2 << k * p[u]) for p in inverses)
+    def _key_tables(self):
+        """(shifts, arcs) at the current width: the bit offset of each
+        vertex's field in each image key, and per vertex the records of the
+        moves out of it. Built at a search's first expansion after set-up or
+        a widening; they read `inverses`."""
+        if self._keyed is None:
+            k, inverses, packed = self.k, self.inverses, self.packed
+            demand = self.demand
+            shifts = tuple(tuple(k * f for f in p) for p in inverses or (range(self.n),))
 
-        self.arcs = tuple(
-            tuple((u, v, delta(u, v), tuple(w[v] - 2 * w[u] for w in W),
-                   bool(demand[u] or demand[v]), bit, indep)
-                  for (u, v), (bit, indep) in zip(moves, masks))
-            for moves, masks in zip(self.moves_from, self.sleep_masks))
+            def delta(u, v):
+                if inverses is None:
+                    return (1 << k * v) - (2 << k * u)
+                return tuple((1 << k * p[v]) - (2 << k * p[u]) for p in inverses)
+
+            arcs = tuple(
+                tuple((u, v, delta(u, v), packed[v] - 2 * packed[u],
+                       bool(demand[u] or demand[v]), bit, indep)
+                      for (u, v), (bit, indep) in zip(moves, masks))
+                for moves, masks in zip(self.moves_from, self.sleep_masks))
+            self._keyed = shifts, arcs
+        return self._keyed
+
+    @property
+    def arcs(self):
+        """Per vertex, the records of the moves out of it in search order:
+        (u, v, key delta, packed weight change, touches a demand vertex,
+        sleep-set bit, independence mask)."""
+        return self._key_tables()[1]
 
     def solve(self, c, max_moves: int | None = None) -> SolveOutcome:
         """Search for moves from c that meet the demand; with max_moves, only
@@ -382,48 +437,48 @@ class Solver:
         width = sum(counts).bit_length()
         if width > self.k:
             self._widen(width)
+        full = self.full
+        weight = sum(map(mul, counts, self.packed)) + self.bias
+        # settled like a child without a key: no key, no memo read or write
+        if max_moves == 0 or weight & full != full or max(counts) < 2:
+            return SolveOutcome(False, None, 1)
+        shifts, arcs = self._key_tables()
         # with a nontrivial stabilizer `images` holds the state's image keys
         # and `key`, the memo key, is their least; otherwise `images` is None
         images = None
         if self.inverses is None:
-            key = sum(map(lshift, counts, self.shifts[0]))
+            key = sum(map(lshift, counts, shifts[0]))
         else:
-            images = tuple(sum(map(lshift, counts, s)) for s in self.shifts)
+            images = tuple(sum(map(lshift, counts, s)) for s in shifts)
             key = min(images)
-        need = self.need
-        weights = tuple(sum(map(mul, counts, w)) for w in self.W)
         failed = self.failed
+        if key in failed:
+            return SolveOutcome(False, None, 1)
         write = max_moves is None
         cap = MEMO_CAP
-        arcs = self.arcs
         approach = self.approach
         restricted = self.mode != "unrestricted"
         vertices = range(n)
 
         def moves_out():
             """The candidate moves out of the state in `counts`, in search
-            order; None when no vertex holds two pebbles."""
+            order, and whether a move out of it can leave a dead end: true
+            when exactly one vertex holds two pebbles or more, and it holds
+            2 or 3. Some vertex of the state holds two."""
             sources = [v for v in vertices if counts[v] > 1]
-            if not sources:
-                return None
+            lone = len(sources) == 1 and counts[sources[0]] < 4
             sources.sort(key=counts.__getitem__, reverse=True)
             if restricted:
                 unmet = sum(1 << i for i, x in enumerate(targets) if demand[x] > counts[x])
                 return iter([arc for u in sources
-                             for arc, m in zip(arcs[u], approach[u]) if m & unmet])
-            return chain.from_iterable(map(arcs.__getitem__, sources))
+                             for arc, m in zip(arcs[u], approach[u]) if m & unmet]), lone
+            return chain.from_iterable(map(arcs.__getitem__, sources)), lone
 
-        if key in failed or max_moves == 0:
-            return SolveOutcome(False, None, 1)
-        it = moves_out() if all(map(ge, weights, need)) else None
-        if it is None:
-            if write and len(failed) < cap:
-                failed.add(key)
-            return SolveOutcome(False, None, 1)
+        it, lone = moves_out()
         # frames[i] holds the i-th state on the current path below the one in
-        # `key`: its key, its image keys, its untried moves, its weights, its
-        # deficit and its sleep and done sets; path[i] is the move taken out
-        # of it
+        # `key`: its key, its image keys, its untried moves, its packed
+        # weight, its deficit, its sleep and done sets and its dead-end flag;
+        # path[i] is the move taken out of it
         frames: list = []
         path: list[tuple[int, int]] = []
         # children of a state at depth `last` sit at the move bound
@@ -448,10 +503,10 @@ class Solver:
                 # no child at the bound is expanded, so `done` goes unread
                 if bound:
                     continue
-                # a child below the weight cut is not written: every state
-                # it reaches fails the same cut
-                cw = tuple(map(add, weights, dw))
-                if not all(map(ge, cw, need)):
+                # a child below the weight cut, or a dead end (u was the only
+                # vertex holding two and v held none), is never written
+                cw = weight + dw
+                if cw & full != full or (lone and not counts[v]):
                     done |= bit
                     continue
                 # an expanded child adds the deltas again below: a tuple
@@ -461,25 +516,19 @@ class Solver:
                 if child in failed:
                     done |= bit
                     continue
+                frames.append((key, images, it, weight, deficit, sleep, done | bit, lone))
+                path.append((u, v))
                 counts[u] -= 2
                 counts[v] += 1
-                nxt = moves_out()
-                if nxt is not None:
-                    frames.append((key, images, it, weights, deficit, sleep, done | bit))
-                    path.append((u, v))
-                    key, it, weights = child, nxt, cw
-                    sleep, done = (sleep | done) & indep, 0
-                    if images:
-                        images = tuple(map(add, images, dk))
-                    if touch:
-                        deficit = left
-                    bound = len(path) == last
-                    break
-                counts[u] += 2
-                counts[v] -= 1
-                if write and len(failed) < cap:
-                    failed.add(child)
-                done |= bit
+                key, weight = child, cw
+                it, lone = moves_out()
+                sleep, done = (sleep | done) & indep, 0
+                if images:
+                    images = tuple(map(add, images, dk))
+                if touch:
+                    deficit = left
+                bound = len(path) == last
+                break
             else:
                 # every move out of the state in `key` has failed
                 if write and len(failed) < cap:
@@ -489,7 +538,7 @@ class Solver:
                 u, v = path.pop()
                 counts[u] += 2
                 counts[v] -= 1
-                key, images, it, weights, deficit, sleep, done = frames.pop()
+                key, images, it, weight, deficit, sleep, done, lone = frames.pop()
                 bound = len(path) == last
 
 
@@ -500,7 +549,8 @@ def get_solver(g: Graph, d: Distribution, mode: str = "unrestricted") -> Solver:
     """The cached solver for (g, d, mode); the cache keeps the
     SOLVER_CACHE_CAP most recently used solvers, memos included. The solver
     is symmetric: it keys its memo by orbit under the demand's stabilizer,
-    computed once when the solver is built (see Solver)."""
+    computed once, when one of its searches first expands a state (see
+    Solver)."""
     key = (g, d.demands, mode)
     solver = _solver_cache.get(key)
     if solver is None:

@@ -711,8 +711,11 @@ def _min_moves_upto3(g: Graph, rows: np.ndarray, r: int) -> np.ndarray:
     and 2, and the children are _flat_children's, so any row dtype (int8
     included) is safe; the int8 result holds -1 to 3. The tests read the
     block column-major, (n, B), one vertex row per count, and gather a
-    vertex's neighbours as whole rows.
+    vertex's neighbours as whole rows. A block whose every row holds a
+    pebble on r is all class 0 and skips the tests.
     """
+    if rows.T[r].all():
+        return np.zeros(rows.shape[0], dtype=np.int8)
 
     def upto2(cols: np.ndarray) -> np.ndarray:
         rich = cols >= 2

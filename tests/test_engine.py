@@ -1,8 +1,10 @@
 """Engine semantics: moves, statistics, solvability, cost."""
 
 import random
+import time
 from collections import OrderedDict
 from fractions import Fraction
+from itertools import combinations
 from operator import mul
 
 import numpy as np
@@ -346,7 +348,31 @@ def memo_tuples(solver):
             for key in solver.failed}
 
 
+def past_the_cut(solver, rng):
+    """A configuration grown one random pebble at a time until it passes
+    every target's weight cut, then given up to two more pebbles, so a
+    search from it gets past its first state."""
+    grown = [0] * solver.n
+    while not all(sum(map(mul, grown, w)) >= need
+                  for w, need in zip(solver.W, solver.need)):
+        grown[rng.randrange(solver.n)] += 1
+    for _ in range(rng.randrange(3)):
+        grown[rng.randrange(solver.n)] += 1
+    return tuple(grown)
+
+
+def packed_cut(solver, c):
+    """Whether c passes every target's weight cut, read from the solver's
+    packed weights at its current width, which must hold sum(c)."""
+    return (sum(map(mul, c, solver.packed)) + solver.bias) & solver.full == solver.full
+
+
 def test_int_keyed_search_matches_the_tuple_keyed_reference():
+    """Solver against the tuple-keyed reference on random connected graphs
+    of 2 to 7 vertices. Half the calls take a uniform configuration under a
+    random move bound. The other half take one grown past the weight cut,
+    unbounded: the memo holds only states a search expanded, and only
+    unbounded calls write it, so these fill it before the key width grows."""
     rng = random.Random(71)
     widened = 0
     for _ in range(150):
@@ -360,10 +386,13 @@ def test_int_keyed_search_matches_the_tuple_keyed_reference():
             # one shared solver per triple, called with mixed sizes so the
             # key width grows mid-sequence over a filled memo
             solver, ref = Solver(g, d, mode), ReferenceSolver(g, d, mode)
-            for _ in range(6):
-                size = rng.choice((rng.randrange(8), rng.randrange(8, 40)))
-                c = random_config(n, size, rng)
-                max_moves = rng.choice((None, None, 0, 1, 2, 3, 5))
+            for _ in range(10):
+                if rng.random() < 0.5:
+                    size = rng.choice((rng.randrange(8), rng.randrange(8, 40)))
+                    c = random_config(n, size, rng)
+                    max_moves = rng.choice((None, None, 0, 1, 2, 3, 5))
+                else:
+                    c, max_moves = past_the_cut(solver, rng), None
                 k, memo = solver.k, len(solver.failed)
                 got, want = solver.solve(c, max_moves), ref.solve(c, max_moves)
                 assert (got.solvable, got.solution) == (want.solvable, want.solution)
@@ -498,12 +527,14 @@ def test_lem_3_6_search_counts_are_pinned():
     fresh Solver. The implementation fixes these counts, not the paper: they
     follow from the DFS order, the weight cut, the memo rule and the sleep
     sets, so a change to any of those moves them, and only a change meant
-    to do so may re-record them."""
-    pins = {(5, 1): ((1, 1), (46, 36)),
-            (5, 2): ((307, 189), (607, 319)),
-            (5, 3): ((649, 283), (2209, 950)),
-            (6, 1): ((1, 1), (943, 582)),
-            (6, 2): ((350419, 80481), (61321, 18277))}
+    to do so may re-record them. C_t1 at t=1 has one pebble on each vertex
+    but the root, so it is a dead end, settled in 1 state with no memo
+    entry; no entry of any case is a dead end."""
+    pins = {(5, 1): ((1, 0), (46, 15)),
+            (5, 2): ((307, 102), (607, 263)),
+            (5, 3): ((649, 247), (2209, 924)),
+            (6, 1): ((1, 0), (943, 157)),
+            (6, 2): ((350419, 58403), (61321, 14220))}
     for (m, t), want in pins.items():
         g = kneser(m, 2)
         d = Distribution.stacked(g.n, 0, t)
@@ -512,18 +543,24 @@ def test_lem_3_6_search_counts_are_pinned():
             out = solver.solve(build(g, 0, t))
             assert not out.solvable
             assert (out.states_explored, len(solver.failed)) == (states, memo)
+            assert all(max(state) > 1 for state in memo_tuples(solver))
 
 
 def test_symmetric_search_matches_the_plain_search():
     """Solver(g, d, mode, symmetric=True) against Solver(g, d, mode) on cycles,
     stars, the Petersen graph and small random graphs, in all three modes:
     one shared solver pair per (graph, demand, mode), called with mixed
-    sizes so the key width grows over a filled memo, and with mixed move
-    bounds. Half the configurations are uniform; the other half grow one
-    random pebble at a time until they pass every target's weight cut and
-    then get up to two more, so the search gets past its first state. Each
-    call gives the plain verdict and solution, explores no more states, and
-    agrees with oracles.brute_solvable when unbounded and small."""
+    sizes so the key width grows over a filled memo. Each graph gets ten
+    random demands of one to three targets; one of 9 pebbles on a vertex,
+    more than the small uniform configurations hold; and, where the graph
+    has one, a three-target demand whose targets' eccentricities are not
+    all equal. Half the configurations are uniform, under a random move
+    bound; the other half are grown past the weight cut (past_the_cut) and
+    searched unbounded, so the search gets past its first state and can
+    write the memo. Each call gives the plain verdict and solution,
+    explores no more states, and agrees with oracles.brute_solvable when
+    unbounded and small; the packed weight cut agrees with the per-target
+    one."""
     rng = random.Random(83)
     graphs = ([build_graph(n, [(i, (i + 1) % n) for i in range(n)]) for n in (4, 5, 6)]
               + [build_graph(k + 1, [(0, i) for i in range(1, k + 1)]) for k in (3, 4)]
@@ -532,10 +569,21 @@ def test_symmetric_search_matches_the_plain_search():
         graphs.append(build_graph(n, random_connected_edges(n, rng.randrange(n), rng)))
     nontrivial = widened = fewer = 0
     for g in graphs:
-        for _ in range(10):
+        ecc = [max(g.distances(v)) for v in range(g.n)]
+        unequal = [trio for trio in combinations(range(g.n), 3)
+                   if len({ecc[x] for x in trio}) > 1]
+        for i in range(12):
             demand = [0] * g.n
-            for x in rng.sample(range(g.n), rng.choice((1, 1, 1, 1, 2, 3))):
-                demand[x] = rng.randrange(1, 5)
+            if i < 10:
+                for x in rng.sample(range(g.n), rng.choice((1, 1, 1, 1, 2, 3))):
+                    demand[x] = rng.randrange(1, 5)
+            elif i == 10:
+                demand[rng.randrange(g.n)] = 9
+            elif unequal:
+                for x in rng.choice(unequal):
+                    demand[x] = rng.randrange(1, 3)
+            else:
+                continue
             d = Distribution(tuple(demand))
             nontrivial += len(stabilizer(g, [d.demands])) > 1
             for mode in MODES:
@@ -544,18 +592,17 @@ def test_symmetric_search_matches_the_plain_search():
                     if rng.random() < 0.5:
                         c = random_config(
                             g.n, rng.choice((rng.randrange(9), rng.randrange(9, 24))), rng)
+                        max_moves = rng.choice((None, None, 0, 1, 2, 3, 5))
                     else:
-                        grown = [0] * g.n
-                        while not all(sum(map(mul, grown, w)) >= need
-                                      for w, need in zip(plain.W, plain.need)):
-                            grown[rng.randrange(g.n)] += 1
-                        for _ in range(rng.randrange(3)):
-                            grown[rng.randrange(g.n)] += 1
-                        c = tuple(grown)
-                    max_moves = rng.choice((None, None, 0, 1, 2, 3, 5))
+                        c, max_moves = past_the_cut(plain, rng), None
                     k, memo = sym.k, len(sym.failed)
                     got, want = sym.solve(c, max_moves), plain.solve(c, max_moves)
                     assert (got.solvable, got.solution) == (want.solvable, want.solution)
+                    # a call whose demand is met at once does not widen
+                    if sum(c) < 1 << plain.k:
+                        assert packed_cut(plain, c) == all(
+                            sum(map(mul, c, w)) >= need
+                            for w, need in zip(plain.W, plain.need))
                     assert got.states_explored <= want.states_explored
                     fewer += got.states_explored < want.states_explored
                     if max_moves is None and sum(c) < 9:
@@ -582,6 +629,38 @@ def test_cached_solvers_key_their_memo_by_the_demand_stabilizer(petersen):
     assert len(get_solver(path, Distribution.stacked(5, 2, 1)).inverses) == 2
 
 
+def test_cached_solvers_build_the_stabilizer_on_first_expansion(monkeypatch):
+    """get_solver builds its solver without the demand's stabilizer. C_t1 at
+    t=1, one pebble on each vertex but the root, is a dead end: it is
+    refused in 1 state with no stabilizer call, in under a second even on
+    K(9,2), whose root stabilizer has 10,080 elements. The first search
+    that expands a state computes the group, once, and `inverses` reads
+    it."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return stabilizer(*args)
+
+    monkeypatch.setattr(engine, "stabilizer", counted)
+    monkeypatch.setattr(engine, "_solver_cache", OrderedDict())
+    for m in (6, 9):
+        g = kneser(m, 2)
+        c = build_C_t1(g, 0, 1)
+        start = time.perf_counter()
+        out = get_solver(g, Distribution.stacked(g.n, 0, 1)).solve(c)
+        elapsed = time.perf_counter() - start
+        assert (out.solvable, out.states_explored, len(calls)) == (False, 1, 0)
+    assert elapsed < 1.0
+    g = kneser(6, 2)
+    solver = get_solver(g, Distribution.stacked(g.n, 0, 1))
+    out = solver.solve(build_C_t2(g, 0, 1))
+    assert not out.solvable and out.states_explored > 1
+    assert len(calls) == 1
+    assert len(solver.inverses) == 48
+    assert len(calls) == 1
+
+
 def test_symmetric_lem_3_6_search_counts_are_pinned():
     """(states explored, memo entries) of all twelve lem-3.6 cases on a
     fresh Solver keyed by the root's stabilizer, S_2 x S_{m-2}: 12 elements
@@ -589,13 +668,14 @@ def test_symmetric_lem_3_6_search_counts_are_pinned():
     paper: they follow from the DFS order, the weight cut, the memo rule,
     the sleep sets and the orbit keys, so only a change meant to move them
     may re-record them. The largest case, (6, 3) C_t1, explores 98,365
-    states against the plain solver's 1,942,687."""
-    pins = {(5, 1): ((1, 1), (16, 12)),
-            (5, 2): ((85, 50), (307, 134)),
-            (5, 3): ((328, 132), (1219, 464)),
-            (6, 1): ((1, 1), (73, 41)),
-            (6, 2): ((10573, 2553), (7339, 1833)),
-            (6, 3): ((98365, 18211), (81037, 15271))}
+    states against the plain solver's 1,942,687. No memo entry is a dead
+    end, a state with no vertex holding two pebbles."""
+    pins = {(5, 1): ((1, 0), (16, 5)),
+            (5, 2): ((85, 28), (307, 115)),
+            (5, 3): ((328, 118), (1219, 453)),
+            (6, 1): ((1, 0), (73, 12)),
+            (6, 2): ((10573, 1762), (7339, 1546)),
+            (6, 3): ((98365, 17583), (81037, 14897))}
     for (m, t), want in pins.items():
         g = kneser(m, 2)
         d = Distribution.stacked(g.n, 0, t)
@@ -605,3 +685,4 @@ def test_symmetric_lem_3_6_search_counts_are_pinned():
             out = solver.solve(build(g, 0, t))
             assert not out.solvable
             assert (out.states_explored, len(solver.failed)) == (states, memo)
+            assert all(max(state) > 1 for state in memo_tuples(solver))

@@ -38,9 +38,15 @@ REPORT_FIELDS = ["claim", "parameters", "expected", "computed", "verdict",
                  "seed"]
 
 
+# child interpreters import the pebblekit these tests import, so a run from
+# a checkout needs no PYTHONPATH of its own
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (
+    os.path.dirname(os.path.dirname(pebblekit.__file__)), os.environ.get("PYTHONPATH"))))}
+
+
 def run_cli(*args, stdin=None):
     return subprocess.run([sys.executable, "-m", "pebblekit.cli", *args],
-                          capture_output=True, text=True, input=stdin)
+                          capture_output=True, text=True, input=stdin, env=CHILD_ENV)
 
 
 def test_registry_shape():
@@ -242,7 +248,7 @@ def test_thm_3_5_leaves_numpy_random_unimported():
          "code = cli.main(['verify', 'thm-3.5', '--m', '6', "
          "'--samples', '20000'])\n"
          "print(code, 'numpy.random' in sys.modules)"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=CHILD_ENV)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "0 False"
 

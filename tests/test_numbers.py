@@ -770,6 +770,22 @@ def test_min_moves_upto3_on_size13_petersen_rows(petersen):
     assert set(got.tolist()) == {0, 1, 2, 3}
 
 
+def test_min_moves_upto3_settles_blocks_holding_the_root_at_once(petersen):
+    """A block whose every row holds a pebble on r is class 0 throughout,
+    without the tests. The classes are per row, so one more row with no
+    pebble on r sends the same rows through the full tests: on the size-13
+    Petersen blocks both give the same classes, on the blocks every row of
+    which holds the root and on the block that mixes both kinds of row."""
+    kinds = set()
+    for rows in _ascending_blocks(10, 13):
+        held = rows[:, 0] >= 1
+        kinds.add((bool(held.all()), bool(held.any())))
+        empty = np.zeros((1, 10), dtype=rows.dtype)
+        full = _min_moves_upto3(petersen, np.vstack([rows, empty]), 0)[:-1]
+        assert np.array_equal(_min_moves_upto3(petersen, rows, 0), full)
+    assert kinds == {(False, False), (False, True), (True, True)}
+
+
 def test_size13_petersen_prescreen_strength(petersen):
     """The three demand filters of the size-13 Petersen pass leave exactly
     0, 0 and 51 of the 497,420 rows to the exact engine, and every row
