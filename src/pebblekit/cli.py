@@ -17,8 +17,8 @@ from .families import FamilyError, FanSpec, kneser, random_tree, two_path
 from .formulas import FormulaError, KneserParams, kneser_p, spinal_pi, \
     tree_pi, two_path_pi_t
 from .graph import GraphError, graph_from_json, graph_to_json
-from .harness import CampaignConfig, HarnessError, atomic_write, load_graph, \
-    run_campaign
+from .harness import _json_safe, CampaignConfig, HarnessError, atomic_write, \
+    load_graph, run_campaign
 from .numbers import BudgetExceededError, find_unsolvable_witness, pi_D, \
     pi_t, verify_target_conjecture
 from .version import VERSION
@@ -116,7 +116,9 @@ def _demand_from_args(args, n: int) -> Distribution:
 
 
 def _emit(args, payload: dict) -> None:
-    text = json.dumps(payload, indent=2) + "\n"
+    """Print the payload as JSON, its pebblekit values converted by
+    harness._json_safe, and also write it to --out when given."""
+    text = json.dumps(_json_safe(payload), indent=2) + "\n"
     if getattr(args, "out", None):
         atomic_write(args.out, text)
     sys.stdout.write(text)
@@ -153,7 +155,7 @@ def _cmd_solve(args) -> int:
             return FAIL
         sol, cheap = found
         replay(g, cfg, sol.moves)
-        _emit(args, {"solvable": True, "moves": [list(mv) for mv in sol.moves],
+        _emit(args, {"solvable": True, "moves": sol.moves,
                      "cost": sol.cost, "is_cheap": cheap})
         return PASS
     outcome = is_solvable(g, cfg, d, mode=args.mode)
@@ -163,7 +165,7 @@ def _cmd_solve(args) -> int:
                "stats": stats(cfg)}
     if outcome.solvable:
         replay(g, cfg, outcome.solution.moves)
-        payload["moves"] = [list(mv) for mv in outcome.solution.moves]
+        payload["moves"] = outcome.solution.moves
         payload["cost"] = outcome.solution.cost
     _emit(args, payload)
     return PASS if outcome.solvable else FAIL
@@ -174,8 +176,10 @@ def _cmd_pi(args) -> int:
     if args.demand or args.root is not None:
         d = _demand_from_args(args, g.n)
         value = pi_D(g, d, budget=args.budget, jobs=args.jobs, mode=args.mode)
-        payload = {"demand": list(d.demands), "pi": value}
+        payload = {"demand": d, "pi": value}
     else:
+        if args.mode != "unrestricted":
+            raise PebblingError(f"--mode {args.mode} needs --demand or --root")
         t = _t_from_args(args)
         value = pi_t(g, t, budget=args.budget, jobs=args.jobs)
         payload = {"t": t, "pi_t": value}
@@ -196,10 +200,10 @@ def _cmd_witness(args) -> int:
                                   budget=args.budget)
     payload = {"size": res.size,
                "found": res.found,
-               "witness": list(res.witness.counts) if res.found else None,
+               "witness": res.witness,
                "configs_checked": res.configs_checked}
     if args.all:
-        payload["witnesses"] = [list(w.counts) for w in res.witnesses]
+        payload["witnesses"] = res.witnesses
     _emit(args, payload)
     return PASS if res.found else FAIL
 
@@ -214,17 +218,7 @@ def _cmd_verify_target(args) -> int:
     rep = verify_target_conjecture(g, args.t, classes,
                                    expected_pi=args.expected_pi,
                                    budget=args.budget, jobs=args.jobs)
-    payload = dict(rep)
-    if payload.get("lower_witness"):
-        lw = payload["lower_witness"]
-        payload["lower_witness"] = {"root": lw["root"],
-                                    "witness": list(lw["witness"].counts),
-                                    "source": lw["source"]}
-    if payload.get("counterexample") and "config" in payload["counterexample"]:
-        ce = dict(payload["counterexample"])
-        ce["config"] = list(ce["config"].counts)
-        payload["counterexample"] = ce
-    _emit(args, payload)
+    _emit(args, rep)
     return PASS if rep["pass"] else FAIL
 
 
@@ -298,7 +292,6 @@ def _add_common(p: argparse.ArgumentParser):
                         "(default from PEBBLEKIT_BUDGET or 10^8)")
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes for exhaustive scans, at least 1")
-    p.add_argument("--seed", type=int, default=0, help="base random seed")
     p.add_argument("--out", default=None, help="also write the result here")
 
 
@@ -395,6 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run over every fan spec up to this vertex count")
     p.add_argument("--exhaustive", action="store_true")
     p.add_argument("--format", choices=("json", "csv"), default="json")
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the sampling claims (thm-3.5 at m=6, fact-2.2)")
     _add_common(p)
     p.set_defaults(func=_cmd_verify)
 

@@ -10,7 +10,7 @@ import os
 import random
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from math import comb
 
 import numpy as np
@@ -54,16 +54,11 @@ class CampaignConfig:
     format: str = "json"
 
 
-_REPORT_FIELDS = ("claim", "parameters", "expected", "computed", "verdict",
-                  "witnesses", "configs_checked", "wall_time_s", "version",
-                  "seed")
-
-
 @dataclass
 class ExperimentReport:
     """Self-contained record of one verification campaign. Serialization is
-    deterministic: fixed key order, so identical (config, seed, version)
-    runs differ at most in wall_time_s."""
+    deterministic: the fields in declaration order, so identical (config,
+    seed, version) runs differ at most in wall_time_s."""
 
     claim: str
     parameters: dict
@@ -77,7 +72,7 @@ class ExperimentReport:
     seed: int
 
     def to_dict(self) -> dict:
-        return {name: getattr(self, name) for name in _REPORT_FIELDS}
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2) + "\n"
@@ -88,14 +83,10 @@ class ExperimentReport:
 
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(_REPORT_FIELDS)
-        row = []
-        for name in _REPORT_FIELDS:
-            value = getattr(self, name)
-            if isinstance(value, (dict, list)):
-                value = json.dumps(value)
-            row.append(value)
-        writer.writerow(row)
+        record = self.to_dict()
+        writer.writerow(record.keys())
+        writer.writerow(json.dumps(value) if isinstance(value, (dict, list))
+                        else value for value in record.values())
         return buf.getvalue()
 
 
@@ -126,10 +117,6 @@ def load_graph(path: str) -> Graph:
     return g
 
 
-def _cfg_list(c: Configuration) -> list:
-    return [int(x) for x in c.counts]
-
-
 # ---------------------------------------------------------------------------
 # Shared exhaustive scans on the Kneser graph of 2-subsets of a 5-set.
 # Several claims rest on the same passes, so each runs once per process.
@@ -152,8 +139,8 @@ def _petersen_pi1_scan() -> dict:
     res9 = find_unsolvable_witness(g, d, 9, collect_all=True)
     res10 = find_unsolvable_witness(g, d, 10)
     return {
-        "witnesses_size9": [_cfg_list(w) for w in res9.witnesses],
-        "size10_witness": _cfg_list(res10.witness) if res10.found else None,
+        "witnesses_size9": list(res9.witnesses),
+        "size10_witness": res10.witness,
         "configs_checked": res9.configs_checked + res10.configs_checked,
     }
 
@@ -173,8 +160,9 @@ def _petersen_size13_scan() -> dict:
     the size-12 doubled-stack construction C22 is 2-fold unsolvable (the
     matching lower bound).
 
-    failures lists the engine-confirmed demand failures in scan order,
-    then the cost<=4 failures in scan order; each claim reads one kind."""
+    The failures come back as two lists, each in scan order:
+    demand_failures holds the engine-confirmed failures of the three
+    demands, and cost_failures the rows that need a cost above 4."""
     g = _petersen()
     r = _PETERSEN_ROOT
     n = g.n
@@ -206,26 +194,25 @@ def _petersen_size13_scan() -> dict:
             yield rows
 
     _, failed, checked = _scan_chunk(g, demands, blocks(), stops=0)
-    failures = [{"demand": list(demands[di].demands), "config": _cfg_list(c)}
-                for di, c in failed] + cost_failures
-
     c22 = build_C_t2(g, r, 2)
-    c22_unsolvable = not is_solvable(g, c22, demands[0]).solvable
     return {
         "configs_checked": checked,
-        "failures": failures,
+        "demand_failures": [{"demand": demands[di], "config": c}
+                            for di, c in failed],
+        "cost_failures": cost_failures,
         "max_cost": max_cost,
-        "demand_vectors": [list(d.demands) for d in demands],
-        "c22": _cfg_list(c22),
-        "c22_size": c22.size,
-        "c22_unsolvable": c22_unsolvable,
+        "demand_vectors": demands,
+        "c22": c22,
+        "c22_unsolvable": not is_solvable(g, c22, demands[0]).solvable,
     }
 
 
 # ---------------------------------------------------------------------------
 # Claim runners. Each returns a dict:
-#   expected, provenance, computed, witnesses, passed
-# and charges every configuration it scans to the supplied budget.
+#   expected, computed, witnesses, passed
+# and charges every configuration it scans to the supplied budget. The
+# values may hold pebblekit objects (Configuration, Distribution, tuples);
+# run_campaign turns them into JSON values with _json_safe.
 # ---------------------------------------------------------------------------
 
 
@@ -296,14 +283,13 @@ def _run_thm_2_1(params, budget, jobs, seed):
                 computed[key][str(t)] = want
                 lw = res["lower_witness"]
                 witnesses.append({"spec": key, "t": t, "root": lw["root"],
-                                  "config": _cfg_list(lw["witness"]),
+                                  "config": lw["witness"],
                                   "source": lw["source"]})
             else:
-                computed[key][str(t)] = {
-                    "mismatch": _json_safe(res["counterexample"])}
+                computed[key][str(t)] = {"mismatch": res["counterexample"]}
                 passed = False
-    return {"expected": expected, "provenance": "[PAPER]",
-            "computed": computed, "witnesses": witnesses, "passed": passed}
+    return {"expected": expected, "computed": computed,
+            "witnesses": witnesses, "passed": passed}
 
 
 def _run_fact_2_2(params, budget, jobs, seed):
@@ -337,11 +323,9 @@ def _run_fact_2_2(params, budget, jobs, seed):
             if not res["pass"]:
                 mismatches.append({"tree": idx, "n": g.n, "t": t,
                                    "expected": want,
-                                   "detail": _json_safe(res["counterexample"])})
-        witnesses.append({"tree": idx, "n": g.n,
-                          "partition": list(partition)})
+                                   "detail": res["counterexample"]})
+        witnesses.append({"tree": idx, "n": g.n, "partition": partition})
     return {"expected": {"trees": count, "mismatches": 0},
-            "provenance": "[PAPER]",
             "computed": {"trees": len(trees), "mismatches": len(mismatches),
                          "detail": mismatches},
             "witnesses": witnesses[:10], "passed": not mismatches}
@@ -366,7 +350,7 @@ def _run_cor_2_3(params, budget, jobs, seed):
                 mismatches.append({"spec": spec.to_json(), "root": r,
                                    "tree_value": got, "formula": want,
                                    "bound": bound})
-    return {"expected": {"mismatches": 0}, "provenance": "[PAPER]",
+    return {"expected": {"mismatches": 0},
             "computed": {"roots_checked": pairs,
                          "mismatches": len(mismatches), "detail": mismatches},
             "witnesses": [], "passed": not mismatches}
@@ -389,13 +373,13 @@ def _run_thm_2_6(params, budget, jobs, seed):
             budget=budget, jobs=jobs)
         if not rep["pass"]:
             failures.append({"spec": spec.to_json(),
-                             "counterexample": _json_safe(rep["counterexample"])})
+                             "counterexample": rep["counterexample"]})
         else:
             lw = rep["lower_witness"]
             witnesses.append({"spec": spec.to_json(), "pi_t": rep["pi_t"],
                               "demands": rep["demand_count"],
                               "lower_root": lw["root"]})
-    return {"expected": {"counterexamples": 0}, "provenance": "[PAPER]",
+    return {"expected": {"counterexamples": 0},
             "computed": {"two_paths": len(specs),
                          "counterexamples": len(failures), "detail": failures},
             "witnesses": witnesses, "passed": not failures}
@@ -405,8 +389,7 @@ def _run_cor_3_3(params, budget, jobs, seed):
     ms = _as_int_list(params, "m_values", (5, 6, 7))
     expected = {str(m): comb(m - 2, 2) for m in ms}
     computed = {str(m): vertex_connectivity(kneser(m, 2)) for m in ms}
-    return {"expected": expected, "provenance": "[PAPER]",
-            "computed": computed, "witnesses": [],
+    return {"expected": expected, "computed": computed, "witnesses": [],
             "passed": expected == computed}
 
 
@@ -416,9 +399,9 @@ def _run_thm_3_5(params, budget, jobs, seed):
     if m == 5:
         scan = _petersen_pi1_scan()
         budget.charge(scan["configs_checked"])
-        jr = _cfg_list(build_J_r(_petersen(), _PETERSEN_ROOT))
+        jr = build_J_r(_petersen(), _PETERSEN_ROOT)
         ok = scan["witnesses_size9"] == [jr] and scan["size10_witness"] is None
-        return {"expected": expected, "provenance": "[PAPER]",
+        return {"expected": expected,
                 "computed": expected if ok else None,
                 "witnesses": scan["witnesses_size9"],
                 "passed": ok}
@@ -446,8 +429,8 @@ def _run_thm_3_5(params, budget, jobs, seed):
                                    _uniform_ranks(rng, total, k)).T
 
         first, _, _ = _scan_chunk(g, [d], draws(), stops=1, budget=budget)
-        bad = _cfg_list(first[1]) if first is not None else None
-        witnesses = [{"size14_witness": _cfg_list(c11),
+        bad = first[1] if first is not None else None
+        witnesses = [{"size14_witness": c11,
                       "unsolvable": lower_ok, "samples": samples}]
         exhaustive = bool(params.get("exhaustive", False))
         if exhaustive:
@@ -455,10 +438,12 @@ def _run_thm_3_5(params, budget, jobs, seed):
                                           collect_all=True, budget=budget,
                                           jobs=jobs)
             witnesses.append({"size14_witness_count": len(res.witnesses)})
+        if bad is not None:
+            witnesses.append({"bad_sample": bad})
         ok = lower_ok and bad is None
-        return {"expected": expected, "provenance": "[PAPER]",
+        return {"expected": expected,
                 "computed": expected if ok else None,
-                "witnesses": witnesses + ([{"bad_sample": bad}] if bad else []),
+                "witnesses": witnesses,
                 "passed": ok}
     raise HarnessError(f"no verification route for m={m}; supported: 5, 6")
 
@@ -485,7 +470,6 @@ def _run_lem_3_6(params, budget, jobs, seed):
                                 "size": cfg.size, "size_expected": want_size,
                                 "unsolvable": unsolv})
     return {"expected": {"all_unsolvable": True, "size_mismatches": 0},
-            "provenance": "[PAPER]",
             "computed": {"cases": results},
             "witnesses": [], "passed": passed}
 
@@ -493,19 +477,17 @@ def _run_lem_3_6(params, budget, jobs, seed):
 def _run_claim_a(params, budget, jobs, seed):
     scan = _petersen_pi1_scan()
     budget.charge(scan["configs_checked"])
-    jr = _cfg_list(build_J_r(_petersen(), _PETERSEN_ROOT))
+    jr = build_J_r(_petersen(), _PETERSEN_ROOT)
     ok = scan["witnesses_size9"] == [jr]
-    return {"expected": [jr], "provenance": "[PAPER]",
-            "computed": scan["witnesses_size9"],
+    return {"expected": [jr], "computed": scan["witnesses_size9"],
             "witnesses": scan["witnesses_size9"], "passed": ok}
 
 
 def _run_claim_b(params, budget, jobs, seed):
     scan = _petersen_size13_scan()
     budget.charge(scan["configs_checked"])
-    cost_failures = [f for f in scan["failures"] if f["demand"] == "cost<=4"]
+    cost_failures = scan["cost_failures"]
     return {"expected": {"cost_violations": 0, "max_cost": 4},
-            "provenance": "[PAPER]",
             "computed": {"cost_violations": len(cost_failures),
                          "max_cost": scan["max_cost"],
                          "detail": cost_failures},
@@ -531,17 +513,17 @@ def _run_cor_3_10(params, budget, jobs, seed):
         elif t == 2:
             scan = _petersen_size13_scan()
             budget.charge(scan["configs_checked"])
-            stacked_fail = [f for f in scan["failures"]
+            stacked_fail = [f for f in scan["demand_failures"]
                             if f["demand"] == scan["demand_vectors"][0]]
             ok = not stacked_fail and scan["c22_unsolvable"] \
-                and scan["c22_size"] == p - 1
+                and scan["c22"].size == p - 1
             computed[str(t)] = p if ok else None
             witnesses.append({"t": 2, "lower_witness": scan["c22"]})
             passed &= ok
         else:
             raise HarnessError(f"cor-3.10 verification covers t in (1, 2), got {t}")
-    return {"expected": expected, "provenance": "[PAPER]",
-            "computed": computed, "witnesses": witnesses, "passed": passed}
+    return {"expected": expected, "computed": computed,
+            "witnesses": witnesses, "passed": passed}
 
 
 def _run_thm_3_11(params, budget, jobs, seed):
@@ -550,13 +532,12 @@ def _run_thm_3_11(params, budget, jobs, seed):
     reps = [orbit[0] for orbit in orbits]
     scan = _petersen_size13_scan()
     budget.charge(scan["configs_checked"])
-    demand_fails = [f for f in scan["failures"] if f["demand"] != "cost<=4"]
+    demand_fails = scan["demand_failures"]
     orbit_ok = len(orbits) == 3 and reps == [(0, 0), (0, 1), (0, 7)]
     ok = orbit_ok and not demand_fails and scan["c22_unsolvable"]
     return {"expected": {"orbits": 3, "counterexamples": 0},
-            "provenance": "[PAPER]",
             "computed": {"orbits": len(orbits),
-                         "orbit_representatives": [list(p) for p in reps],
+                         "orbit_representatives": reps,
                          "counterexamples": len(demand_fails),
                          "detail": demand_fails},
             "witnesses": [{"pi_2_lower_witness": scan["c22"]}],
@@ -564,8 +545,11 @@ def _run_thm_3_11(params, budget, jobs, seed):
 
 
 def _json_safe(value):
+    """value as JSON data, the one conversion the reports and the CLI use:
+    a Configuration or Distribution becomes its count list, a tuple a list
+    and a numpy integer an int, item by item through dicts and lists."""
     if isinstance(value, Configuration):
-        return _cfg_list(value)
+        return [int(x) for x in value.counts]
     if isinstance(value, Distribution):
         return [int(x) for x in value.demands]
     if isinstance(value, dict):
@@ -646,15 +630,15 @@ def run_campaign(config: CampaignConfig) -> ExperimentReport:
         out = spec.runner(params, budget, config.jobs, config.seed)
         verdict = "pass" if out["passed"] else "fail"
     except BudgetExceededError as exc:
-        out = {"expected": None, "provenance": "[PAPER]",
-               "computed": {"error": str(exc)}, "witnesses": []}
+        out = {"expected": None, "computed": {"error": str(exc)},
+               "witnesses": []}
         verdict = "budget"
     wall = time.perf_counter() - start
     report = ExperimentReport(
         claim=config.claim,
         parameters=_json_safe(params),
         expected={"value": _json_safe(out["expected"]),
-                  "provenance": out["provenance"]},
+                  "provenance": "[PAPER]"},
         computed=_json_safe(out["computed"]),
         verdict=verdict,
         witnesses=_json_safe(out["witnesses"]),

@@ -1047,19 +1047,21 @@ def _confirm_lower(g: Graph, t: int, roots, want_size: int, candidates,
                    budget: _Budget, jobs: int):
     """Certify pi_t(g) > want_size by exhibiting one engine-confirmed
     unsolvable configuration: the candidates of that size first, in order,
-    and a full scan as a fallback. candidates may be a generator; it is
+    and as a fallback one scan of that size over the stacked demands of
+    every requested root, which stops at its first failure: in the first
+    block any root fails, the first root in roots order that fails there,
+    at that root's least failing row. candidates may be a generator; it is
     read only up to the first candidate the engine refuses."""
     sized = ((Distribution.stacked(g.n, r, t), cfg) for r, cfg in candidates
              if cfg.size == want_size)
     for d, cfg in _refused(g, sized, budget):
         return {"root": d.support[0], "witness": cfg, "source": "constructed"}
-    for r in roots:
-        d = Distribution.stacked(g.n, r, t)
-        res = find_unsolvable_witness(g, d, want_size, jobs=jobs,
-                                      budget=budget)
-        if res.found:
-            return {"root": r, "witness": res.witness, "source": "scan"}
-    return None
+    stacked = [Distribution.stacked(g.n, r, t) for r in roots]
+    stop, _, _ = _scan(g, stacked, want_size, stops=len(stacked), jobs=jobs,
+                       budget=budget)
+    if stop is None:
+        return None
+    return {"root": roots[stop[0]], "witness": stop[1], "source": "scan"}
 
 
 def demands_of_size(g: Graph, t: int):

@@ -1,6 +1,7 @@
 """Claim registry, report serialization, graph I/O, and the command line."""
 
 import csv
+import hashlib
 import importlib
 import io
 import json
@@ -20,12 +21,17 @@ from pebblekit import (
     REGISTRY,
     VERSION,
     CampaignConfig,
+    Configuration,
+    Distribution,
     GraphError,
     HarnessError,
+    build_graph,
     graph_to_json,
+    is_solvable,
     kneser,
     load_graph,
     num_configs,
+    pi_D,
     run_campaign,
 )
 from pebblekit import cli, harness, numbers
@@ -80,6 +86,45 @@ def test_report_shape_and_determinism(tmp_path):
     a, b = report.to_dict(), again.to_dict()
     a.pop("wall_time_s"), b.pop("wall_time_s")
     assert a == b
+
+
+# The reproducibility contract: each report, less wall_time_s, hashed as
+# the first 16 hex digits of sha256 of json.dumps(..., sort_keys=True),
+# for the registry's defaults and two seeded thm-3.5 samplings, run in
+# this order in one process.
+REPORT_HASHES = (
+    ("thm-2.1", {}, 0, "bee3e89423195ee9"),
+    ("fact-2.2", {}, 0, "457e748a36fa3df6"),
+    ("cor-2.3", {}, 0, "c97e2fd3cc90f89d"),
+    ("thm-2.6", {}, 0, "618fd90659225a1e"),
+    ("cor-3.3", {}, 0, "72fb1ac9ff90d9bd"),
+    ("thm-3.5", {}, 0, "19369b18668a1099"),
+    ("lem-3.6", {}, 0, "41a5cb721ff84579"),
+    ("claim-A", {}, 0, "13ed8f6c22185c44"),
+    ("claim-B", {}, 0, "ae206585bcf229e8"),
+    ("cor-3.10", {}, 0, "a972188ef93dd421"),
+    ("thm-3.11", {}, 0, "f7f12c588dc94cb2"),
+    ("thm-3.5", {"m": 6, "samples": 100000}, 7, "8d28bbccef1b1b54"),
+    ("thm-3.5", {"m": 6, "samples": 250000}, 7, "c5ca2c16859633d4"),
+)
+
+
+def report_hash(report) -> str:
+    record = report.to_dict()
+    record.pop("wall_time_s")
+    text = json.dumps(record, sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def test_reports_match_their_pinned_hashes():
+    """Every report is identical, apart from wall_time_s, to the one the
+    pinned hash was taken from: verdicts, witnesses, counts and key names
+    alike. A change that alters any report on purpose must say why and
+    re-pin its hash."""
+    got = [report_hash(run_campaign(CampaignConfig(claim=claim, params=params,
+                                                   seed=seed)))
+           for claim, params, seed, _ in REPORT_HASHES]
+    assert got == [want for *_, want in REPORT_HASHES]
 
 
 def test_report_csv_round_trip():
@@ -449,6 +494,54 @@ def test_cli_pi_and_witness(tmp_path):
     proc = run_cli("witness", "--graph", str(graph), "--root", "0",
                    "--size", "4")
     assert proc.returncode == 1 and json.loads(proc.stdout)["found"] is False
+
+
+def test_cli_mode_reaches_solve_pi_and_witness(tmp_path):
+    """--mode greedy gives the library's greedy answers: on the 5-cycle
+    greedy pebbling needs 7 pebbles at a root where 5 suffice without
+    restriction. pi without --demand or --root is pi_t, which has no mode,
+    so a restricted --mode there is refused rather than ignored."""
+    c5 = build_graph(5, [(i, (i + 1) % 5) for i in range(5)])
+    graph = tmp_path / "c5.json"
+    graph.write_text(graph_to_json(c5) + "\n")
+    d = Distribution.stacked(5, 0, 1)
+    greedy = ("--mode", "greedy")
+
+    proc = run_cli("pi", "--graph", str(graph), "--root", "0", *greedy)
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["pi"] == pi_D(c5, d, mode="greedy") == 7
+    assert pi_D(c5, d) == 5
+
+    proc = run_cli("witness", "--graph", str(graph), "--root", "0",
+                   "--size", "6", *greedy)
+    assert proc.returncode == 0
+    witness = json.loads(proc.stdout)["witness"]
+    assert not is_solvable(c5, Configuration(tuple(witness)), d,
+                           mode="greedy").solvable
+
+    config = ("--config", ",".join(map(str, witness)), "--root", "0")
+    proc = run_cli("solve", "--graph", str(graph), *config, *greedy)
+    assert proc.returncode == 1 and json.loads(proc.stdout)["solvable"] is False
+    proc = run_cli("solve", "--graph", str(graph), *config)
+    assert proc.returncode == 0 and json.loads(proc.stdout)["solvable"]
+
+    for mode in ("greedy", "semi_greedy"):
+        proc = run_cli("pi", "--graph", str(graph), "--t", "1", "--mode", mode)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == f"error: --mode {mode} needs --demand or --root\n"
+
+
+def test_cli_seed_is_an_option_of_verify_only(tmp_path):
+    """pi, witness and verify-target draw nothing at random, so they take
+    no --seed; verify passes its seed to the sampling claims."""
+    graph = tmp_path / "p3.json"
+    graph.write_text(path3_json() + "\n")
+    for cmd in (["pi", "--root", "0"], ["witness", "--root", "0", "--size", "3"],
+                ["verify-target", "--t", "1"]):
+        proc = run_cli(cmd[0], "--graph", str(graph), *cmd[1:], "--seed", "1")
+        assert proc.returncode == 2 and "--seed" in proc.stderr
+    proc = run_cli("verify", "cor-3.3", "--m-values", "5", "--seed", "1")
+    assert proc.returncode == 0 and json.loads(proc.stdout)["seed"] == 1
 
 
 def test_cli_refuses_bad_roots_and_t(tmp_path, capsys):

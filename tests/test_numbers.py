@@ -1358,6 +1358,44 @@ def test_verify_target_conjecture_with_expected_value():
         verify_target_conjecture(tp.graph, 2, demand_classes=[(1, 0, 0, 0)])
 
 
+def test_lower_witness_fallback_is_one_scan_over_the_requested_roots():
+    """With no candidate of size expected_pi - 1, verify_target_conjecture
+    finds its lower witness in one scan of that size over the stacked
+    demands of every requested root. The scan stops at its first failure:
+    in the first block that some root fails, the first root in the
+    requested order that fails there, at that root's least failing row.
+    On C6 at t = 1 the BFS-tree dust witness has size 10 and the diameter
+    is 3, so no default candidate has size 7. On the 5-cycle with a
+    pendant vertex at 0, root 1 fails nothing of size 8 (pi(G, 1) = 7), so
+    the one scan reports root 2 after one block, where a scan per root
+    charged the whole size for root 1 and then a block for root 2."""
+    c6 = build_graph(6, [(i, (i + 1) % 6) for i in range(6)])
+    c5p = build_graph(6, [(i, (i + 1) % 5) for i in range(5)] + [(0, 5)])
+    for g, pi, roots, root, witness in (
+            (c6, 8, None, 0, (0, 0, 0, 7, 0, 0)),
+            (c6, 8, [3, 0], 3, (5, 1, 0, 0, 0, 1)),
+            (c5p, 9, [1, 2], 2, (0, 0, 0, 0, 1, 7))):
+        report = verify_target_conjecture(g, 1, [], expected_pi=pi,
+                                          roots=roots)
+        assert report["pass"]
+        assert report["lower_witness"] == {
+            "root": root, "witness": Configuration(witness), "source": "scan"}
+        size = pi - 1
+        total = num_configs(g.n, size)
+        assert total <= _BLOCK
+        # the fallback's one block, then the clean scan at pi
+        assert report["configs_checked"] == total + num_configs(g.n, pi)
+        rows = [unrank_config(g.n, size, k).counts for k in range(total)]
+        order = list(range(g.n)) if roots is None else roots
+        for r in order[:order.index(root)]:
+            d = Distribution.stacked(g.n, r, 1).demands
+            assert all(brute_solvable(g, c, d) for c in rows)
+        d = Distribution.stacked(g.n, root, 1).demands
+        at = rows.index(witness)
+        assert all(brute_solvable(g, c, d) for c in rows[:at])
+        assert not brute_solvable(g, rows[at], d)
+
+
 def test_scans_refuse_demands_of_the_wrong_length():
     """Every scan enters through numbers._scan, which refuses a demand
     vector shorter or longer than the vertex count, as the engine does,
