@@ -11,6 +11,8 @@ from functools import cached_property
 from itertools import chain
 from operator import add, le, lshift, lt, mul
 
+import numpy as np
+
 from .graph import Graph, stabilizer
 
 __all__ = [
@@ -158,6 +160,9 @@ MEMO_CAP = 4_000_000
 # get_solver keeps at most this many solvers, dropping the least recently
 # used one; no registry claim builds more than a few hundred at its defaults.
 SOLVER_CACHE_CAP = 1024
+# a symmetric solver whose stabilizer has at least this many elements, and
+# whose image keys fit in 63 bits, probes a state's children in one numpy step
+BATCH_GROUP = 24
 
 
 class Solver:
@@ -221,11 +226,17 @@ class Solver:
     memo stays sound for them too.
 
     Memo keys are plain ints: vertex v's count sits in bits [k*v, k*v + k),
-    where k is the bit length of the largest configuration size this solver
-    has been called with. Pebbling never adds pebbles, so no count reached
-    in a search exceeds the size it started from and no field overflows;
-    and a move takes two pebbles from a vertex holding at least two, so no
-    field borrows. A move u -> v therefore adds the fixed delta
+    where k is the bit length of the largest bound max_v floor((c(v) +
+    |c|)/2) over the configurations c this solver has searched from. Width
+    lemma: Phi_v = c(v) + |c| never rises. A move into v leaves it
+    unchanged (v gains a pebble, the size loses one), a move out of v
+    lowers it by 3 and every other move by 1. A state c' reached from c has
+    c'(v) <= |c'|, so 2 c'(v) <= Phi_v(c') <= Phi_v(c), and no count
+    reached exceeds the bound: no field overflows. A move takes two pebbles
+    from a vertex holding at least two, so no field borrows either.
+    lem-3.6's size-18 configurations on K(6,2) hold at most 11 pebbles on a
+    vertex, so k = 4 where the size's own bit length is 5: 60-bit keys in
+    place of 75. A move u -> v therefore adds the fixed delta
     (1 << k*v) - (2 << k*u) to the key. Each arc's record (`arcs`) holds
     that delta, the arc's packed weight change and whether the arc touches
     a demand vertex, built at each width, and the arc's sleep-set bit and
@@ -236,7 +247,7 @@ class Solver:
     (one add and one mask test) and the dead-end rule, then probes the memo
     with key + delta: a memo hit costs one add, one set lookup and one or
     into the done set, and never touches `counts` or the path, which change
-    only when a state is expanded. A call with a larger size widens k and
+    only when a state is expanded. A call with a larger bound widens k and
     re-encodes every memo entry in place, so the memo holds the same states
     as before, now at the new width.
 
@@ -246,10 +257,11 @@ class Solver:
     least that eccentricity would do: a common power-of-two factor on every
     weight and every need leaves each comparison, the neighbour order, the
     solutions and the state counts unchanged. A state's weights are packed
-    into one int: target i's lane is the L = max(k, b) + scale + 2 bits at
-    [i*L, i*L + L), b the bit length of |D|, and holds w_i - need_i +
-    2^(L-1). Lane bound: a reachable state has at most 2^k - 1 pebbles, so
-    0 <= w_i < 2^(k + scale), and 0 <= need_i < 2^(b + scale); every lane
+    into one int: target i's lane is the L = max(a, b) + scale + 2 bits at
+    [i*L, i*L + L), a (`bits`) the bit length of the largest size this
+    solver has searched from and b that of |D|, and holds w_i - need_i +
+    2^(L-1). Lane bound: a reachable state has at most 2^a - 1 pebbles, so
+    0 <= w_i < 2^(a + scale), and 0 <= need_i < 2^(b + scale); every lane
     stays inside (2^(L-1) - 2^(L-2), 2^(L-1) + 2^(L-2)), so it is a
     nonnegative value below 2^L, the packed int is the lanes written in
     base 2^L, and adding a move's packed change gives the child's lanes
@@ -275,7 +287,27 @@ class Solver:
     c∘s's key, so a move u -> v adds the per-arc delta
     (1 << k*s^-1(v)) - (2 << k*s^-1(u)) to it. An expanded state keeps its
     image keys in its frame, and a child's memo key is one
-    min(map(add, keys, deltas)), with no permutation pass. Widening keeps
+    min(map(add, keys, deltas)), with no permutation pass.
+
+    Batched probe. When the group has at least BATCH_GROUP elements and
+    n*k <= 63, the key tables hold an int64 delta table, one row per arc
+    and one column per element, and an expanded state keeps its image keys
+    as one int64 vector. Each image key of a reachable state has n fields
+    of k bits, so it is below 2^(n*k) <= 2^63. A delta lies in (-2^63,
+    2^62]: 1 << k*s^-1(v) <= 2^(k(n-1)), and 2 << k*s^-1(u) <= 2^(nk-k+1)
+    <= 2^63. Every sum the batch forms is an image key of a child along a
+    move out of a vertex holding two pebbles, a reachable state, and
+    int64 addition is exact modulo 2^64, so each sum is the exact key, and
+    so is each minimum. At each expansion not at the move bound one take of
+    the rows of the arcs in search order (after the restricted-mode
+    filter), one in-place add, one minimum over the columns and one
+    tolist() give every child's memo key, and the loop reads a child's key
+    by its row; an expanded child's vector is the parent's plus its row.
+    The batch builds the key of every child, also those a sleep set, the
+    demand check, the weight cut or the dead-end rule settles without one,
+    and a few numpy calls cost about as much as a lazy probe over a few
+    dozen elements; so a smaller group, or wider keys, keeps the lazy probe.
+    The keys are the same, so the search is the same. Widening keeps
     every stored key least in its orbit: with no field overflowing, the int
     order of two keys is the order of their counts compared from the last
     vertex down, which does not depend on k. The DFS order is unchanged and
@@ -301,7 +333,8 @@ class Solver:
     search settles it too or skips it below a state it has settled, so the
     plain search counts only states the reference counts and writes only
     states the reference writes. With a trivial stabilizer, or without
-    symmetric, a probe stays one add and one set lookup. get_solver builds
+    symmetric, a probe stays one add and one set lookup, with no per-arc
+    work for the batch. get_solver builds
     every solver symmetric; the plain solver is the reference the
     symmetric search is tested against.
     """
@@ -347,11 +380,11 @@ class Solver:
             movable -= sum(b for (u, v), b in bit.items() if self.demand[v])
         self.sleep_masks = tuple(tuple((bit[u, v], movable & ~from_src[u]) for u, v in moves)
                                 for moves in self.moves_from)
-        # bits per vertex in a memo key, and the weight lanes at that width;
-        # a configuration of size 0 keeps k at 0
-        self.k = 0
+        # bits per vertex in a memo key, and the bit length of the largest
+        # size the weight lanes hold; a configuration of size 0 keeps both 0
+        self.k = self.bits = 0
         self.failed: set[int] = set()
-        self._widen(0)
+        self._widen(0, 0)
 
     @cached_property
     def inverses(self) -> tuple[tuple[int, ...], ...] | None:
@@ -365,17 +398,18 @@ class Solver:
             return None
         return tuple(tuple(sorted(range(self.n), key=s.__getitem__)) for s in group)
 
-    def _widen(self, k: int):
+    def _widen(self, k: int, bits: int):
         """Re-encode the memo keys at k bits a vertex and pack the weights
-        into lanes wide enough for k; the key tables are rebuilt when next
-        read."""
+        into lanes that hold sizes below 2^bits; the key tables are rebuilt
+        when next read."""
         old, mask, n = self.k, (1 << self.k) - 1, self.n
-        keys = list(self.failed)
-        self.failed.clear()
-        self.failed.update(sum(((key >> old * v) & mask) << k * v for v in range(n))
-                           for key in keys)
-        self.k = k
-        lane = max(k, sum(self.demand).bit_length()) + self.scale + 2
+        if k != old:
+            keys = list(self.failed)
+            self.failed.clear()
+            self.failed.update(sum(((key >> old * v) & mask) << k * v for v in range(n))
+                               for key in keys)
+        self.k, self.bits = k, bits
+        lane = max(bits, sum(self.demand).bit_length()) + self.scale + 2
         # the packed weight of one pebble on each vertex, the bias that
         # starts lane i at 2^(lane-1) - need_i, and the lanes' top bits
         self.packed = tuple(sum(w[v] << i * lane for i, w in enumerate(self.W))
@@ -386,10 +420,13 @@ class Solver:
         self._keyed = None
 
     def _key_tables(self):
-        """(shifts, arcs) at the current width: the bit offset of each
-        vertex's field in each image key, and per vertex the records of the
-        moves out of it. Built at a search's first expansion after set-up or
-        a widening; they read `inverses`."""
+        """(shifts, arcs, table) at the current width: the bit offset of
+        each vertex's field in each image key, per vertex the records of the
+        moves out of it, and the batched probe's int64 delta table (one row
+        per arc, in search order, one column per group element) with each
+        vertex's row indices, or None on the per-arc probe. Built at a
+        search's first expansion after set-up or a widening; they read
+        `inverses`."""
         if self._keyed is None:
             k, inverses, packed = self.k, self.inverses, self.packed
             demand = self.demand
@@ -400,19 +437,29 @@ class Solver:
                     return (1 << k * v) - (2 << k * u)
                 return tuple((1 << k * p[v]) - (2 << k * p[u]) for p in inverses)
 
+            deltas = [[delta(u, v) for u, v in moves] for moves in self.moves_from]
+            table = None
+            if inverses is not None and len(inverses) >= BATCH_GROUP and self.n * k <= 63:
+                # each arc's record holds its row of the table in place of
+                # its deltas
+                flat = np.array(list(chain.from_iterable(deltas)), dtype=np.int64)
+                rows = iter(range(len(flat)))
+                deltas = [[next(rows) for _ in moves] for moves in deltas]
+                table = flat, deltas
             arcs = tuple(
-                tuple((u, v, delta(u, v), packed[v] - 2 * packed[u],
+                tuple((u, v, dk, packed[v] - 2 * packed[u],
                        bool(demand[u] or demand[v]), bit, indep)
-                      for (u, v), (bit, indep) in zip(moves, masks))
-                for moves, masks in zip(self.moves_from, self.sleep_masks))
-            self._keyed = shifts, arcs
+                      for (u, v), dk, (bit, indep) in zip(moves, row, masks))
+                for moves, row, masks in zip(self.moves_from, deltas, self.sleep_masks))
+            self._keyed = shifts, arcs, table
         return self._keyed
 
     @property
     def arcs(self):
         """Per vertex, the records of the moves out of it in search order:
-        (u, v, key delta, packed weight change, touches a demand vertex,
-        sleep-set bit, independence mask)."""
+        (u, v, key delta, or on the batched probe the arc's row in the delta
+        table, packed weight change, touches a demand vertex, sleep-set bit,
+        independence mask)."""
         return self._key_tables()[1]
 
     def solve(self, c, max_moves: int | None = None) -> SolveOutcome:
@@ -434,18 +481,22 @@ class Solver:
         deficit = sum(max(0, demand[x] - counts[x]) for x in targets)
         if deficit == 0:
             return SolveOutcome(True, Solution((), 1 if single else None), 0)
-        width = sum(counts).bit_length()
-        if width > self.k:
-            self._widen(width)
+        # the width lemma (see Solver) bounds every count the search reaches
+        size = sum(counts)
+        k, bits = ((max(counts) + size) // 2).bit_length(), size.bit_length()
+        if k > self.k or bits > self.bits:
+            self._widen(max(k, self.k), max(bits, self.bits))
         full = self.full
         weight = sum(map(mul, counts, self.packed)) + self.bias
         # settled like a child without a key: no key, no memo read or write
         if max_moves == 0 or weight & full != full or max(counts) < 2:
             return SolveOutcome(False, None, 1)
-        shifts, arcs = self._key_tables()
+        shifts, arcs, table = self._key_tables()
         # with a nontrivial stabilizer `images` holds the state's image keys
-        # and `key`, the memo key, is their least; otherwise `images` is None
-        images = None
+        # and `key`, the memo key, is their least; otherwise `images` is None.
+        # On the batched probe `images` is an int64 vector and `probe` maps
+        # the row of each arc out of the state to its child's memo key
+        images = probe = None
         if self.inverses is None:
             key = sum(map(lshift, counts, shifts[0]))
         else:
@@ -454,6 +505,10 @@ class Solver:
         failed = self.failed
         if key in failed:
             return SolveOutcome(False, None, 1)
+        batched = table is not None
+        if batched:
+            deltas, rows_from = table
+            images = np.array(images, dtype=np.int64)
         write = max_moves is None
         cap = MEMO_CAP
         approach = self.approach
@@ -462,28 +517,39 @@ class Solver:
 
         def moves_out():
             """The candidate moves out of the state in `counts`, in search
-            order, and whether a move out of it can leave a dead end: true
-            when exactly one vertex holds two pebbles or more, and it holds
-            2 or 3. Some vertex of the state holds two."""
+            order, whether a move out of it can leave a dead end (true when
+            exactly one vertex holds two pebbles or more, and it holds 2 or
+            3), and on the batched probe, unless its children sit at the
+            move bound, the memo keys of those moves' children by row. Some
+            vertex of the state holds two."""
             sources = [v for v in vertices if counts[v] > 1]
             lone = len(sources) == 1 and counts[sources[0]] < 4
             sources.sort(key=counts.__getitem__, reverse=True)
             if restricted:
                 unmet = sum(1 << i for i, x in enumerate(targets) if demand[x] > counts[x])
-                return iter([arc for u in sources
-                             for arc, m in zip(arcs[u], approach[u]) if m & unmet]), lone
-            return chain.from_iterable(map(arcs.__getitem__, sources)), lone
+                out = [arc for u in sources
+                       for arc, m in zip(arcs[u], approach[u]) if m & unmet]
+                it = iter(out)
+            else:
+                it = chain.from_iterable(map(arcs.__getitem__, sources))
+            if not batched or bound:
+                return it, lone, None
+            rows = ([arc[2] for arc in out] if restricted
+                    else list(chain.from_iterable(map(rows_from.__getitem__, sources))))
+            block = deltas.take(rows, axis=0)
+            block += images
+            return it, lone, dict(zip(rows, np.minimum.reduce(block, axis=1).tolist()))
 
-        it, lone = moves_out()
         # frames[i] holds the i-th state on the current path below the one in
-        # `key`: its key, its image keys, its untried moves, its packed
-        # weight, its deficit, its sleep and done sets and its dead-end flag;
-        # path[i] is the move taken out of it
+        # `key`: its key, its image keys, its probed child keys, its untried
+        # moves, its packed weight, its deficit, its sleep and done sets and
+        # its dead-end flag; path[i] is the move taken out of it
         frames: list = []
         path: list[tuple[int, int]] = []
         # children of a state at depth `last` sit at the move bound
         last = -1 if max_moves is None else max_moves - 1
         bound = last == 0
+        it, lone, probe = moves_out()
         states = 1
         sleep = done = 0
         while True:
@@ -509,25 +575,29 @@ class Solver:
                 if cw & full != full or (lone and not counts[v]):
                     done |= bit
                     continue
-                # an expanded child adds the deltas again below: a tuple
-                # built here would cost every memo hit, which dominates the
-                # deep unsolvable searches the orbit keys are for
-                child = min(map(add, images, dk)) if images else key + dk
+                # on the per-arc probe an expanded child adds the deltas
+                # again below: a tuple built here would cost every memo hit,
+                # which dominates the deep unsolvable searches
+                child = (key + dk if images is None else probe[dk] if batched
+                         else min(map(add, images, dk)))
                 if child in failed:
                     done |= bit
                     continue
-                frames.append((key, images, it, weight, deficit, sleep, done | bit, lone))
+                frames.append((key, images, probe, it, weight, deficit, sleep, done | bit,
+                               lone))
                 path.append((u, v))
                 counts[u] -= 2
                 counts[v] += 1
                 key, weight = child, cw
-                it, lone = moves_out()
-                sleep, done = (sleep | done) & indep, 0
-                if images:
+                if batched:
+                    images = images + deltas[dk]
+                elif images:
                     images = tuple(map(add, images, dk))
+                bound = len(path) == last
+                it, lone, probe = moves_out()
+                sleep, done = (sleep | done) & indep, 0
                 if touch:
                     deficit = left
-                bound = len(path) == last
                 break
             else:
                 # every move out of the state in `key` has failed
@@ -538,7 +608,7 @@ class Solver:
                 u, v = path.pop()
                 counts[u] += 2
                 counts[v] -= 1
-                key, images, it, weight, deficit, sleep, done, lone = frames.pop()
+                key, images, probe, it, weight, deficit, sleep, done, lone = frames.pop()
                 bound = len(path) == last
 
 
@@ -549,8 +619,9 @@ def get_solver(g: Graph, d: Distribution, mode: str = "unrestricted") -> Solver:
     """The cached solver for (g, d, mode); the cache keeps the
     SOLVER_CACHE_CAP most recently used solvers, memos included. The solver
     is symmetric: it keys its memo by orbit under the demand's stabilizer,
-    computed once, when one of its searches first expands a state (see
-    Solver)."""
+    computed once, when one of its searches first expands a state, and
+    probes a state's children in one numpy step when that group has at
+    least BATCH_GROUP elements and the keys fit in 63 bits (see Solver)."""
     key = (g, d.demands, mode)
     solver = _solver_cache.get(key)
     if solver is None:
@@ -575,8 +646,10 @@ def is_solvable(g: Graph, c: Configuration | tuple[int, ...], d: Distribution,
     their memo of failed states) are cached per (graph, demand, mode) and
     key the memo by orbit under the demand's stabilizer (see Solver): the
     verdict and solution are the plain search's, and a deep unsolvable
-    search visits fewer states, but each probe costs one add per group
-    element.
+    search visits fewer states, but a child's key costs one add per group
+    element: one at a time on a small group, and for all of a state's
+    children in one numpy step on a group of at least BATCH_GROUP elements
+    whose keys fit in 63 bits.
     """
     if d.size < 1:
         return SolveOutcome(True, Solution((), None), 0)

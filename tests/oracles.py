@@ -133,6 +133,29 @@ def brute_solvable(g, counts, demands, mode="unrestricted"):
     return False
 
 
+def brute_reachable(g, counts):
+    """Every configuration reachable from counts by pebbling moves, counts
+    itself included."""
+    adj = neighbor_lists(g.n, g.edges)
+    start = tuple(counts)
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        c = queue.popleft()
+        for u in range(g.n):
+            if c[u] < 2:
+                continue
+            for v in adj[u]:
+                nxt = list(c)
+                nxt[u] -= 2
+                nxt[v] += 1
+                state = tuple(nxt)
+                if state not in seen:
+                    seen.add(state)
+                    queue.append(state)
+    return seen
+
+
 def brute_solvable_memo(adj, counts, demands, memo):
     """The unrestricted brute_solvable verdict by recursion over single
     moves: counts solves the demand iff it meets it pointwise or some

@@ -34,8 +34,8 @@ from pebblekit import engine
 from pebblekit.engine import get_solver
 from pebblekit.numbers import _FastFilter
 
-from oracles import ReferenceSolver, all_configs, brute_min_moves, brute_solvable, \
-    random_config, random_connected_edges
+from oracles import ReferenceSolver, all_configs, brute_min_moves, brute_reachable, \
+    brute_solvable, random_config, random_connected_edges
 
 
 def path_graph(n):
@@ -546,28 +546,24 @@ def test_lem_3_6_search_counts_are_pinned():
             assert all(max(state) > 1 for state in memo_tuples(solver))
 
 
-def test_symmetric_search_matches_the_plain_search():
-    """Solver(g, d, mode, symmetric=True) against Solver(g, d, mode) on cycles,
-    stars, the Petersen graph and small random graphs, in all three modes:
-    one shared solver pair per (graph, demand, mode), called with mixed
-    sizes so the key width grows over a filled memo. Each graph gets ten
-    random demands of one to three targets; one of 9 pebbles on a vertex,
-    more than the small uniform configurations hold; and, where the graph
-    has one, a three-target demand whose targets' eccentricities are not
-    all equal. Half the configurations are uniform, under a random move
-    bound; the other half are grown past the weight cut (past_the_cut) and
-    searched unbounded, so the search gets past its first state and can
-    write the memo. Each call gives the plain verdict and solution,
-    explores no more states, and agrees with oracles.brute_solvable when
-    unbounded and small; the packed weight cut agrees with the per-target
-    one."""
+def symmetric_pool():
+    """(graph, demand, mode, calls) for the symmetric-search tests: cycles,
+    stars, the Petersen graph and small random graphs, in all three modes.
+    Each graph gets ten random demands of one to three targets; one of 9
+    pebbles on a vertex, more than the small uniform configurations hold;
+    and, where the graph has one, a three-target demand whose targets'
+    eccentricities are not all equal. Each (graph, demand, mode) gets seven
+    calls (configuration, max_moves) of mixed sizes, so the key width of a
+    solver taking them in order grows over a filled memo: half uniform,
+    under a random move bound, the other half grown past the weight cut
+    (past_the_cut) and unbounded, so the search gets past its first state
+    and can write the memo."""
     rng = random.Random(83)
     graphs = ([build_graph(n, [(i, (i + 1) % n) for i in range(n)]) for n in (4, 5, 6)]
               + [build_graph(k + 1, [(0, i) for i in range(1, k + 1)]) for k in (3, 4)]
               + [kneser(5, 2)])
     for n in (4, 5, 5, 6, 6):
         graphs.append(build_graph(n, random_connected_edges(n, rng.randrange(n), rng)))
-    nontrivial = widened = fewer = 0
     for g in graphs:
         ecc = [max(g.distances(v)) for v in range(g.n)]
         unequal = [trio for trio in combinations(range(g.n), 3)
@@ -585,30 +581,135 @@ def test_symmetric_search_matches_the_plain_search():
             else:
                 continue
             d = Distribution(tuple(demand))
-            nontrivial += len(stabilizer(g, [d.demands])) > 1
+            # the weight cut, which past_the_cut reads, does not depend on mode
+            cut = Solver(g, d)
             for mode in MODES:
-                sym, plain = Solver(g, d, mode, symmetric=True), Solver(g, d, mode)
+                calls = []
                 for _ in range(7):
                     if rng.random() < 0.5:
                         c = random_config(
                             g.n, rng.choice((rng.randrange(9), rng.randrange(9, 24))), rng)
-                        max_moves = rng.choice((None, None, 0, 1, 2, 3, 5))
+                        calls.append((c, rng.choice((None, None, 0, 1, 2, 3, 5))))
                     else:
-                        c, max_moves = past_the_cut(plain, rng), None
-                    k, memo = sym.k, len(sym.failed)
-                    got, want = sym.solve(c, max_moves), plain.solve(c, max_moves)
-                    assert (got.solvable, got.solution) == (want.solvable, want.solution)
-                    # a call whose demand is met at once does not widen
-                    if sum(c) < 1 << plain.k:
-                        assert packed_cut(plain, c) == all(
-                            sum(map(mul, c, w)) >= need
-                            for w, need in zip(plain.W, plain.need))
-                    assert got.states_explored <= want.states_explored
-                    fewer += got.states_explored < want.states_explored
-                    if max_moves is None and sum(c) < 9:
-                        assert got.solvable == brute_solvable(g, c, d.demands, mode)
-                    widened += sym.k > k and memo > 0
+                        calls.append((past_the_cut(cut, rng), None))
+                yield g, d, mode, calls
+
+
+def test_symmetric_search_matches_the_plain_search():
+    """Solver(g, d, mode, symmetric=True) against Solver(g, d, mode) on
+    symmetric_pool(): one shared solver pair per (graph, demand, mode),
+    taking its calls in order. Each call gives the plain verdict and
+    solution, explores no more states, and agrees with
+    oracles.brute_solvable when unbounded and small; the packed weight cut
+    agrees with the per-target one."""
+    nontrivial = widened = fewer = 0
+    for g, d, mode, calls in symmetric_pool():
+        if mode == MODES[0]:
+            nontrivial += len(stabilizer(g, [d.demands])) > 1
+        sym, plain = Solver(g, d, mode, symmetric=True), Solver(g, d, mode)
+        for c, max_moves in calls:
+            k, memo = sym.k, len(sym.failed)
+            got, want = sym.solve(c, max_moves), plain.solve(c, max_moves)
+            assert (got.solvable, got.solution) == (want.solvable, want.solution)
+            # a call whose demand is met at once does not widen
+            if sum(c) < 1 << plain.bits:
+                assert packed_cut(plain, c) == all(
+                    sum(map(mul, c, w)) >= need
+                    for w, need in zip(plain.W, plain.need))
+            assert got.states_explored <= want.states_explored
+            fewer += got.states_explored < want.states_explored
+            if max_moves is None and sum(c) < 9:
+                assert got.solvable == brute_solvable(g, c, d.demands, mode)
+            widened += sym.k > k and memo > 0
     assert nontrivial > 50 and widened > 40 and fewer > 10
+
+
+def probe_path(solver):
+    """The probe of the solver's key tables at its current width, "batched"
+    or "per-arc", or None when no search has needed them since set-up or
+    the last widening."""
+    if solver._keyed is None:
+        return None
+    return "per-arc" if solver._keyed[2] is None else "batched"
+
+
+def test_batched_probe_matches_the_per_arc_probe(monkeypatch):
+    """symmetric_pool() with BATCH_GROUP at 2, so that every nontrivial
+    stabilizer whose keys fit in 63 bits takes the batched probe, against
+    the same calls to a solver at the default threshold: one shared pair of
+    symmetric solvers per (graph, demand, mode). Each call gives the same
+    verdict, solution and state count, and leaves the same memo."""
+    default = engine.BATCH_GROUP
+    compared = 0
+    for g, d, mode, calls in symmetric_pool():
+        fast, lazy = Solver(g, d, mode, symmetric=True), Solver(g, d, mode, symmetric=True)
+        for c, max_moves in calls:
+            monkeypatch.setattr(engine, "BATCH_GROUP", 2)
+            got = fast.solve(c, max_moves)
+            monkeypatch.setattr(engine, "BATCH_GROUP", default)
+            want = lazy.solve(c, max_moves)
+            assert (got.solvable, got.solution, got.states_explored) == \
+                (want.solvable, want.solution, want.states_explored)
+            assert fast.failed == lazy.failed
+            if probe_path(fast) == "batched":
+                assert fast.n * fast.k <= 63 and len(fast.inverses) >= 2
+                compared += probe_path(lazy) == "per-arc" and got.states_explored > 1
+    assert compared > 300
+
+
+def test_key_width_holds_every_reachable_count():
+    """Width lemma (see Solver): every count reached from c0 is at most
+    floor((c0(v) + |c0|)/2), checked against every configuration
+    oracles.brute_reachable reaches from random configurations on small
+    random connected graphs. One shared solver per graph takes the
+    configurations in order: its key width is the bit length of the largest
+    bound over the calls that did not meet the demand at once, and every
+    memo entry decodes within it to a reached configuration."""
+    rng = random.Random(101)
+    narrower = 0
+    for _ in range(40):
+        n = rng.randrange(2, 7)
+        g = build_graph(n, random_connected_edges(n, rng.randrange(n), rng))
+        d = Distribution.stacked(n, rng.randrange(n), rng.randrange(1, 3))
+        solver = Solver(g, d)
+        largest, reached = 0, set()
+        for _ in range(6):
+            c = random_config(n, rng.randrange(13), rng)
+            states = brute_reachable(g, c)
+            assert all(x <= (c0 + sum(c)) // 2
+                       for state in states for x, c0 in zip(state, c))
+            reached |= states
+            solver.solve(c)
+            if any(x < y for x, y in zip(c, d.demands)):
+                largest = max(largest, (max(c) + sum(c)) // 2)
+            assert solver.k == largest.bit_length()
+            assert all(key < 1 << n * solver.k for key in solver.failed)
+            assert memo_tuples(solver) <= reached
+            narrower += solver.k < solver.bits
+    assert narrower > 50
+
+
+def test_each_solver_takes_the_probe_its_group_and_width_allow(petersen):
+    """The batched probe needs a stabilizer of at least BATCH_GROUP
+    elements and keys of at most 63 bits. lem-3.6's two (6,3) solvers take
+    it: 48 elements and, by the width lemma, 4 bits a vertex on K(6,2)'s 15
+    vertices, 60 bits. A one-move call already builds the key tables at
+    the configuration's width. Petersen's 12-element root stabilizer keeps
+    the per-arc probe, and so does K(6,2) once a call needs 5 bits a
+    vertex, 75 bits."""
+    g = kneser(6, 2)
+    d = Distribution.stacked(g.n, 0, 3)
+    for build in (build_C_t1, build_C_t2):
+        solver = Solver(g, d, symmetric=True)
+        assert not solver.solve(build(g, 0, 3), 1).solvable
+        assert (probe_path(solver), len(solver.inverses), g.n * solver.k) == ("batched", 48, 60)
+    solver = get_solver(petersen, Distribution.stacked(10, 0, 1))
+    out = solver.solve((0, 3, 1) + (0,) * 7)
+    assert (out.solvable, out.states_explored) == (False, 4)
+    assert (probe_path(solver), len(solver.inverses)) == ("per-arc", 12)
+    wide = Solver(g, d, symmetric=True)
+    assert wide.solve((0,) * 14 + (30,)).solvable
+    assert (probe_path(wide), wide.k) == ("per-arc", 5)
 
 
 def test_cached_solvers_key_their_memo_by_the_demand_stabilizer(petersen):
@@ -632,10 +733,10 @@ def test_cached_solvers_key_their_memo_by_the_demand_stabilizer(petersen):
 def test_cached_solvers_build_the_stabilizer_on_first_expansion(monkeypatch):
     """get_solver builds its solver without the demand's stabilizer. C_t1 at
     t=1, one pebble on each vertex but the root, is a dead end: it is
-    refused in 1 state with no stabilizer call, in under a second even on
-    K(9,2), whose root stabilizer has 10,080 elements. The first search
-    that expands a state computes the group, once, and `inverses` reads
-    it."""
+    refused in 1 state with no stabilizer call and no key tables, so no
+    delta table either, in under a second even on K(9,2), whose root
+    stabilizer has 10,080 elements. The first search that expands a state
+    computes the group, once, and `inverses` reads it."""
     calls = []
 
     def counted(*args):
@@ -648,15 +749,17 @@ def test_cached_solvers_build_the_stabilizer_on_first_expansion(monkeypatch):
         g = kneser(m, 2)
         c = build_C_t1(g, 0, 1)
         start = time.perf_counter()
-        out = get_solver(g, Distribution.stacked(g.n, 0, 1)).solve(c)
+        solver = get_solver(g, Distribution.stacked(g.n, 0, 1))
+        out = solver.solve(c)
         elapsed = time.perf_counter() - start
         assert (out.solvable, out.states_explored, len(calls)) == (False, 1, 0)
+        assert probe_path(solver) is None
     assert elapsed < 1.0
     g = kneser(6, 2)
     solver = get_solver(g, Distribution.stacked(g.n, 0, 1))
     out = solver.solve(build_C_t2(g, 0, 1))
     assert not out.solvable and out.states_explored > 1
-    assert len(calls) == 1
+    assert len(calls) == 1 and probe_path(solver) == "batched"
     assert len(solver.inverses) == 48
     assert len(calls) == 1
 
