@@ -16,27 +16,14 @@ from .engine import Configuration, Distribution, PebblingError, is_solvable, \
 from .families import FamilyError, FanSpec, kneser, random_tree, two_path
 from .formulas import FormulaError, KneserParams, kneser_p, spinal_pi, \
     tree_pi, two_path_pi_t
-from .graph import GraphError, graph_from_json, graph_to_json
-from .harness import _json_safe, CampaignConfig, HarnessError, atomic_write, \
-    load_graph, run_campaign
+from .graph import GraphError, graph_to_json
+from .harness import _json_safe, _read_source, CampaignConfig, HarnessError, \
+    atomic_write, load_graph, run_campaign
 from .numbers import BudgetExceededError, find_unsolvable_witness, pi_D, \
     pi_t, verify_target_conjecture
 from .version import VERSION
 
 PASS, FAIL, ERROR = 0, 1, 2
-
-
-def _read_source(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
-
-
-def _load_graph_arg(path: str):
-    if path == "-":
-        return graph_from_json(sys.stdin.read())
-    return load_graph(path)
 
 
 def _parse_ints(text: str) -> list:
@@ -141,7 +128,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    g = _load_graph_arg(args.graph)
+    g = load_graph(args.graph)
     cfg = Configuration(tuple(_parse_ints(args.config)))
     if len(cfg) != g.n:
         raise PebblingError(f"config has {len(cfg)} entries for {g.n} vertices")
@@ -172,7 +159,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_pi(args) -> int:
-    g = _load_graph_arg(args.graph)
+    g = load_graph(args.graph)
     if args.demand or args.root is not None:
         d = _demand_from_args(args, g.n)
         value = pi_D(g, d, budget=args.budget, jobs=args.jobs, mode=args.mode)
@@ -193,7 +180,7 @@ def _cmd_pi(args) -> int:
 
 
 def _cmd_witness(args) -> int:
-    g = _load_graph_arg(args.graph)
+    g = load_graph(args.graph)
     d = _demand_from_args(args, g.n)
     res = find_unsolvable_witness(g, d, args.size, mode=args.mode,
                                   collect_all=args.all, jobs=args.jobs,
@@ -209,7 +196,7 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_verify_target(args) -> int:
-    g = _load_graph_arg(args.graph)
+    g = load_graph(args.graph)
     classes = None
     if args.demands:
         raw = json.loads(_read_source(args.demands[1:])
@@ -222,34 +209,28 @@ def _cmd_verify_target(args) -> int:
     return PASS if rep["pass"] else FAIL
 
 
+# verify's parameter flags: (params key, parser of the flag's text, help),
+# in the order a report records them; the flag is --key with - for _
+_VERIFY_PARAMS = (
+    ("m", int, None),
+    ("t", _parse_ints, "e.g. '2' or '1..3'"),
+    ("spec", _parse_spec_arg, None),
+    ("max_n", int, None),
+    ("d_values", _parse_ints, None),
+    ("count", int, None),
+    ("samples", int, None),
+    ("m_values", _parse_ints, None),
+    ("t_values", _parse_ints, None),
+    ("enumerate", lambda text: {"max_n": int(text)},
+     "run over every fan spec up to this vertex count"),
+)
+
+
 def _cmd_verify(args) -> int:
-    params = {}
-    if args.m is not None:
-        params["m"] = args.m
-    if args.t:
-        params["t"] = _parse_ints(args.t)
-    if args.spec:
-        params["spec"] = _parse_spec_arg(args.spec)
-    if args.max_n is not None:
-        params["max_n"] = args.max_n
-    if args.d_values:
-        params["d_values"] = _parse_ints(args.d_values)
-    if args.count is not None:
-        params["count"] = args.count
-    if args.samples is not None:
-        params["samples"] = args.samples
-    if args.m_values:
-        params["m_values"] = _parse_ints(args.m_values)
-    if args.t_values:
-        params["t_values"] = _parse_ints(args.t_values)
-    if args.scan_cap is not None:
-        params["scan_cap"] = args.scan_cap
-    if args.enumerate is not None:
-        params["enumerate"] = {"max_n": args.enumerate}
-        if args.d_values:
-            params["enumerate"]["d_values"] = _parse_ints(args.d_values)
-    if args.exhaustive:
-        params["exhaustive"] = True
+    params = {key: parse(getattr(args, key)) for key, parse, _ in _VERIFY_PARAMS
+              if getattr(args, key) is not None}
+    if "enumerate" in params and "d_values" in params:
+        params["enumerate"]["d_values"] = params.pop("d_values")
     config = CampaignConfig(claim=args.claim, params=params,
                             budget=args.budget, jobs=args.jobs,
                             seed=args.seed, out=args.out, format=args.format)
@@ -374,19 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a registered claim verification")
     p.add_argument("claim", help="claim id, e.g. thm-3.5")
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--t", default=None, help="e.g. '2' or '1..3'")
-    p.add_argument("--spec", default=None)
-    p.add_argument("--max-n", type=int, default=None)
-    p.add_argument("--d-values", default=None)
-    p.add_argument("--count", type=int, default=None)
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--m-values", default=None)
-    p.add_argument("--t-values", default=None)
-    p.add_argument("--scan-cap", type=int, default=None)
-    p.add_argument("--enumerate", type=int, default=None,
-                   help="run over every fan spec up to this vertex count")
-    p.add_argument("--exhaustive", action="store_true")
+    for key, _, help_text in _VERIFY_PARAMS:
+        p.add_argument("--" + key.replace("_", "-"), default=None, help=help_text)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--seed", type=int, default=0,
                    help="seed of the sampling claims (thm-3.5 at m=6, fact-2.2)")

@@ -3,7 +3,7 @@ configurations that realize them."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
@@ -35,8 +35,8 @@ class KneserParams:
 
     m: int
     t: int
-    n: int = 0
-    t0: Fraction = Fraction(0)
+    n: int = field(init=False)
+    t0: Fraction = field(init=False)
 
     def __post_init__(self):
         if self.m < 5:

@@ -8,6 +8,7 @@ import json
 import logging
 import os
 import random
+import sys
 import tempfile
 import time
 from dataclasses import dataclass, field, fields
@@ -104,16 +105,24 @@ def atomic_write(path: str, text: str):
         raise
 
 
-def load_graph(path: str) -> Graph:
-    """Read a graph JSON file; duplicate edges are merged with a warning,
-    parse errors carry line/column, invariant violations raise."""
+def _read_source(path: str) -> str:
+    """The text of a file, or of standard input when path is '-'."""
+    if path == "-":
+        return sys.stdin.read()
     with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    g, edges = _decode_graph(text)
+        return fh.read()
+
+
+def load_graph(path: str) -> Graph:
+    """Read a graph JSON file, or standard input when path is '-';
+    duplicate edges are merged with a warning, parse errors carry
+    line/column, invariant violations raise."""
+    g, edges = _decode_graph(_read_source(path))
     listed = [tuple(sorted((int(u), int(v)))) for u, v in edges]
     dupes = len(listed) - len(set(listed))
     if dupes:
-        log.warning("%s: %d duplicate edge(s) merged", path, dupes)
+        log.warning("%s: %d duplicate edge(s) merged",
+                    "<stdin>" if path == "-" else path, dupes)
     return g
 
 
@@ -216,10 +225,10 @@ def _petersen_size13_scan() -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _as_int_list(params, name: str, default) -> list:
-    """The integer list params[name] (default when absent); an empty list is
-    refused, since a claim checked for no value would pass vacuously."""
-    value = params.get(name, default)
+def _as_int_list(params, name: str) -> list:
+    """The integer list params[name]; an empty list is refused, since a
+    claim checked for no value would pass vacuously."""
+    value = params[name]
     out = [int(x) for x in value] if isinstance(value, (list, tuple)) else [int(value)]
     if not out:
         raise HarnessError(f"{name} needs at least one value, got {value!r}")
@@ -234,8 +243,7 @@ def _as_int(value) -> int:
     return int(value)
 
 
-def _parse_spec(params) -> FanSpec:
-    raw = params.get("spec", {"k": [1]})
+def _parse_spec(raw) -> FanSpec:
     if isinstance(raw, FanSpec):
         return raw
     if isinstance(raw, dict):
@@ -252,16 +260,13 @@ def _fan_specs(max_n, d_values) -> list:
     return specs
 
 
-def _specs_for(params):
+def _run_thm_2_1(params, budget, jobs, seed):
+    ts = _as_int_list(params, "t")
     if "enumerate" in params:
         en = params["enumerate"]
-        return _fan_specs(en["max_n"], en.get("d_values"))
-    return [_parse_spec(params)]
-
-
-def _run_thm_2_1(params, budget, jobs, seed):
-    ts = _as_int_list(params, "t", (1, 2, 3))
-    specs = _specs_for(params)
+        specs = _fan_specs(en["max_n"], en.get("d_values"))
+    else:
+        specs = [_parse_spec(params["spec"])]
     expected = {}
     computed = {}
     witnesses = []
@@ -292,15 +297,19 @@ def _run_thm_2_1(params, budget, jobs, seed):
             "witnesses": witnesses, "passed": passed}
 
 
+# fact-2.2 keeps a drawn tree only if its largest pi_t scan has at most
+# this many configurations
+_TREE_SCAN_CAP = 3_000_000
+
+
 def _run_fact_2_2(params, budget, jobs, seed):
-    count = int(params.get("count", 50))
-    max_n = int(params.get("max_n", 9))
+    count = int(params["count"])
+    max_n = int(params["max_n"])
     if count < 1:
         raise HarnessError(f"fact-2.2 needs at least one tree, got {count}")
     if max_n < 3:
         raise HarnessError(f"fact-2.2 needs max_n of at least 3, got {max_n}")
-    ts = _as_int_list(params, "t", (1, 2, 3))
-    cap = int(params.get("scan_cap", 3_000_000))
+    ts = _as_int_list(params, "t")
     trees = []
     attempt = 0
     while len(trees) < count:
@@ -308,7 +317,7 @@ def _run_fact_2_2(params, budget, jobs, seed):
         tree = random_tree(n, seed + attempt)
         attempt += 1
         partition = max_path_partition(tree)
-        if num_configs(n, tree_pi(partition, max(ts))) <= cap:
+        if num_configs(n, tree_pi(partition, max(ts))) <= _TREE_SCAN_CAP:
             trees.append((tree, partition))
     mismatches = []
     witnesses = []
@@ -332,7 +341,7 @@ def _run_fact_2_2(params, budget, jobs, seed):
 
 
 def _run_cor_2_3(params, budget, jobs, seed):
-    max_n = int(params.get("max_n", 12))
+    max_n = int(params["max_n"])
     d_values = params.get("d_values")
     pairs = 0
     mismatches = []
@@ -357,11 +366,11 @@ def _run_cor_2_3(params, budget, jobs, seed):
 
 
 def _run_thm_2_6(params, budget, jobs, seed):
-    t = _as_int(params.get("t", 2))
+    t = _as_int(params["t"])
     if "spec" in params:
-        specs = [_parse_spec(params)]
+        specs = [_parse_spec(params["spec"])]
     else:
-        specs = _fan_specs(int(params.get("max_n", 8)), params.get("d_values", [2, 3]))
+        specs = _fan_specs(int(params["max_n"]), params["d_values"])
     failures = []
     witnesses = []
     for spec in specs:
@@ -386,7 +395,7 @@ def _run_thm_2_6(params, budget, jobs, seed):
 
 
 def _run_cor_3_3(params, budget, jobs, seed):
-    ms = _as_int_list(params, "m_values", (5, 6, 7))
+    ms = _as_int_list(params, "m_values")
     expected = {str(m): comb(m - 2, 2) for m in ms}
     computed = {str(m): vertex_connectivity(kneser(m, 2)) for m in ms}
     return {"expected": expected, "computed": computed, "witnesses": [],
@@ -394,9 +403,12 @@ def _run_cor_3_3(params, budget, jobs, seed):
 
 
 def _run_thm_3_5(params, budget, jobs, seed):
-    m = _as_int(params.get("m", 5))
+    m = _as_int(params["m"])
     expected = comb(m, 2)
     if m == 5:
+        if "samples" in params:
+            raise HarnessError("thm-3.5 takes samples only with m=6; at m=5 "
+                               "it scans every configuration")
         scan = _petersen_pi1_scan()
         budget.charge(scan["configs_checked"])
         jr = build_J_r(_petersen(), _PETERSEN_ROOT)
@@ -432,12 +444,6 @@ def _run_thm_3_5(params, budget, jobs, seed):
         bad = first[1] if first is not None else None
         witnesses = [{"size14_witness": c11,
                       "unsolvable": lower_ok, "samples": samples}]
-        exhaustive = bool(params.get("exhaustive", False))
-        if exhaustive:
-            res = find_unsolvable_witness(g, d, expected - 1,
-                                          collect_all=True, budget=budget,
-                                          jobs=jobs)
-            witnesses.append({"size14_witness_count": len(res.witnesses)})
         if bad is not None:
             witnesses.append({"bad_sample": bad})
         ok = lower_ok and bad is None
@@ -449,8 +455,8 @@ def _run_thm_3_5(params, budget, jobs, seed):
 
 
 def _run_lem_3_6(params, budget, jobs, seed):
-    ms = _as_int_list(params, "m_values", (5, 6))
-    ts = _as_int_list(params, "t_values", (1, 2, 3))
+    ms = _as_int_list(params, "m_values")
+    ts = _as_int_list(params, "t_values")
     results = []
     passed = True
     for m in ms:
@@ -495,7 +501,9 @@ def _run_claim_b(params, budget, jobs, seed):
 
 
 def _run_cor_3_10(params, budget, jobs, seed):
-    ts = _as_int_list(params, "t_values", (1, 2))
+    ts = _as_int_list(params, "t_values")
+    if not set(ts) <= {1, 2}:
+        raise HarnessError(f"cor-3.10 verification covers t in (1, 2), got {ts}")
     expected = {}
     computed = {}
     witnesses = []
@@ -510,7 +518,7 @@ def _run_cor_3_10(params, budget, jobs, seed):
                   and scan["size10_witness"] is None)
             computed[str(t)] = p if ok else None
             passed &= ok
-        elif t == 2:
+        else:
             scan = _petersen_size13_scan()
             budget.charge(scan["configs_checked"])
             stacked_fail = [f for f in scan["demand_failures"]
@@ -520,13 +528,13 @@ def _run_cor_3_10(params, budget, jobs, seed):
             computed[str(t)] = p if ok else None
             witnesses.append({"t": 2, "lower_witness": scan["c22"]})
             passed &= ok
-        else:
-            raise HarnessError(f"cor-3.10 verification covers t in (1, 2), got {t}")
     return {"expected": expected, "computed": computed,
             "witnesses": witnesses, "passed": passed}
 
 
 def _run_thm_3_11(params, budget, jobs, seed):
+    if _as_int(params["t"]) != 2:
+        raise HarnessError(f"thm-3.11 is checked at t=2 only, got t={params['t']}")
     g = _petersen()
     orbits = pair_orbits(g)
     reps = [orbit[0] for orbit in orbits]
@@ -563,35 +571,40 @@ def _json_safe(value):
 
 @dataclass(frozen=True)
 class ClaimSpec:
+    """One registry claim: the parameters its runner reads are the keys of
+    defaults and of optional. optional maps each parameter read beyond the
+    defaults to the defaults it replaces, which a run may not also pass."""
     claim: str
     description: str
     criteria: tuple[int, ...]
     defaults: dict
     runner: object
+    optional: dict = field(default_factory=dict)
 
 
 REGISTRY: dict[str, ClaimSpec] = {
     spec.claim: spec for spec in (
         ClaimSpec("thm-2.1",
                   "t-fold pebbling number of a 2-path is t*2^d + n - 2d",
-                  (4,), {"spec": {"k": [1]}, "t": [1, 2, 3]}, _run_thm_2_1),
+                  (4,), {"spec": {"k": [1]}, "t": [1, 2, 3]}, _run_thm_2_1,
+                  {"enumerate": ("spec",)}),
         ClaimSpec("fact-2.2",
                   "rooted tree pebbling number from the maximum path partition",
                   (6,), {"count": 50, "max_n": 9, "t": [1, 2, 3]},
                   _run_fact_2_2),
         ClaimSpec("cor-2.3",
                   "spinal-tree pebbling numbers match the case formula and bound",
-                  (7,), {"max_n": 12}, _run_cor_2_3),
+                  (7,), {"max_n": 12}, _run_cor_2_3, {"d_values": ()}),
         ClaimSpec("thm-2.6",
                   "target conjecture holds on 2-paths for size-2 demands",
                   (5,), {"max_n": 8, "d_values": [2, 3], "t": 2},
-                  _run_thm_2_6),
+                  _run_thm_2_6, {"spec": ("max_n", "d_values")}),
         ClaimSpec("cor-3.3",
                   "Kneser 2-subset graph connectivity is binom(m-2, 2)",
                   (8,), {"m_values": [5, 6, 7]}, _run_cor_3_3),
         ClaimSpec("thm-3.5",
                   "pebbling number of the Kneser 2-subset graph is binom(m, 2)",
-                  (1, 11), {"m": 5}, _run_thm_3_5),
+                  (1, 11), {"m": 5}, _run_thm_3_5, {"samples": ()}),
         ClaimSpec("lem-3.6",
                   "doubled/quadrupled stack constructions are t-fold unsolvable",
                   (9,), {"m_values": [5, 6], "t_values": [1, 2, 3]},
@@ -615,6 +628,21 @@ REGISTRY: dict[str, ClaimSpec] = {
 }
 
 
+def _claim_params(spec: ClaimSpec, given: dict) -> dict:
+    """The parameters a run of spec reads: its defaults, updated by given.
+    A parameter the claim does not read, or one given with a default it
+    replaces, is refused, since the runner would ignore it."""
+    takes = ", ".join([*spec.defaults, *spec.optional]) or "no parameters"
+    for key in given:
+        if key not in spec.defaults and key not in spec.optional:
+            raise HarnessError(f"{spec.claim} does not read {key}; it takes {takes}")
+        both = [k for k in spec.optional.get(key, ()) if k in given]
+        if both:
+            raise HarnessError(f"{spec.claim} reads {key} in place of "
+                               f"{', '.join(both)}; it takes {takes}")
+    return {**spec.defaults, **given}
+
+
 def run_campaign(config: CampaignConfig) -> ExperimentReport:
     """Dispatch a registry claim, time it, and build (optionally persist)
     the report. Verdicts: pass, fail, or budget."""
@@ -622,7 +650,7 @@ def run_campaign(config: CampaignConfig) -> ExperimentReport:
     if spec is None:
         known = ", ".join(sorted(REGISTRY))
         raise HarnessError(f"unknown claim id {config.claim!r}; known: {known}")
-    params = {**spec.defaults, **(config.params or {})}
+    params = _claim_params(spec, config.params or {})
     _check_jobs(config.jobs)
     budget = _coerce_budget(config.budget)
     start = time.perf_counter()

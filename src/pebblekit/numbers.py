@@ -754,7 +754,15 @@ def _scan_chunk(g: Graph, demands, blocks, *, stops: int,
     in block, then demand, then row order; and the number of rows checked.
     stops=0 collects every failure, and stops=len(demands) stops at the
     first. With 0 < stops < len(demands) only the first kept failure is
-    wanted, so the other demands are no longer settled once one fails."""
+    wanted, so the other demands are no longer settled after the block in
+    which one fails.
+
+    The stop failure is the least row that some stop demand fails, ties
+    going to the first such demand in list order, whatever the order of
+    the demands; so is the first kept failure among the other demands.
+    Once a demand fails a block at row i, the later demands of its kind
+    settle only the block's rows below i, so a scan with no failure makes
+    the same engine calls as one that settles every demand in full."""
     use_filters = mode == "unrestricted"
     filters = [_FastFilter(g, d) for d in demands] if use_filters else None
     checked = 0
@@ -764,23 +772,31 @@ def _scan_chunk(g: Graph, demands, blocks, *, stops: int,
             budget.charge(rows.shape[0])
         checked += rows.shape[0]
         cache: dict = {}
+        least = None  # (row, failure) of the block's least failure so far
         for di, d in enumerate(demands):
+            if di == stops and least is not None:
+                return least[1], failures, checked
             if failures and 0 < stops <= di:
                 break
+            end = rows.shape[0] if least is None else least[0]
             if use_filters:
-                left = np.flatnonzero(~filters[di].accept(rows, cache)).tolist()
+                left = np.flatnonzero(
+                    ~filters[di].accept(rows, cache)[:end]).tolist()
             else:
-                left = range(rows.shape[0])
+                left = range(end)
             for i in left:
                 counts = tuple(rows[i].tolist())
                 if is_solvable(g, counts, d, mode).solvable:
                     continue
                 failure = (di, Configuration(counts))
-                if di < stops:
-                    return failure, failures, checked
-                failures.append(failure)
                 if stops:
+                    least = (i, failure)
                     break
+                failures.append(failure)
+        if least is not None:
+            if least[1][0] < stops:
+                return least[1], failures, checked
+            failures.append(least[1])
     return None, failures, checked
 
 
@@ -1048,10 +1064,10 @@ def _confirm_lower(g: Graph, t: int, roots, want_size: int, candidates,
     """Certify pi_t(g) > want_size by exhibiting one engine-confirmed
     unsolvable configuration: the candidates of that size first, in order,
     and as a fallback one scan of that size over the stacked demands of
-    every requested root, which stops at its first failure: in the first
-    block any root fails, the first root in roots order that fails there,
-    at that root's least failing row. candidates may be a generator; it is
-    read only up to the first candidate the engine refuses."""
+    every requested root, which stops at its first failure: the least row
+    that some root fails, at the first root in roots order that fails it.
+    candidates may be a generator; it is read only up to the first
+    candidate the engine refuses."""
     sized = ((Distribution.stacked(g.n, r, t), cfg) for r, cfg in candidates
              if cfg.size == want_size)
     for d, cfg in _refused(g, sized, budget):

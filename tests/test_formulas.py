@@ -121,6 +121,11 @@ def test_kneser_params_fields():
         KneserParams(4, 1)
     with pytest.raises(FormulaError):
         KneserParams(5, 0)
+    # n and t0 follow from m: passing either is refused, not overwritten
+    for args, kwargs in (((5, 1, 999), {}), ((5, 1), {"n": 999}),
+                         ((5, 1), {"t0": Fraction(7)})):
+        with pytest.raises(TypeError):
+            KneserParams(*args, **kwargs)
 
 
 def test_kneser_p_branch_agrees_with_max():

@@ -9,8 +9,10 @@ import logging
 import os
 import pkgutil
 import random
+import runpy
 import subprocess
 import sys
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -62,6 +64,10 @@ def test_registry_shape():
         assert spec.claim == claim
         assert spec.description
         assert isinstance(spec.defaults, dict)
+        # an optional parameter is no default, and replaces only defaults
+        assert not set(spec.optional) & set(spec.defaults)
+        assert all(set(replaced) <= set(spec.defaults)
+                   for replaced in spec.optional.values())
         assert spec.criteria and all(1 <= c <= 12 for c in spec.criteria)
         covered.update(spec.criteria)
     # criterion 12 is the engine property-suite battery, covered by tests
@@ -71,6 +77,72 @@ def test_registry_shape():
 def test_run_campaign_unknown_claim():
     with pytest.raises(HarnessError, match="unknown claim"):
         run_campaign(CampaignConfig(claim="thm-0.0"))
+
+
+def test_each_claim_refuses_a_parameter_it_does_not_read(monkeypatch):
+    """run_campaign refuses a parameter outside a claim's defaults and
+    optional ones before its runner starts, naming what the claim takes."""
+    def runner(*args):
+        raise AssertionError("the runner ran")
+
+    for claim, spec in REGISTRY.items():
+        monkeypatch.setitem(REGISTRY, claim, replace(spec, runner=runner))
+        takes = ", ".join([*spec.defaults, *spec.optional]) or "no parameters"
+        with pytest.raises(HarnessError) as err:
+            run_campaign(CampaignConfig(claim=claim, params={"bogus": 1}))
+        assert str(err.value) == f"{claim} does not read bogus; it takes {takes}"
+
+
+def test_verify_refuses_what_a_claim_would_ignore(monkeypatch, capsys):
+    """A parameter a claim would ignore is a usage error (exit 2) before any
+    scan or engine call, with a message naming what the claim takes."""
+    def scan(*args, **kwargs):
+        raise AssertionError("a scan ran")
+
+    for name in ("_petersen_pi1_scan", "_petersen_size13_scan", "_scan_chunk",
+                 "find_unsolvable_witness", "verify_target_conjecture",
+                 "is_solvable", "vertex_connectivity"):
+        monkeypatch.setattr(harness, name, scan)
+    for argv, msg in (
+            (["thm-3.11", "--t", "3"], "thm-3.11 is checked at t=2 only, got t=[3]"),
+            (["lem-3.6", "--m", "7"],
+             "lem-3.6 does not read m; it takes m_values, t_values"),
+            (["cor-3.3", "--m", "9"], "cor-3.3 does not read m; it takes m_values"),
+            (["cor-3.10", "--t", "3"],
+             "cor-3.10 does not read t; it takes t_values"),
+            (["cor-3.10", "--t-values", "1,3"],
+             "cor-3.10 verification covers t in (1, 2), got [1, 3]"),
+            (["claim-A", "--samples", "5"],
+             "claim-A does not read samples; it takes no parameters"),
+            (["thm-3.5", "--samples", "5"],
+             "thm-3.5 takes samples only with m=6; at m=5 it scans every "
+             "configuration"),
+            (["thm-2.6", "--spec", "1", "--max-n", "5"],
+             "thm-2.6 reads spec in place of max_n; it takes max_n, "
+             "d_values, t, spec"),
+            (["thm-2.6", "--spec", "1", "--d-values", "2"],
+             "thm-2.6 reads spec in place of d_values"),
+            (["thm-2.1", "--spec", "1", "--enumerate", "6"],
+             "thm-2.1 reads enumerate in place of spec; it takes spec, t, "
+             "enumerate"),
+            (["thm-2.1", "--d-values", "2,3"], "thm-2.1 does not read d_values")):
+        assert cli.main(["verify", *argv]) == 2
+        captured = capsys.readouterr()
+        assert msg in captured.err and captured.out == ""
+
+
+def test_benchmark_workloads_pass_the_parameter_check():
+    """perfbench/workloads.py is pure data; every (claim, params) it runs
+    must pass run_campaign's parameter check, so that a registry edit
+    cannot turn a workload into a usage error."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+        __file__))), "perfbench", "workloads.py")
+    workloads = runpy.run_path(path)["WORKLOADS"]
+    assert workloads
+    for workload in workloads.values():
+        for claim, params in workload.claims:
+            got = harness._claim_params(REGISTRY[claim], params)
+            assert got == {**REGISTRY[claim].defaults, **params}
 
 
 def test_report_shape_and_determinism(tmp_path):
@@ -466,6 +538,106 @@ def test_cli_solve(tmp_path):
     data = json.loads(proc.stdout)
     assert proc.returncode == 0
     assert data["cost"] == 4 and len(data["moves"]) == 3 and data["is_cheap"]
+
+
+def test_cli_graphs_from_files_and_stdin_merge_duplicates_alike(tmp_path):
+    """--graph FILE and --graph - read through one loader: both merge a
+    duplicate edge and warn about it, and give the same answer."""
+    text = json.dumps({"n": 3, "edges": [[0, 1], [1, 2], [1, 0]]})
+    graph = tmp_path / "dup.json"
+    graph.write_text(text + "\n")
+    argv = ("solve", "--config", "4,0,0", "--root", "2")
+    from_file = run_cli(argv[0], "--graph", str(graph), *argv[1:])
+    from_stdin = run_cli(argv[0], "--graph", "-", *argv[1:], stdin=text)
+    assert from_file.returncode == from_stdin.returncode == 0
+    assert from_file.stdout == from_stdin.stdout
+    assert f"{graph}: 1 duplicate edge(s) merged" in from_file.stderr
+    assert "<stdin>: 1 duplicate edge(s) merged" in from_stdin.stderr
+
+
+def _cli_out(capsys, *argv):
+    """Exit code and stdout of one in-process CLI call."""
+    code = cli.main(list(argv))
+    return code, capsys.readouterr().out
+
+
+def _report_sans_time(text):
+    record = json.loads(text)
+    record.pop("wall_time_s")
+    return record
+
+
+def test_cli_integer_lists_read_ranges_and_files(tmp_path, capsys):
+    """An integer list may be a 'a..b' range or '@file' holding a JSON
+    array or the comma form; each gives the report of the explicit list."""
+    as_json, as_commas = tmp_path / "ms.json", tmp_path / "ms.txt"
+    as_json.write_text("[5, 6]\n")
+    as_commas.write_text("5,6\n")
+    reports = []
+    for form in ("5,6", "5..6", f"@{as_json}", f"@{as_commas}"):
+        code, out = _cli_out(capsys, "verify", "cor-3.3", "--m-values", form)
+        assert code == 0
+        reports.append(_report_sans_time(out))
+    assert reports[0]["parameters"] == {"m_values": [5, 6]}
+    assert all(r == reports[0] for r in reports)
+
+
+def test_cli_fan_specs_read_every_documented_form(tmp_path, capsys):
+    """A fan spec may be 'k=..;overlap=..', a bare '2,2,2' with no overlaps,
+    inline JSON or '@file' with the JSON; overlap flags read true/1/yes and
+    false/0/no. Each gives the graph of the explicit form. A flag that is
+    no boolean, an unknown field and a spec with no k are usage errors."""
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"k": [2, 2, 2], "overlap": [true, false]}\n')
+    explicit = _cli_out(capsys, "gen", "twopath", "--spec",
+                        "k=2,2,2;overlap=true,false")
+    for form in ("k=2,2,2;overlap=yes,0", "overlap=1,no; k=2,2,2;",
+                 '{"k": [2, 2, 2], "overlap": [true, false]}', f"@{spec}"):
+        assert _cli_out(capsys, "gen", "twopath", "--spec", form) == explicit
+    plain = _cli_out(capsys, "gen", "twopath", "--spec",
+                     "k=2,2,2;overlap=false,false")
+    assert _cli_out(capsys, "gen", "twopath", "--spec", "2,2,2") == plain
+    assert plain != explicit
+    for form, msg in (("k=2,2;overlap=maybe", "not a boolean: 'maybe'"),
+                      ("k=2,2;fans=2", "unknown fan spec field 'fans'"),
+                      ("overlap=true", "fan spec needs k=...")):
+        assert cli.main(["gen", "twopath", "--spec", form]) == 2
+        assert msg in capsys.readouterr().err
+
+
+def test_cli_demand_vectors_and_min_cost_refusals(tmp_path, capsys):
+    """--demand gives the answer of the --root it spells out, and a vector
+    of the wrong length is a usage error. solve --min-cost reports an
+    unsolvable configuration with exit 1, and refuses a demand that is not
+    one pebble on one vertex."""
+    graph = tmp_path / "p3.json"
+    graph.write_text(path3_json() + "\n")
+    solve = ("solve", "--graph", str(graph), "--config", "0,0,8")
+    for cmd in (solve, ("pi", "--graph", str(graph))):
+        assert _cli_out(capsys, *cmd, "--demand", "2,0,0") == \
+            _cli_out(capsys, *cmd, "--root", "0", "--t", "2")
+        assert cli.main([*cmd, "--demand", "0,1"]) == 2
+        assert "demand has 2 entries for 3 vertices" in capsys.readouterr().err
+    code, out = _cli_out(capsys, "solve", "--graph", str(graph), "--config",
+                         "3,0,0", "--root", "2", "--min-cost")
+    assert code == 1
+    assert json.loads(out) == {"solvable": False, "moves": None, "cost": None}
+    for extra in (("--root", "2", "--t", "2"), ("--demand", "1,0,1")):
+        assert cli.main([*solve, *extra, "--min-cost"]) == 2
+        assert "--min-cost needs a single unit demand" in capsys.readouterr().err
+
+
+def test_cli_enumerate_takes_d_values_inside_it(capsys):
+    """With --enumerate, --d-values goes into the enumerate parameter only,
+    and the report matches the one run from the same parameters."""
+    code, out = _cli_out(capsys, "verify", "thm-2.1", "--enumerate", "6",
+                         "--d-values", "2,3", "--t", "1..2")
+    assert code == 0
+    report = _report_sans_time(out)
+    params = {"enumerate": {"max_n": 6, "d_values": [2, 3]}, "t": [1, 2]}
+    assert report["parameters"] == {"spec": {"k": [1]}, **params}
+    direct = run_campaign(CampaignConfig(claim="thm-2.1", params=params))
+    assert report == _report_sans_time(direct.to_json())
 
 
 def test_cli_pi_and_witness(tmp_path):

@@ -904,13 +904,15 @@ def test_scan_chunk_settles_blocks_as_brute_force(monkeypatch):
     three-target demands together, in 7-row blocks. With stops=0 its kept
     failures are exactly the brute-rejected (demand index, configuration)
     pairs in block, then demand, then row order, and it draws every block
-    once. With every demand a stop demand, the stop failure is the first
-    such pair, and both the blocks drawn and the count checked stop at
-    that pair's block, for all the demands and for each one alone. With
-    the first demand alone stopping, it stops at that demand's first pair
-    and keeps the first of the other demands' pairs from the blocks before
-    it. In the restricted trials every row of every demand goes to the
-    engine."""
+    once. With every demand a stop demand, the stop failure is the pair of
+    the least failing row, ties going to the first demand that fails it,
+    and both the blocks drawn and the count checked stop at that pair's
+    block, for all the demands and for each one alone. With the first
+    demand alone stopping, it stops at that demand's first pair and keeps
+    the least row the other demands fail in the blocks before it. A stop
+    scan with no failure makes the engine calls of one that collects every
+    failure. In the restricted trials every row of every demand goes to
+    the engine."""
     engine_calls = []
 
     def counted(*args):
@@ -919,7 +921,7 @@ def test_scan_chunk_settles_blocks_as_brute_force(monkeypatch):
 
     monkeypatch.setattr(numbers_mod, "is_solvable", counted)
     rng = random.Random(917)
-    failing_trials = late_stops = mixed_stops = 0
+    failing_trials = late_stops = mixed_stops = clean_stops = 0
     for trial in range(60):
         n = rng.randrange(2, 7)
         g = build_graph(n, random_connected_edges(n, rng.randrange(0, 3), rng))
@@ -942,6 +944,9 @@ def test_scan_chunk_settles_blocks_as_brute_force(monkeypatch):
                     if not ok:
                         want.append((bi, di, tuple(row)))
         failing_trials += bool(want)
+        # scan order: block, then row (ascending rows are lex order), then
+        # demand
+        least_first = sorted(want, key=lambda w: (w[0], w[2], w[1]))
 
         seen = []
 
@@ -968,12 +973,13 @@ def test_scan_chunk_settles_blocks_as_brute_force(monkeypatch):
         picks = [range(len(demands))] + [[di] for di in range(len(demands))]
         for pick in picks:
             seen.clear()
+            engine_calls.clear()
             first, fails, checked = _scan_chunk(
                 g, [demands[di] for di in pick], drawn(), stops=len(pick),
                 mode=mode)
             assert fails == []
             hits = [(bi, list(pick).index(di), row)
-                    for bi, di, row in want if di in pick]
+                    for bi, di, row in least_first if di in pick]
             if hits:
                 bi, di, row = hits[0]
                 assert (first[0], first[1].counts) == (di, row)
@@ -983,6 +989,14 @@ def test_scan_chunk_settles_blocks_as_brute_force(monkeypatch):
             else:
                 assert first is None and checked == num_configs(n, size)
                 assert len(seen) == len(blocks)
+                # a clean scan settles every rejected row of every demand,
+                # as one that collects every failure does
+                calls = len(engine_calls)
+                engine_calls.clear()
+                _scan_chunk(g, [demands[di] for di in pick], iter(blocks),
+                            stops=0, mode=mode)
+                assert calls == len(engine_calls)
+                clean_stops += len(pick) > 1
 
         # the leading demands stop the scan, the rest are kept
         stops = 1
@@ -991,7 +1005,8 @@ def test_scan_chunk_settles_blocks_as_brute_force(monkeypatch):
                                             mode=mode)
         hits = [(bi, di, row) for bi, di, row in want if di < stops]
         end = hits[0][0] if hits else len(blocks)
-        kept = [(di, row) for bi, di, row in want if di >= stops and bi < end]
+        kept = [(di, row) for bi, di, row in least_first
+                if di >= stops and bi < end]
         assert [(di, c.counts) for di, c in fails] == kept[:1]
         if hits:
             assert (first[0], first[1].counts) == hits[0][1:]
@@ -1000,6 +1015,55 @@ def test_scan_chunk_settles_blocks_as_brute_force(monkeypatch):
         else:
             assert first is None and len(seen) == len(blocks)
     assert failing_trials >= 10 and late_stops >= 10 and mixed_stops >= 5
+    assert clean_stops >= 5
+
+
+def test_stop_failure_is_the_least_failing_row_in_any_demand_order():
+    """On small random graphs, the stop failure of a scan whose demands all
+    stop it is the least row that some demand fails, by
+    oracles.brute_solvable, at the first demand in list order that fails
+    it; permuting the demands leaves that row unchanged. With the first
+    demand alone stopping and failing nothing, the first kept failure
+    follows the same rule over the other demands."""
+    rng = random.Random(2417)
+    by_demand = kept_checked = 0
+    for _ in range(30):
+        n = rng.randrange(3, 7)
+        g = build_graph(n, random_connected_edges(n, rng.randrange(0, 3), rng))
+        size = rng.randrange(2, 7)
+        demands = _demand_pool(n, rng)
+        unsolvable = {d: brute_unsolvable_set(g, d.demands, size)
+                      for d in demands}
+
+        def least(order):
+            rows = [unsolvable[d][0] for d in order if unsolvable[d]]
+            if not rows:
+                return None
+            row = min(rows)
+            return next(k for k, d in enumerate(order)
+                        if row in unsolvable[d]), row
+
+        rows = set()
+        for _ in range(4):
+            order = rng.sample(demands, len(demands))
+            stop, _, _ = _scan(g, order, size, stops=len(order))
+            want = least(order)
+            assert (stop and (stop[0], stop[1].counts)) == want
+            rows.add(want and want[1])
+            if want:
+                # the rule of settling demand by demand in one block:
+                # the first demand that fails, at its least row
+                first = next(d for d in order if unsolvable[d])
+                by_demand += unsolvable[first][0] != want[1]
+            if not unsolvable[order[0]]:
+                stop, kept, _ = _scan(g, order, size, stops=1)
+                want = least(order[1:])
+                assert stop is None
+                assert [(k - 1, c.counts) for k, c in kept] == \
+                    ([want] if want else [])
+                kept_checked += want is not None
+        assert len(rows) == 1
+    assert by_demand >= 5 and kept_checked >= 5
 
 
 def test_find_unsolvable_witness_path_example():
@@ -1362,18 +1426,18 @@ def test_lower_witness_fallback_is_one_scan_over_the_requested_roots():
     """With no candidate of size expected_pi - 1, verify_target_conjecture
     finds its lower witness in one scan of that size over the stacked
     demands of every requested root. The scan stops at its first failure:
-    in the first block that some root fails, the first root in the
-    requested order that fails there, at that root's least failing row.
-    On C6 at t = 1 the BFS-tree dust witness has size 10 and the diameter
-    is 3, so no default candidate has size 7. On the 5-cycle with a
-    pendant vertex at 0, root 1 fails nothing of size 8 (pi(G, 1) = 7), so
-    the one scan reports root 2 after one block, where a scan per root
-    charged the whole size for root 1 and then a block for root 2."""
+    the least row that some root fails, at the first root in the requested
+    order that fails it. On C6 at t = 1 the BFS-tree dust witness has size
+    10 and the diameter is 3, so no default candidate has size 7. On the
+    5-cycle with a pendant vertex at 0, root 1 fails nothing of size 8
+    (pi(G, 1) = 7), so the one scan reports root 2 after one block, where
+    a scan per root charged the whole size for root 1 and then a block for
+    root 2."""
     c6 = build_graph(6, [(i, (i + 1) % 6) for i in range(6)])
     c5p = build_graph(6, [(i, (i + 1) % 5) for i in range(5)] + [(0, 5)])
     for g, pi, roots, root, witness in (
-            (c6, 8, None, 0, (0, 0, 0, 7, 0, 0)),
-            (c6, 8, [3, 0], 3, (5, 1, 0, 0, 0, 1)),
+            (c6, 8, None, 2, (0, 0, 0, 0, 0, 7)),
+            (c6, 8, [3, 0], 0, (0, 0, 0, 7, 0, 0)),
             (c5p, 9, [1, 2], 2, (0, 0, 0, 0, 1, 7))):
         report = verify_target_conjecture(g, 1, [], expected_pi=pi,
                                           roots=roots)
@@ -1387,13 +1451,12 @@ def test_lower_witness_fallback_is_one_scan_over_the_requested_roots():
         assert report["configs_checked"] == total + num_configs(g.n, pi)
         rows = [unrank_config(g.n, size, k).counts for k in range(total)]
         order = list(range(g.n)) if roots is None else roots
-        for r in order[:order.index(root)]:
-            d = Distribution.stacked(g.n, r, 1).demands
-            assert all(brute_solvable(g, c, d) for c in rows)
-        d = Distribution.stacked(g.n, root, 1).demands
         at = rows.index(witness)
-        assert all(brute_solvable(g, c, d) for c in rows[:at])
-        assert not brute_solvable(g, rows[at], d)
+        for k, r in enumerate(order):
+            d = Distribution.stacked(g.n, r, 1).demands
+            assert all(brute_solvable(g, c, d) for c in rows[:at])
+            if k <= order.index(root):
+                assert brute_solvable(g, rows[at], d) == (r != root)
 
 
 def test_scans_refuse_demands_of_the_wrong_length():
